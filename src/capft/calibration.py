@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -49,12 +48,11 @@ class ModelFormatError(CalibrationError):
     """Serialized model file is malformed."""
 
 
-def tare(frames: Sequence[CapacitanceFrame]) -> np.ndarray:
-    """Per-channel mean of no-load frames, the baseline for feature expansion."""
-    if not frames:
+def tare(counts: np.ndarray) -> np.ndarray:
+    """Per-channel mean of (N, 12) no-load counts, the baseline for feature expansion."""
+    if len(counts) == 0:
         raise IllConditionedError("tare requires at least one frame")
-    counts = np.array([f.counts for f in frames], dtype=float)
-    return counts.mean(axis=0)
+    return np.asarray(counts, dtype=float).mean(axis=0)
 
 
 def _check_mode(mode: str) -> int:
@@ -63,20 +61,17 @@ def _check_mode(mode: str) -> int:
     return _MODE_FEATURES[mode]
 
 
-def _feature_matrix(counts: np.ndarray, baseline: np.ndarray, mode: str) -> np.ndarray:
-    """(F, N) feature matrix from (N, 12) raw counts."""
+def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Tared counts followed by their squares: an (F,) vector for one (12,)
+    reading, an (F, N) matrix with one column per row for (N, 12) counts."""
     _check_mode(mode)
+    baseline = np.asarray(baseline, dtype=float)
     if baseline.shape != (NUM_CHANNELS,):
         raise CalibrationError(f"baseline must have {NUM_CHANNELS} channels")
-    tared = counts.astype(float) - baseline
+    tared = np.asarray(counts, dtype=float) - baseline
     if mode == "shear_only":
-        tared = tared[:, 4:]
-    return np.vstack([tared.T, (tared * tared).T])
-
-
-def expand_features(frame: CapacitanceFrame, baseline: np.ndarray, mode: str = "full") -> np.ndarray:
-    """Feature vector for one frame: tared counts followed by their squares."""
-    return _feature_matrix(np.array([frame.counts]), np.asarray(baseline, dtype=float), mode)[:, 0]
+        tared = tared[..., 4:]
+    return np.concatenate([tared.T, (tared * tared).T])
 
 
 @dataclass(frozen=True)
@@ -99,24 +94,23 @@ class CalibrationModel:
             raise ChannelMismatchError("baseline must cover all 12 channels")
 
 
-def fit(frames: Sequence[CapacitanceFrame], wrenches: Sequence[Wrench],
-        baseline: np.ndarray, mode: str = "full", ridge: float | None = None) -> CalibrationModel:
-    """Fit the feature-to-wrench matrix by a ridge normal equation.
+def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
+        mode: str = "full", ridge: float | None = None) -> CalibrationModel:
+    """Fit the feature-to-wrench matrix to (N, 12) counts and (N, 6) wrenches.
 
     Solves (X X^T + ridge * I) A^T = X Y^T.  ridge=None picks the default
     1e-9 * trace(X X^T) / 24; ridge=0.0 is the plain normal equation and
     requires full-rank features.
     """
     n_feat = _check_mode(mode)
-    if len(frames) != len(wrenches):
+    if len(counts) != len(wrenches):
         raise CalibrationError("frames and wrenches must pair up")
-    if len(frames) < n_feat:
+    if len(counts) < n_feat:
         raise IllConditionedError(
-            f"need at least {n_feat} samples for mode {mode!r}, got {len(frames)}")
+            f"need at least {n_feat} samples for mode {mode!r}, got {len(counts)}")
     baseline = np.asarray(baseline, dtype=float)
-    counts = np.array([f.counts for f in frames], dtype=float)
-    x = _feature_matrix(counts, baseline, mode)
-    y = np.array([w.as_tuple() for w in wrenches], dtype=float).T
+    x = expand_features(counts, baseline, mode)
+    y = np.asarray(wrenches, dtype=float).T
     gram = x @ x.T
     if ridge is None:
         ridge = 1e-9 * np.trace(gram) / 24.0
@@ -138,16 +132,18 @@ def fit(frames: Sequence[CapacitanceFrame], wrenches: Sequence[Wrench],
                             train_rmse=rmse, normal_eq_residual=grad_ratio)
 
 
+def predict_counts(model: CalibrationModel, counts,
+                   baseline: np.ndarray | None = None) -> np.ndarray:
+    """Wrench estimates, (6,) for one (12,) reading or (6, N) for (N, 12)
+    counts; baseline defaults to the fit-time tare."""
+    base = model.baseline if baseline is None else baseline
+    return model.matrix @ expand_features(counts, base, model.mode)
+
+
 def predict(model: CalibrationModel, frame: CapacitanceFrame,
             baseline: np.ndarray | None = None) -> Wrench:
     """Wrench estimate for one frame; baseline defaults to the fit-time tare."""
-    base = model.baseline if baseline is None else np.asarray(baseline, dtype=float)
-    phi = expand_features(frame, base, model.mode)
-    return Wrench.from_sequence(model.matrix @ phi)
-
-
-def _predict_matrix(model: CalibrationModel, counts: np.ndarray) -> np.ndarray:
-    return model.matrix @ _feature_matrix(counts, model.baseline, model.mode)
+    return Wrench.from_sequence(predict_counts(model, frame.counts, baseline))
 
 
 @dataclass(frozen=True)
@@ -166,14 +162,12 @@ class Metrics:
         return lines
 
 
-def evaluate(model: CalibrationModel, frames: Sequence[CapacitanceFrame],
-             wrenches: Sequence[Wrench]) -> Metrics:
-    """RMSE and R^2 per axis on held-out data."""
-    if len(frames) != len(wrenches) or not frames:
+def evaluate(model: CalibrationModel, counts: np.ndarray, wrenches: np.ndarray) -> Metrics:
+    """RMSE and R^2 per axis on held-out (N, 12) counts and (N, 6) wrenches."""
+    if len(counts) != len(wrenches) or len(counts) == 0:
         raise CalibrationError("evaluation needs matching, non-empty frames and wrenches")
-    counts = np.array([f.counts for f in frames], dtype=float)
-    pred = _predict_matrix(model, counts)
-    ref = np.array([w.as_tuple() for w in wrenches], dtype=float).T
+    pred = predict_counts(model, counts)
+    ref = np.asarray(wrenches, dtype=float).T
     err = pred - ref
     rmse = np.sqrt((err * err).mean(axis=1))
     ss_res = (err * err).sum(axis=1)
@@ -197,24 +191,20 @@ class TempCompensator:
             if len(coeffs) != NUM_CHANNELS:
                 raise CalibrationError("compensator needs one coefficient set per channel")
 
-    def correction(self, temperature: float) -> np.ndarray:
-        """Drift counts to subtract at this temperature (zero at reference)."""
-        dt = temperature - self.reference_temp
-        return np.asarray(self.a1) * dt + np.asarray(self.a2) * dt * dt
 
-
-def fit_temp_baseline(frames: Sequence[CapacitanceFrame],
+def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
                       reference_temp: float) -> TempCompensator:
     """Quadratic counts-vs-temperature baseline from a no-load sweep.
 
-    Frames are grouped by their recorded temperature and averaged per group
-    before the weighted polynomial fit, so CDC read noise does not drown the
-    drift curve.  Requires at least 3 distinct temperatures spanning 5 degC.
+    Takes (N, 12) counts and their (N,) temperatures.  Frames are grouped
+    by temperature and averaged per group before the weighted polynomial
+    fit, so CDC read noise does not drown the drift curve.  Requires at
+    least 3 distinct temperatures spanning 5 degC.
     """
-    if not frames:
+    if len(counts) == 0:
         raise IllConditionedError("temperature fit requires frames")
-    temps = np.array([f.temperature for f in frames])
-    counts = np.array([f.counts for f in frames], dtype=float)
+    temps = np.asarray(temperatures, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     levels = np.unique(temps)
     if len(levels) < 3:
         raise IllConditionedError(f"need >= 3 distinct temperatures, got {len(levels)}")
@@ -239,31 +229,24 @@ def fit_temp_baseline(frames: Sequence[CapacitanceFrame],
                            reference_temp=reference_temp, r_squared=tuple(r2))
 
 
+def compensate_counts(counts, temperatures, comp: TempCompensator) -> np.ndarray:
+    """Counts referred back to the compensator's reference temperature.
+
+    Subtracts the fitted drift polynomial (zero at the reference) and
+    re-rounds to non-negative whole counts, as floats; takes one (12,)
+    reading at a scalar temperature or (N, 12) counts at (N,) temperatures.
+    """
+    dt = np.asarray(temperatures, dtype=float)[..., None] - comp.reference_temp
+    drift = np.asarray(comp.a1) * dt + np.asarray(comp.a2) * (dt * dt)
+    return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
+
+
 def compensate(frame: CapacitanceFrame, temperature: float,
                comp: TempCompensator) -> CapacitanceFrame:
-    """Refer a frame's counts back to the compensator's reference temperature.
-
-    Subtracts the fitted drift polynomial and re-rounds to integer counts;
-    at the reference temperature (or with zero drift coefficients) the frame
-    passes through unchanged.
-    """
-    corr = comp.correction(temperature)
-    adjusted = np.maximum(np.rint(np.asarray(frame.counts, dtype=float) - corr), 0.0)
-    return CapacitanceFrame(
-        normal_counts=tuple(int(c) for c in adjusted[:4]),
-        shear_counts=tuple(int(c) for c in adjusted[4:]),
-        timestamp=frame.timestamp,
-        temperature=frame.temperature,
-    )
-
-
-def _counts_matrix_compensated(frames: Sequence[CapacitanceFrame],
-                               comp: TempCompensator) -> np.ndarray:
-    counts = np.array([f.counts for f in frames], dtype=float)
-    temps = np.array([f.temperature for f in frames])
-    dt = temps - comp.reference_temp
-    corr = np.asarray(comp.a1) * dt[:, None] + np.asarray(comp.a2) * (dt * dt)[:, None]
-    return np.maximum(np.rint(counts - corr), 0.0)
+    """One frame's counts referred back to the reference temperature; at the
+    reference (or with zero drift coefficients) the frame passes through unchanged."""
+    return CapacitanceFrame.from_counts(compensate_counts(frame.counts, temperature, comp),
+                                        frame.timestamp, frame.temperature)
 
 
 def save_model(model: CalibrationModel, path: str | Path,

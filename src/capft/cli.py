@@ -15,6 +15,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -52,13 +53,11 @@ def _sha256_file(path: Path) -> str:
     return sha256(path.read_bytes()).hexdigest()
 
 
-def _generate_one(scenario_dict: dict, params_dict: dict, out_path: str) -> tuple[str, str]:
+def _generate_one(scenario: dataio.Scenario, params: SensorParams,
+                  out_path: Path) -> tuple[str, str]:
     """Worker for parallel generation; module level so it pickles."""
-    scenario = dataio.scenario_from_dict(scenario_dict)
-    params = SensorParams.from_dict(params_dict)
-    trial = dataio.generate_trial(scenario, params)
-    dataio.write_log(trial, out_path)
-    return Path(out_path).name, _sha256_file(Path(out_path))
+    dataio.write_log(dataio.generate_trial(scenario, params), out_path)
+    return out_path.name, _sha256_file(out_path)
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
@@ -74,28 +73,26 @@ def _resolve_out(args: argparse.Namespace) -> Path:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     params = _load_sensor_params(args.sensor_params)
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario_file is not None:
         base = dataio.scenario_from_dict(json.loads(Path(args.scenario_file).read_text()))
     else:
         base = _SCENARIO_BUILDERS[args.scenario](duration=args.duration, seed=args.seed)
-    jobs = []
-    for i in range(args.trials):
-        sc = dataio.scenario_from_dict({**dataio.scenario_to_dict(base),
-                                        "name": f"{base.name}_{i:02d}",
-                                        "seed": _child_seed(args.seed, i)})
-        jobs.append((dataio.scenario_to_dict(sc), params.to_dict(),
-                     str(out_dir / f"trial_{i:02d}.csv")))
-    tare_sc = dataio.no_load_scenario(seed=_child_seed(args.seed, args.trials))
-    jobs.append((dataio.scenario_to_dict(tare_sc), params.to_dict(),
-                 str(out_dir / "tare.csv")))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_generate_one, *zip(*((s, p, o) for s, p, o in jobs))))
+    out_dir = _resolve_out(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scenarios = [replace(base, name=f"{base.name}_{i:02d}", seed=_child_seed(args.seed, i))
+                 for i in range(args.trials)]
+    scenarios.append(dataio.no_load_scenario(seed=_child_seed(args.seed, args.trials)))
+    outs = [out_dir / f"trial_{i:02d}.csv" for i in range(args.trials)] + [out_dir / "tare.csv"]
+    jobs = (scenarios, [params] * len(outs), outs)
+    workers = min(args.jobs, len(outs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_generate_one, *jobs))
     else:
-        results = [_generate_one(s, p, o) for s, p, o in jobs]
+        results = list(map(_generate_one, *jobs))
     manifest = {
         "scenario": dataio.scenario_to_dict(base),
         "sensor_params_hash": params.hash(),
@@ -123,20 +120,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if len(trials) < 2:
         raise CalibrationError("need at least two trials (train + held-out test)")
     train, test = dataio.split(trials)
-    baseline = calibration.tare(tare_trial.frames)
-    frames = [f for t in train for f in t.frames]
-    wrenches = [w for t in train for w in t.wrenches]
+    baseline = calibration.tare(tare_trial.counts)
+    counts = np.concatenate([t.counts for t in train])
+    wrenches = np.concatenate([t.wrench for t in train])
     modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
     report = {"axes": list(calibration.AXIS_NAMES), "test_trial": test.name, "modes": {}}
     for mode in modes:
-        model = calibration.fit(frames, wrenches, baseline, mode=mode, ridge=args.ridge)
+        model = calibration.fit(counts, wrenches, baseline, mode=mode, ridge=args.ridge)
         out_path = Path(args.model)
         if args.mode == "both" and mode == "shear_only":
             out_path = out_path.with_name(out_path.stem + "_shear_only" + out_path.suffix)
         calibration.save_model(model, out_path)
-        test_metrics = calibration.evaluate(model, test.frames, test.wrenches)
+        test_metrics = calibration.evaluate(model, test.counts, test.wrench)
         print(f"fitted mode={model.mode} ridge={model.ridge:.3e} "
-              f"on {len(frames)} samples, test trial {test.name!r}:")
+              f"on {len(counts)} samples, test trial {test.name!r}:")
         for line in test_metrics.summary_lines():
             print("  " + line)
         report["modes"][mode] = {
@@ -153,7 +150,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, _ = calibration.load_model(args.model)
     trial = dataio.load_log(args.log)
-    metrics = calibration.evaluate(model, trial.frames, trial.wrenches)
+    metrics = calibration.evaluate(model, trial.counts, trial.wrench)
     print(f"evaluated {args.log} ({len(trial)} samples):")
     for line in metrics.summary_lines():
         print("  " + line)
@@ -161,12 +158,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         header = "t," + ",".join(f"ref_{a}" for a in calibration.AXIS_NAMES) \
                  + "," + ",".join(f"pred_{a}" for a in calibration.AXIS_NAMES)
         lines = [header]
-        for frame, w in zip(trial.frames, trial.wrenches):
-            pred = calibration.predict(model, frame)
-            cells = [repr(frame.timestamp)]
-            cells += [repr(v) for v in w.as_tuple()]
-            cells += [repr(v) for v in pred.as_tuple()]
-            lines.append(",".join(cells))
+        for frame, w in zip(trial.iter_frames(), trial.wrench.tolist()):
+            pred = calibration.predict(model, frame).as_tuple()
+            lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
         Path(args.predictions).write_text("\n".join(lines) + "\n", newline="\n")
     return 0
 
@@ -175,15 +169,13 @@ def _quick_model(params: SensorParams, seed: int) -> calibration.CalibrationMode
     """Self-contained calibration used when no model file is supplied."""
     tare_trial = dataio.generate_trial(
         dataio.no_load_scenario(seed=_child_seed(seed, 100)), params)
-    frames, wrenches = [], []
-    for i in range(3):
-        sc = dataio.full_range_scenario(name=f"cal_{i}", duration=10.0,
-                                        seed=_child_seed(seed, 101 + i))
-        trial = dataio.generate_trial(sc, params)
-        frames.extend(trial.frames)
-        wrenches.extend(trial.wrenches)
-    baseline = calibration.tare(tare_trial.frames)
-    return calibration.fit(frames, wrenches, baseline)
+    trials = [dataio.generate_trial(
+        dataio.full_range_scenario(name=f"cal_{i}", duration=10.0,
+                                   seed=_child_seed(seed, 101 + i)), params)
+        for i in range(3)]
+    baseline = calibration.tare(tare_trial.counts)
+    return calibration.fit(np.concatenate([t.counts for t in trials]),
+                           np.concatenate([t.wrench for t in trials]), baseline)
 
 
 def cmd_temp_sweep(args: argparse.Namespace) -> int:
@@ -196,20 +188,20 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
         dataio.temp_sweep_scenario(seed=_child_seed(args.seed, 200),
                                    temp_start=args.temp_start, temp_end=args.temp_end),
         params)
-    comp = calibration.fit_temp_baseline(sweep.frames, params.drift.reference_temp)
-    counts_raw = np.array([f.counts for f in sweep.frames], dtype=float)
-    counts_comp = calibration._counts_matrix_compensated(sweep.frames, comp)
-    pred_raw = calibration._predict_matrix(model, counts_raw)
-    pred_comp = calibration._predict_matrix(model, counts_comp)
+    comp = calibration.fit_temp_baseline(sweep.counts, sweep.temperature,
+                                         params.drift.reference_temp)
+    pred_raw = calibration.predict_counts(model, sweep.counts)
+    pred_comp = calibration.predict_counts(
+        model, calibration.compensate_counts(sweep.counts, sweep.temperature, comp))
     f_raw = np.linalg.norm(pred_raw[:3], axis=0)
     f_comp = np.linalg.norm(pred_comp[:3], axis=0)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     calibration.save_model(model, out_dir / "model_with_comp.json", comp=comp)
     lines = ["t,T,f_err_raw,f_err_comp"]
-    for frame, fr, fc in zip(sweep.frames, f_raw, f_comp):
-        lines.append(f"{frame.timestamp!r},{frame.temperature!r},"
-                     f"{float(fr)!r},{float(fc)!r}")
+    for t, temp, fr, fc in zip(sweep.t.tolist(), sweep.temperature.tolist(),
+                               f_raw.tolist(), f_comp.tolist()):
+        lines.append(f"{t!r},{temp!r},{fr!r},{fc!r}")
     (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n", newline="\n")
     r2 = comp.r_squared
     print(f"baseline fit R^2 per channel: min {min(r2):.5f}, max {max(r2):.5f}")
@@ -225,7 +217,7 @@ def cmd_fly(args: argparse.Namespace) -> int:
         if cfg.scenario != args.scenario:
             raise ValueError(f"config scenario {cfg.scenario!r} does not match "
                              f"requested {args.scenario!r}")
-        cfg = flight.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     else:
         cfg = flight.default_config(args.scenario, seed=args.seed)
     if args.bypass_sensor:

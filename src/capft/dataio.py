@@ -1,7 +1,8 @@
 """Synthetic trial generation and the on-disk log format.
 
 A trial is a fixed-rate sequence of reference wrenches alongside the
-simulated sensor counts they produced.  Logs are CSV with an exact header
+simulated sensor counts they produced, held as columns: one array per
+quantity, one row per sample.  Logs are CSV with an exact header
 
     t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz
 
@@ -14,14 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .core import Wrench
 from .sensor_model import (
+    NUM_CHANNELS,
     CapacitanceFrame,
     DriftModel,
     FirstOrderLag,
@@ -74,8 +76,13 @@ class Scenario:
     drift_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0 or self.sample_rate <= 0.0:
-            raise ScenarioRangeError("duration and sample rate must be positive")
+        values = (self.duration, self.sample_rate, self.duration * self.sample_rate,
+                  self.band_hz, self.temp_start, self.temp_end,
+                  *itertools.chain(*self.ranges()))
+        if not all(math.isfinite(v) for v in values):
+            raise ScenarioRangeError(f"scenario {self.name!r} has a non-finite value")
+        if self.duration <= 0.0 or self.sample_rate <= 0.0 or self.sample_count < 1:
+            raise ScenarioRangeError("duration and sample rate must give at least one sample")
         if self.band_hz <= 0.0 or self.band_hz > 2.0:
             raise ScenarioRangeError("excitation band must lie in (0, 2] Hz")
         if self.components < 1:
@@ -94,25 +101,47 @@ class Scenario:
         return int(round(self.duration * self.sample_rate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trial:
-    """Paired sensor frames and reference wrenches at a fixed rate."""
+    """Sensor counts and reference wrenches at a fixed rate, as columns.
+
+    t and temperature are (N,) floats, counts (N, 12) non-negative ints in
+    Z1..Z4, X1..X4, Y1..Y4 order and wrench (N, 6) floats in Fx..Mz order.
+    Keep 2-D columns row-major: batch sums depend on the memory layout.
+    """
 
     name: str
     seed: int
     params_hash: str
-    frames: tuple[CapacitanceFrame, ...]
-    wrenches: tuple[Wrench, ...]
+    t: np.ndarray
+    temperature: np.ndarray
+    counts: np.ndarray
+    wrench: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.frames) != len(self.wrenches) or not self.frames:
-            raise ValueError("trial needs matching, non-empty frames and wrenches")
-        times = [f.timestamp for f in self.frames]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        n = len(self.t)
+        if n == 0 or self.t.shape != (n,) or self.temperature.shape != (n,) \
+                or self.counts.shape != (n, NUM_CHANNELS) or self.wrench.shape != (n, 6):
+            raise ValueError("trial needs non-empty columns t (N,), temperature (N,), "
+                             "counts (N, 12) and wrench (N, 6)")
+        if not np.issubdtype(self.counts.dtype, np.integer) or np.any(self.counts < 0):
+            raise ValueError("trial counts must be non-negative integers")
+        if not all(np.isfinite(a).all() for a in (self.t, self.temperature, self.wrench)):
+            raise ValueError("trial values must be finite")
+        if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trial timestamps must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.t)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Trial) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def iter_frames(self) -> Iterator[CapacitanceFrame]:
+        """The rows as single-reading CapacitanceFrame objects, in order."""
+        for c, t, temp in zip(self.counts.tolist(), self.t.tolist(), self.temperature.tolist()):
+            yield CapacitanceFrame.from_counts(c, t, temp)
 
 
 def _axis_signal(rng: np.random.Generator, t: np.ndarray, lo: float, hi: float,
@@ -171,8 +200,7 @@ def generate_trial(scenario: Scenario, params: SensorParams,
     check_mechanical_range(scenario, params)
     seed = scenario.seed if seed_override is None else seed_override
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = scenario.sample_count
-    t = np.arange(n) / scenario.sample_rate
+    t = np.arange(scenario.sample_count) / scenario.sample_rate
     axes = [_axis_signal(rng, t, lo, hi, scenario.band_hz, scenario.components)
             for lo, hi in scenario.ranges()]
     wrench_arr = np.column_stack(axes)
@@ -188,40 +216,26 @@ def generate_trial(scenario: Scenario, params: SensorParams,
         wrench_arr = np.array(
             [lag.step(Wrench.from_sequence(row), dt).as_tuple() for row in wrench_arr])
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
-    frames = tuple(
-        CapacitanceFrame(
-            normal_counts=tuple(int(c) for c in counts[i, :4]),
-            shear_counts=tuple(int(c) for c in counts[i, 4:]),
-            timestamp=float(t[i]),
-            temperature=float(temps[i]),
-        )
-        for i in range(n)
-    )
-    wrenches = tuple(Wrench.from_sequence(row) for row in wrench_arr)
     return Trial(name=scenario.name, seed=seed, params_hash=params.hash(),
-                 frames=frames, wrenches=wrenches)
+                 t=t, temperature=temps, counts=counts, wrench=wrench_arr)
 
 
 def write_log(trial: Trial, path: str | Path) -> None:
     """Serialize a trial; see the module docstring for the format."""
-    lines = [
-        f"# name={trial.name}",
-        f"# seed={trial.seed}",
-        f"# params={trial.params_hash}",
-        LOG_HEADER,
-    ]
-    for frame, w in zip(trial.frames, trial.wrenches):
-        cells = [repr(frame.timestamp), repr(frame.temperature)]
-        cells += [str(c) for c in frame.counts]
-        cells += [repr(v) for v in w.as_tuple()]
-        lines.append(",".join(cells))
+    columns = [map(repr, trial.t.tolist()), map(repr, trial.temperature.tolist())]
+    columns += [map(str, col) for col in trial.counts.T.tolist()]
+    columns += [map(repr, col) for col in trial.wrench.T.tolist()]
+    lines = itertools.chain(
+        (f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",
+         LOG_HEADER),
+        map(",".join, zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _parse_metadata(lines: list[tuple[int, str]]) -> tuple[dict, int]:
+def _parse_metadata(lines: list[str]) -> tuple[dict, int]:
     meta = {}
     consumed = 0
-    for lineno, text in lines:
+    for text in lines:
         if not text.startswith("#"):
             break
         consumed += 1
@@ -232,60 +246,73 @@ def _parse_metadata(lines: list[tuple[int, str]]) -> tuple[dict, int]:
     return meta, consumed
 
 
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
+    """Columns (t, T, counts, wrench) of the data rows; raises ValueError or
+    OverflowError on a bad row without naming it."""
+    for row in rows:
+        if row.count(",") != _NUM_COLUMNS - 1:
+            raise ValueError(f"expected {_NUM_COLUMNS} columns, got {row.count(',') + 1}")
+    cells = ",".join(rows).split(",")
+    t, temp = (np.array(list(map(float, cells[k::_NUM_COLUMNS]))) for k in (0, 1))
+    counts = np.empty((len(rows), NUM_CHANNELS), dtype=np.int64)
+    for k in range(NUM_CHANNELS):
+        counts[:, k] = list(map(int, cells[2 + k::_NUM_COLUMNS]))
+    wrench = np.empty((len(rows), 6))
+    for k in range(6):
+        wrench[:, k] = list(map(float, cells[14 + k::_NUM_COLUMNS]))
+    return t, temp, counts, wrench
+
+
+def _reject_first_bad_row(path, rows: list[str], first_lineno: int) -> NoReturn:
+    """Raise the error of the earliest row that breaks the format contract."""
+    prev_t = -math.inf
+    for lineno, text in enumerate(rows, first_lineno):
+        try:
+            # one row parses cell by cell in column order, so exc names the first bad cell
+            (t,), temp, counts, wrench = _parse_rows([text])
+        except (ValueError, OverflowError) as exc:
+            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not (math.isfinite(t) and np.isfinite(temp).all() and np.isfinite(wrench).all()):
+            raise LogFormatError(f"{path}: line {lineno}: non-finite value")
+        if (counts < 0).any():
+            raise LogFormatError(f"{path}: line {lineno}: negative count")
+        if t <= prev_t:
+            raise LogFormatError(
+                f"{path}: line {lineno}: non-monotonic timestamp {float(t)!r}")
+        prev_t = t
+    raise LogFormatError(f"{path}: malformed data rows")
+
+
 def load_log(path: str | Path) -> Trial:
     """Parse a trial log, reporting the first offending line on error."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise LogFormatError(f"cannot read log {path}: {exc}") from exc
-    lines = [(i + 1, line.rstrip("\r")) for i, line in enumerate(raw.split("\n"))]
-    if lines and lines[-1][1] == "":
-        lines = lines[:-1]
+    # text mode already turned \r\n and \r line ends into \n
+    lines = raw.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise LogFormatError(f"{path}: empty log")
     meta, consumed = _parse_metadata(lines)
-    body = lines[consumed:]
-    if not body:
+    if consumed == len(lines):
         raise LogFormatError(f"{path}: line {consumed + 1}: missing header row")
-    header_no, header = body[0]
-    if header != LOG_HEADER:
-        raise LogFormatError(f"{path}: line {header_no}: bad header {header!r}")
-    frames: list[CapacitanceFrame] = []
-    wrenches: list[Wrench] = []
-    prev_t = None
-    for lineno, text in body[1:]:
-        cells = text.split(",")
-        if len(cells) != _NUM_COLUMNS:
-            raise LogFormatError(
-                f"{path}: line {lineno}: expected {_NUM_COLUMNS} columns, got {len(cells)}")
-        try:
-            t = float(cells[0])
-            temp = float(cells[1])
-            counts = [int(c) for c in cells[2:14]]
-            wvals = [float(c) for c in cells[14:20]]
-        except ValueError as exc:
-            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not math.isfinite(t) or not math.isfinite(temp) \
-                or not all(math.isfinite(v) for v in wvals):
-            raise LogFormatError(f"{path}: line {lineno}: non-finite value")
-        if any(c < 0 for c in counts):
-            raise LogFormatError(f"{path}: line {lineno}: negative count")
-        if prev_t is not None and t <= prev_t:
-            raise LogFormatError(f"{path}: line {lineno}: non-monotonic timestamp {t!r}")
-        prev_t = t
-        frames.append(CapacitanceFrame(
-            normal_counts=tuple(counts[:4]), shear_counts=tuple(counts[4:]),
-            timestamp=t, temperature=temp))
-        wrenches.append(Wrench.from_sequence(wvals))
-    if not frames:
+    if lines[consumed] != LOG_HEADER:
+        raise LogFormatError(f"{path}: line {consumed + 1}: bad header {lines[consumed]!r}")
+    rows = lines[consumed + 1:]
+    if not rows:
         raise LogFormatError(f"{path}: no data rows")
     try:
         seed = int(meta.get("seed", "-1"))
     except ValueError:
         seed = -1
-    return Trial(name=meta.get("name", Path(path).stem), seed=seed,
-                 params_hash=meta.get("params", ""),
-                 frames=tuple(frames), wrenches=tuple(wrenches))
+    try:
+        # Trial's own checks cover the rest of the per-row contract
+        return Trial(meta.get("name", Path(path).stem), seed, meta.get("params", ""),
+                     *_parse_rows(rows))
+    except (ValueError, OverflowError):
+        _reject_first_bad_row(path, rows, consumed + 2)
 
 
 def split(trials: Sequence[Trial]) -> tuple[tuple[Trial, ...], Trial]:
@@ -329,14 +356,7 @@ def temp_sweep_scenario(name: str = "temp_sweep", duration: float = 22.0, seed: 
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name, "duration": s.duration, "seed": s.seed,
-        "fx": list(s.fx), "fy": list(s.fy), "fz": list(s.fz),
-        "mx": list(s.mx), "my": list(s.my), "mz": list(s.mz),
-        "sample_rate": s.sample_rate, "band_hz": s.band_hz, "components": s.components,
-        "temp_start": s.temp_start, "temp_end": s.temp_end, "temp_steps": s.temp_steps,
-        "noise_enabled": s.noise_enabled, "drift_enabled": s.drift_enabled,
-    }
+    return asdict(s)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

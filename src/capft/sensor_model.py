@@ -317,6 +317,13 @@ class CapacitanceFrame:
         """All channels in the fixed Z1..Z4, X1..X4, Y1..Y4 order."""
         return self.normal_counts + self.shear_counts
 
+    @classmethod
+    def from_counts(cls, counts, timestamp: float, temperature: float) -> "CapacitanceFrame":
+        """Frame from all twelve whole-number counts in the counts order."""
+        c = tuple(int(v) for v in counts)
+        return cls(normal_counts=c[:4], shear_counts=c[4:], timestamp=timestamp,
+                   temperature=temperature)
+
 
 @dataclass(frozen=True)
 class StiffnessSet:
@@ -519,12 +526,7 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     mean = params.cdc.gain_counts_per_farad * caps * scale
     noisy = mean + params.cdc.noise_sigma_counts * gen.normal(size=NUM_CHANNELS)
     counts = np.maximum(np.rint(noisy), 0.0).astype(int)
-    return CapacitanceFrame(
-        normal_counts=tuple(int(c) for c in counts[:4]),
-        shear_counts=tuple(int(c) for c in counts[4:]),
-        timestamp=timestamp,
-        temperature=temperature,
-    )
+    return CapacitanceFrame.from_counts(counts.tolist(), timestamp, temperature)
 
 
 def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: SensorParams,

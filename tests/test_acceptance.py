@@ -46,11 +46,11 @@ def protocol():
         dataio.full_range_scenario(name=f"trial_{i:02d}", duration=35.0, seed=1100 + i),
         params) for i in range(11)]
     tare_trial = dataio.generate_trial(dataio.no_load_scenario(seed=1199), params)
-    baseline = calibration.tare(tare_trial.frames)
+    baseline = calibration.tare(tare_trial.counts)
     train, test = dataio.split(trials)
-    frames = [f for t in train for f in t.frames]
-    wrenches = [w for t in train for w in t.wrenches]
-    model = calibration.fit(frames, wrenches, baseline)
+    counts = np.concatenate([t.counts for t in train])
+    wrenches = np.concatenate([t.wrench for t in train])
+    model = calibration.fit(counts, wrenches, baseline)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(params=params, baseline=baseline, model=model,
                            test=test, elapsed=elapsed)
@@ -150,16 +150,17 @@ def test_04_calibration_recovery(protocol):
         frames.append(CapacitanceFrame(
             normal_counts=tuple(counts[:4]), shear_counts=tuple(counts[4:]),
             timestamp=i / 360.0, temperature=25.0))
-    x = np.column_stack([expand_features(f, baseline, "full") for f in frames])
+    x = np.column_stack([expand_features(f.counts, baseline, "full") for f in frames])
     y = a_true @ x
     wrenches = [Wrench(*y[:, i]) for i in range(y.shape[1])]
-    model = calibration.fit(frames, wrenches, baseline, ridge=0.0)
+    model = calibration.fit(np.array([f.counts for f in frames]),
+                            np.array([w.as_tuple() for w in wrenches]), baseline, ridge=0.0)
     a_pinv = y @ np.linalg.pinv(x)
     np.testing.assert_allclose(model.matrix, a_pinv, rtol=1e-6, atol=1e-12)
 
     # Full protocol at default noise: every axis above 0.99
-    metrics = calibration.evaluate(protocol.model, protocol.test.frames,
-                                   protocol.test.wrenches)
+    metrics = calibration.evaluate(protocol.model, protocol.test.counts,
+                                   protocol.test.wrench)
     assert min(metrics.r_squared) > 0.99
     assert protocol.elapsed < 30.0
     ok(4, "calibration recovery and protocol fit quality")
@@ -176,14 +177,14 @@ def test_05_shear_only_ablation_trend():
             for i in range(3)]
         tare_trial = dataio.generate_trial(
             dataio.no_load_scenario(seed=5900 + s), params)
-        baseline = calibration.tare(tare_trial.frames)
+        baseline = calibration.tare(tare_trial.counts)
         train, test = dataio.split(trials)
-        frames = [f for t in train for f in t.frames]
-        wrenches = [w for t in train for w in t.wrenches]
+        counts = np.concatenate([t.counts for t in train])
+        wrenches = np.concatenate([t.wrench for t in train])
         rmse = {}
         for mode in ("full", "shear_only"):
-            model = calibration.fit(frames, wrenches, baseline, mode=mode)
-            rmse[mode] = calibration.evaluate(model, test.frames, test.wrenches).rmse
+            model = calibration.fit(counts, wrenches, baseline, mode=mode)
+            rmse[mode] = calibration.evaluate(model, test.counts, test.wrench).rmse
         if all(rmse["full"][i] < rmse["shear_only"][i] for i in axes):
             wins += 1
     assert wins >= 9
@@ -193,11 +194,11 @@ def test_05_shear_only_ablation_trend():
 def test_06_temperature_compensation(protocol):
     sweep = dataio.generate_trial(
         dataio.temp_sweep_scenario(seed=1300), protocol.params)
-    comp = calibration.fit_temp_baseline(sweep.frames,
+    comp = calibration.fit_temp_baseline(sweep.counts, sweep.temperature,
                                          protocol.params.drift.reference_temp)
     assert min(comp.r_squared) > 0.999
     force_errors = []
-    for frame in sweep.frames:
+    for frame in sweep.iter_frames():
         fixed = calibration.compensate(frame, frame.temperature, comp)
         w = calibration.predict(protocol.model, fixed)
         force_errors.append(np.hypot(np.hypot(w.fx, w.fy), w.fz))
@@ -212,11 +213,11 @@ def test_07_normal_equation_optimality(protocol):
         dataio.small_range_scenario(name=f"ne_{i}", duration=8.0, seed=700 + i),
         params) for i in range(2)]
     tare_trial = dataio.generate_trial(dataio.no_load_scenario(seed=799), params)
-    baseline = calibration.tare(tare_trial.frames)
-    frames = [f for t in trials for f in t.frames]
-    wrenches = [w for t in trials for w in t.wrenches]
+    baseline = calibration.tare(tare_trial.counts)
+    counts = np.concatenate([t.counts for t in trials])
+    wrenches = np.concatenate([t.wrench for t in trials])
     for mode in ("full", "shear_only"):
-        models.append(calibration.fit(frames, wrenches, baseline, mode=mode))
+        models.append(calibration.fit(counts, wrenches, baseline, mode=mode))
     for model in models:
         assert model.normal_eq_residual < 1e-6
     ok(7, "normal equation residual orthogonality")

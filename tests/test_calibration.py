@@ -39,35 +39,40 @@ def make_frame(counts, timestamp=0.0, temperature=25.0):
                             timestamp=timestamp, temperature=temperature)
 
 
+def columns(frames):
+    """(N, 12) counts and (N,) temperatures of a frame list."""
+    return np.array([f.counts for f in frames]), np.array([f.temperature for f in frames])
+
+
 def synthetic_dataset(n, rng, noise=0.0):
-    """Frames from a known quadratic map so the fit has an exact answer."""
+    """Counts and wrenches from a known quadratic map so the fit has an exact answer."""
     a_true = rng.normal(scale=0.01, size=(6, 24))
     baseline = np.full(12, 1000.0)
-    frames, wrenches = [], []
+    counts, wrenches = [], []
     for i in range(n):
         c = rng.integers(900, 1100, size=12)
         feats = np.concatenate([c - baseline, (c - baseline) ** 2])
         y = a_true @ feats
         if noise:
             y = y + rng.normal(scale=noise, size=6)
-        frames.append(make_frame(c, timestamp=i * 0.01))
-        wrenches.append(Wrench.from_sequence(y))
-    return a_true, baseline, frames, wrenches
+        counts.append(c)
+        wrenches.append(y)
+    return a_true, baseline, np.array(counts), np.array(wrenches)
 
 
 class TestTare:
     def test_single_frame(self):
         f = make_frame(range(100, 112))
-        assert tare([f]) == pytest.approx(np.arange(100, 112, dtype=float))
+        assert tare(columns([f])[0]) == pytest.approx(np.arange(100, 112, dtype=float))
 
     def test_mean_of_two(self):
         a = make_frame([100] * 12)
         b = make_frame([102] * 12)
-        assert tare([a, b]) == pytest.approx(np.full(12, 101.0))
+        assert tare(columns([a, b])[0]) == pytest.approx(np.full(12, 101.0))
 
     def test_empty_rejected(self):
         with pytest.raises(CalibrationError):
-            tare([])
+            tare(np.empty((0, 12), dtype=int))
 
     def test_statistical_recovery(self):
         params = default_sensor_params()
@@ -78,7 +83,7 @@ class TestTare:
         truth = np.array(sample(Wrench.zero(), params.drift.reference_temp, quiet,
                                 np.random.default_rng(1)).counts, dtype=float)
         sigma = params.cdc.noise_sigma_counts
-        est = tare(frames)
+        est = tare(columns(frames)[0])
         # rounding adds at most half a count of extra slack
         assert np.all(np.abs(est - truth) < 3 * sigma / math.sqrt(1000) + 0.5)
 
@@ -87,12 +92,12 @@ class TestFeatures:
     def test_baseline_frame_is_zero(self):
         base = np.full(12, 50.0)
         f = make_frame([50] * 12)
-        assert expand_features(f, base, "full") == pytest.approx(np.zeros(24))
+        assert expand_features(f.counts, base, "full") == pytest.approx(np.zeros(24))
 
     def test_unit_channel(self):
         base = np.zeros(12)
         f = make_frame([1] + [0] * 11)
-        feats = expand_features(f, base, "full")
+        feats = expand_features(f.counts, base, "full")
         expect = np.zeros(24)
         expect[0] = 1.0
         expect[12] = 1.0
@@ -101,78 +106,77 @@ class TestFeatures:
     def test_square_slot(self):
         base = np.zeros(12)
         f = make_frame([0, 3] + [0] * 10)
-        feats = expand_features(f, base, "full")
+        feats = expand_features(f.counts, base, "full")
         assert feats[1] == 3.0 and feats[13] == 9.0
 
     def test_shear_only_drops_normal_channels(self):
         base = np.arange(12, dtype=float)
         f = make_frame(range(12))
-        feats = expand_features(f, base, "shear_only")
+        feats = expand_features(f.counts, base, "shear_only")
         assert feats.shape == (16,)
 
 
 class TestFit:
     def test_noiseless_recovery_vs_pinv_oracle(self):
         rng = np.random.default_rng(2)
-        a_true, baseline, frames, wrenches = synthetic_dataset(400, rng)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
+        a_true, baseline, counts, wrenches = synthetic_dataset(400, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
         # independent oracle: least-squares through the pseudoinverse
-        counts = np.array([f.counts for f in frames], dtype=float)
+        counts = counts.astype(float)
         x = np.hstack([counts - baseline, (counts - baseline) ** 2]).T
-        y = np.array([w.as_tuple() for w in wrenches]).T
+        y = wrenches.T
         a_pinv = y @ np.linalg.pinv(x)
         np.testing.assert_allclose(model.matrix, a_pinv, rtol=1e-6, atol=1e-12)
         np.testing.assert_allclose(model.matrix, a_true, rtol=1e-6, atol=1e-10)
 
     def test_single_sample_ill_conditioned(self):
         rng = np.random.default_rng(3)
-        _, baseline, frames, wrenches = synthetic_dataset(1, rng)
+        _, baseline, counts, wrenches = synthetic_dataset(1, rng)
         with pytest.raises(IllConditionedError):
-            fit(frames, wrenches, baseline, ridge=0.0)
+            fit(counts, wrenches, baseline, ridge=0.0)
 
     def test_rank_deficient_rejected(self):
         # 30 copies of one frame: plenty of samples, rank 1
-        f = make_frame([1005] * 12)
-        frames = [f] * 30
-        wrenches = [Wrench.zero()] * 30
+        counts = np.full((30, 12), 1005)
+        wrenches = np.zeros((30, 6))
         with pytest.raises(IllConditionedError):
-            fit(frames, wrenches, np.full(12, 1000.0), ridge=0.0)
+            fit(counts, wrenches, np.full(12, 1000.0), ridge=0.0)
 
     def test_normal_equation_optimality(self):
         rng = np.random.default_rng(4)
-        _, baseline, frames, wrenches = synthetic_dataset(300, rng, noise=0.5)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
+        _, baseline, counts, wrenches = synthetic_dataset(300, rng, noise=0.5)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
         assert model.normal_eq_residual < 1e-6
 
     def test_full_training_residual_never_worse_than_shear(self):
         rng = np.random.default_rng(5)
-        _, baseline, frames, wrenches = synthetic_dataset(300, rng, noise=0.5)
-        mf = fit(frames, wrenches, baseline, mode="full", ridge=0.0)
-        ms = fit(frames, wrenches, baseline, mode="shear_only", ridge=0.0)
+        _, baseline, counts, wrenches = synthetic_dataset(300, rng, noise=0.5)
+        mf = fit(counts, wrenches, baseline, mode="full", ridge=0.0)
+        ms = fit(counts, wrenches, baseline, mode="shear_only", ridge=0.0)
         for a, b in zip(mf.train_rmse, ms.train_rmse):
             assert a <= b + 1e-12
 
     def test_mismatched_lengths(self):
         rng = np.random.default_rng(6)
-        _, baseline, frames, wrenches = synthetic_dataset(30, rng)
+        _, baseline, counts, wrenches = synthetic_dataset(30, rng)
         with pytest.raises(CalibrationError):
-            fit(frames, wrenches[:-1], baseline)
+            fit(counts, wrenches[:-1], baseline)
 
 
 class TestPredict:
     def test_baseline_frame_predicts_zero(self):
         rng = np.random.default_rng(7)
-        _, baseline, frames, wrenches = synthetic_dataset(200, rng)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
+        _, baseline, counts, wrenches = synthetic_dataset(200, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
         w = predict(model, make_frame([1000] * 12))
         assert np.array(w.as_tuple()) == pytest.approx(np.zeros(6), abs=1e-9)
 
     def test_matrix_linearity(self):
         rng = np.random.default_rng(8)
-        _, baseline, frames, wrenches = synthetic_dataset(200, rng)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
+        _, baseline, counts, wrenches = synthetic_dataset(200, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
         doubled = dataclasses.replace(model, matrix=2.0 * model.matrix)
-        f = frames[0]
+        f = make_frame(counts[0])
         w1 = np.array(predict(model, f).as_tuple())
         w2 = np.array(predict(doubled, f).as_tuple())
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
@@ -180,9 +184,9 @@ class TestPredict:
     def test_tare_consistency(self):
         # shifting counts and baseline together leaves the prediction bitwise
         rng = np.random.default_rng(9)
-        _, baseline, frames, wrenches = synthetic_dataset(200, rng)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
-        f = frames[3]
+        _, baseline, counts, wrenches = synthetic_dataset(200, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
+        f = make_frame(counts[3])
         shifted = make_frame(np.array(f.counts) + 7)
         w_a = predict(model, f)
         w_b = predict(model, shifted, baseline=baseline + 7.0)
@@ -196,11 +200,11 @@ class TestPredict:
             dataio.full_range_scenario(name=f"t{i}", duration=12.0, seed=100 + i),
             params) for i in range(4)]
         tare_trial = dataio.generate_trial(dataio.no_load_scenario(seed=999), params)
-        baseline = tare(tare_trial.frames)
+        baseline = tare(tare_trial.counts)
         train, _ = dataio.split(trials)
-        frames = [f for t in train for f in t.frames]
-        wr = [w for t in train for w in t.wrenches]
-        model = fit(frames, wr, baseline)
+        counts = np.concatenate([t.counts for t in train])
+        wr = np.concatenate([t.wrench for t in train])
+        model = fit(counts, wr, baseline)
         w_true = Wrench(1.0, -2.0, 6.0, 20.0, -15.0, 5.0)
         errs = []
         for k in range(50):
@@ -215,19 +219,19 @@ class TestPredict:
 class TestMetrics:
     def test_perfect_predictions(self):
         rng = np.random.default_rng(11)
-        _, baseline, frames, wrenches = synthetic_dataset(100, rng)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
-        m = evaluate(model, frames, wrenches)
+        _, baseline, counts, wrenches = synthetic_dataset(100, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
+        m = evaluate(model, counts, wrenches)
         assert max(m.rmse) < 1e-9
         assert min(m.r_squared) > 1.0 - 1e-9
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(12)
-        _, baseline, frames, wrenches = synthetic_dataset(150, rng, noise=1.0)
-        model = fit(frames, wrenches, baseline, ridge=0.0)
-        m = evaluate(model, frames, wrenches)
-        preds = [predict(model, f).as_tuple() for f in frames]
-        refs = [w.as_tuple() for w in wrenches]
+        _, baseline, counts, wrenches = synthetic_dataset(150, rng, noise=1.0)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
+        m = evaluate(model, counts, wrenches)
+        preds = [predict(model, make_frame(c)).as_tuple() for c in counts]
+        refs = wrenches.tolist()
         for axis in range(6):
             errs = [p[axis] - r[axis] for p, r in zip(preds, refs)]
             rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
@@ -239,11 +243,11 @@ class TestMetrics:
 
     def test_constant_axis_undefined_r2(self):
         rng = np.random.default_rng(13)
-        _, baseline, frames, _ = synthetic_dataset(60, rng)
-        wrenches = [Wrench(0, 0, float(3 + (i % 7)), 0, 0, 0)
-                    for i in range(len(frames))]
-        model = fit(frames, wrenches, baseline)
-        m = evaluate(model, frames, wrenches)
+        _, baseline, counts, _ = synthetic_dataset(60, rng)
+        wrenches = np.array([(0, 0, float(3 + (i % 7)), 0, 0, 0)
+                             for i in range(len(counts))], dtype=float)
+        model = fit(counts, wrenches, baseline)
+        m = evaluate(model, counts, wrenches)
         for axis, name in enumerate(AXIS_NAMES):
             if name == "Fz":
                 assert not math.isnan(m.r_squared[axis])
@@ -258,9 +262,9 @@ class TestMetrics:
         model = CalibrationModel(matrix=matrix, baseline=np.zeros(12),
                                  mode="full", ridge=0.0,
                                  train_rmse=(0.0,) * 6, normal_eq_residual=0.0)
-        frames = [make_frame([1] + [0] * 11), make_frame([3] + [0] * 11)]
-        refs = [Wrench(0, 0, 2.0, 0, 0, 0), Wrench(0, 0, 4.0, 0, 0, 0)]
-        m = evaluate(model, frames, refs)
+        counts = np.array([[1] + [0] * 11, [3] + [0] * 11])
+        refs = np.array([(0, 0, 2.0, 0, 0, 0), (0, 0, 4.0, 0, 0, 0)])
+        m = evaluate(model, counts, refs)
         # predictions (1, 3) against (2, 4): errors (-1, -1)
         assert m.rmse[2] == pytest.approx(1.0, rel=1e-12)
         assert m.r_squared[2] == pytest.approx(0.0, abs=1e-12)
@@ -279,7 +283,8 @@ def sweep_trial(sensor_params):
 
 @pytest.fixture(scope="module")
 def sweep_comp(sweep_trial, sensor_params):
-    return fit_temp_baseline(sweep_trial.frames, sensor_params.drift.reference_temp)
+    return fit_temp_baseline(sweep_trial.counts, sweep_trial.temperature,
+                             sensor_params.drift.reference_temp)
 
 
 class TestTempCompensation:
@@ -288,7 +293,8 @@ class TestTempCompensation:
         sweep = dataio.generate_trial(
             dataclasses.replace(dataio.temp_sweep_scenario(seed=22),
                                 drift_enabled=False), sensor_params)
-        comp = fit_temp_baseline(sweep.frames, sensor_params.drift.reference_temp)
+        comp = fit_temp_baseline(sweep.counts, sweep.temperature,
+                                 sensor_params.drift.reference_temp)
         for k in range(12):
             assert abs(comp.a1[k]) < 0.05
             assert abs(comp.a2[k]) < 0.01
@@ -303,7 +309,7 @@ class TestTempCompensation:
         sweep = dataio.generate_trial(
             dataio.temp_sweep_scenario(seed=23, steps=41), params)
         t0 = drift.reference_temp
-        comp = fit_temp_baseline(sweep.frames, t0)
+        comp = fit_temp_baseline(sweep.counts, sweep.temperature, t0)
         from capft.sensor_model import capacitances
         c0 = capacitances(Wrench.zero(), params) * params.cdc.gain_counts_per_farad
         for k in range(12):
@@ -315,8 +321,8 @@ class TestTempCompensation:
                                                   sensor_params):
         sigma = sensor_params.cdc.noise_sigma_counts
         t0 = sweep_comp.reference_temp
-        counts = np.array([f.counts for f in sweep_trial.frames], dtype=float)
-        temps = np.array([f.temperature for f in sweep_trial.frames])
+        counts = sweep_trial.counts.astype(float)
+        temps = sweep_trial.temperature
         for k in range(12):
             model_counts = sweep_comp.a0[k] + sweep_comp.a1[k] * (temps - t0) \
                 + sweep_comp.a2[k] * (temps - t0) ** 2
@@ -330,13 +336,13 @@ class TestTempCompensation:
         frames = [make_frame([1000] * 12, temperature=25.0),
                   make_frame([1001] * 12, temperature=30.0)]
         with pytest.raises(IllConditionedError):
-            fit_temp_baseline(frames * 10, 25.0)
+            fit_temp_baseline(*columns(frames * 10), 25.0)
 
     def test_narrow_span_rejected(self):
         frames = [make_frame([1000] * 12, temperature=t)
                   for t in (25.0, 26.0, 27.0) for _ in range(5)]
         with pytest.raises(IllConditionedError):
-            fit_temp_baseline(frames, 25.0)
+            fit_temp_baseline(*columns(frames), 25.0)
 
     def test_compensate_identity_at_reference(self, sweep_comp):
         f = make_frame([1500] * 12, temperature=sweep_comp.reference_temp)
@@ -361,11 +367,11 @@ class TestTempCompensation:
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
-        _, baseline, frames, wrenches = synthetic_dataset(120, rng, noise=0.3)
-        model = fit(frames, wrenches, baseline)
-        comp = fit_temp_baseline(
+        _, baseline, counts, wrenches = synthetic_dataset(120, rng, noise=0.3)
+        model = fit(counts, wrenches, baseline)
+        comp = fit_temp_baseline(*columns(
             [make_frame([1000 + 2 * k] * 12, temperature=20.0 + k)
-             for k in range(11) for _ in range(5)], 25.0)
+             for k in range(11) for _ in range(5)]), 25.0)
         path = tmp_path / "model.json"
         save_model(model, path, comp=comp)
         loaded, comp2 = load_model(path)
@@ -383,12 +389,12 @@ class TestModelFile:
 
     def test_mode_mismatch_rejected(self):
         rng = np.random.default_rng(15)
-        _, baseline, frames, wrenches = synthetic_dataset(120, rng)
-        model = fit(frames, wrenches, baseline, mode="shear_only")
+        _, baseline, counts, wrenches = synthetic_dataset(120, rng)
+        model = fit(counts, wrenches, baseline, mode="shear_only")
         assert model.matrix.shape == (6, 16)
         with pytest.raises(ChannelMismatchError):
             dataclasses.replace(model, mode="full")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(CalibrationError):
-            expand_features(make_frame([0] * 12), np.zeros(12), "both")
+            expand_features(make_frame([0] * 12).counts, np.zeros(12), "both")

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and stdout are
 asserted directly; one test shells out to the installed entry point.
 """
 
+import concurrent.futures
 import json
 import shutil
 import subprocess
@@ -123,6 +124,47 @@ class TestGenerate:
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         rc = main(["generate", "--scenario", "bogus", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e307", "0.001"])
+    def test_degenerate_duration_is_data_error(self, tmp_path, capsys, duration):
+        # inf and nan are not finite, 1e307 s overflows the sample count and
+        # 0.001 s at 360 Hz rounds to zero samples
+        out = tmp_path / "out"
+        rc = main(["generate", "--trials", "1", "--duration", duration, "--out", str(out)])
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_usage_error(self, tmp_path, capsys, jobs):
+        rc = main(["generate", "--trials", "1", "--duration", "1.0", "--jobs", jobs,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs the jobs in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        rc = main(["generate", "--trials", "2", "--duration", "0.5", "--jobs", "64",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert sizes == [3]  # two trials plus the tare log
+        assert len(list(tmp_path.glob("*.csv"))) == 3
 
     def test_out_falls_back_to_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPFT_OUT", str(tmp_path / "envout"))

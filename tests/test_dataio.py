@@ -1,9 +1,13 @@
 """Trial generation, the CSV log format, and dataset splitting."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capft.core import Wrench
 from capft.dataio import (
@@ -23,7 +27,7 @@ from capft.dataio import (
     temp_sweep_scenario,
     write_log,
 )
-from capft.sensor_model import CapacitanceFrame, capacitances, default_sensor_params
+from capft.sensor_model import capacitances, default_sensor_params
 
 
 @pytest.fixture(scope="module")
@@ -36,30 +40,49 @@ def short_trial(params):
     return generate_trial(full_range_scenario(duration=2.0, seed=7), params)
 
 
-def frame_at(t, counts=(0,) * 12, temp=25.0):
-    return CapacitanceFrame(normal_counts=tuple(counts[:4]),
-                            shear_counts=tuple(counts[4:]),
-                            timestamp=t, temperature=temp)
+def trial_at(times, name="x", seed=0, wrench_rows=None):
+    """Trial with zero counts at 25 degC and zero wrenches at the given times."""
+    n = len(times)
+    return Trial(name=name, seed=seed, params_hash="", t=np.array(times, dtype=float),
+                 temperature=np.full(n, 25.0), counts=np.zeros((n, 12), dtype=int),
+                 wrench=np.zeros((n if wrench_rows is None else wrench_rows, 6)))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_trials(draw):
+    """Any valid trial of 1 to 8 rows: finite floats, counts over all of int64."""
+    n = draw(st.integers(1, 8))
+
+    def rows(elements, width):
+        return st.lists(st.lists(elements, min_size=width, max_size=width),
+                        min_size=n, max_size=n)
+
+    return Trial(
+        name=draw(st.text("abcxyz_0189", min_size=1, max_size=8)),
+        seed=draw(st.integers(0, 2**32)), params_hash="feedc0ffee12",
+        t=np.array(sorted(draw(st.sets(finite, min_size=n, max_size=n))), dtype=float),
+        temperature=np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float),
+        counts=np.array(draw(rows(st.integers(0, 2**63 - 1), 12)), dtype=np.int64),
+        wrench=np.array(draw(rows(finite, 6)), dtype=float))
 
 
 class TestTrialInvariants:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            Trial(name="x", seed=0, params_hash="",
-                  frames=(frame_at(0.0), frame_at(1.0)),
-                  wrenches=(Wrench.zero(),))
+            trial_at([0.0, 1.0], wrench_rows=1)
 
     def test_non_monotonic_timestamps_rejected(self):
         with pytest.raises(ValueError):
-            Trial(name="x", seed=0, params_hash="",
-                  frames=(frame_at(0.0), frame_at(0.0)),
-                  wrenches=(Wrench.zero(), Wrench.zero()))
+            trial_at([0.0, 0.0])
 
     def test_nominal_spacing(self, short_trial):
-        times = np.array([f.timestamp for f in short_trial.frames])
+        times = short_trial.t
         dt = np.diff(times)
         assert np.allclose(dt, 1.0 / 360.0, atol=1e-12)
-        assert len(short_trial.frames) == len(short_trial.wrenches) == 720
+        assert len(short_trial.t) == len(short_trial.wrench) == 720
 
 
 class TestGenerateTrial:
@@ -69,9 +92,9 @@ class TestGenerateTrial:
         trial = generate_trial(scen, params)
         base = np.rint(capacitances(Wrench.zero(), params)
                        * params.cdc.gain_counts_per_farad).astype(int)
-        for f, w in zip(trial.frames, trial.wrenches):
-            assert list(f.counts) == list(base)
-            assert w.as_tuple() == (0.0,) * 6
+        for c, w in zip(trial.counts, trial.wrench.tolist()):
+            assert list(c) == list(base)
+            assert tuple(w) == (0.0,) * 6
 
     def test_same_seed_identical(self, params):
         a = generate_trial(full_range_scenario(duration=1.0, seed=11), params)
@@ -88,7 +111,7 @@ class TestGenerateTrial:
         a = generate_trial(scen, params, seed_override=99)
         b = generate_trial(full_range_scenario(duration=1.0, seed=99), params)
         assert a.seed == 99
-        assert a.frames == b.frames
+        assert list(a.iter_frames()) == list(b.iter_frames())
 
     def test_metadata_recorded(self, params, short_trial):
         assert short_trial.name == "full_range"
@@ -99,14 +122,14 @@ class TestGenerateTrial:
         # the axis signal is rescaled onto its declared range, so over a
         # long trial the empirical extrema sit on the range ends exactly
         trial = generate_trial(full_range_scenario(duration=35.0, seed=1), params)
-        fz = np.array([w.fz for w in trial.wrenches])
+        fz = trial.wrench[:, 2]
         assert abs(fz.max() - 14.0) <= 0.05 * 14.0
         assert fz.max() == pytest.approx(14.0, rel=1e-12)
         assert fz.min() == pytest.approx(0.0, abs=1e-12)
 
     def test_band_limit(self, params):
         trial = generate_trial(full_range_scenario(duration=35.0, seed=5), params)
-        fz = np.array([w.fz for w in trial.wrenches])
+        fz = trial.wrench[:, 2]
         spec = np.abs(np.fft.rfft(fz - fz.mean())) ** 2
         freqs = np.fft.rfftfreq(len(fz), 1.0 / 360.0)
         high = spec[freqs > 2.5].sum()
@@ -119,7 +142,7 @@ class TestGenerateTrial:
 
     def test_temperature_plateaus(self, params):
         trial = generate_trial(temp_sweep_scenario(seed=2), params)
-        temps = np.array([f.temperature for f in trial.frames])
+        temps = trial.temperature
         levels = np.unique(temps)
         assert len(levels) == 11
         assert levels == pytest.approx(np.linspace(20.0, 30.0, 11))
@@ -131,7 +154,7 @@ class TestGenerateTrial:
         scen = dataclasses.replace(temp_sweep_scenario(seed=2, duration=2.0),
                                    temp_steps=0)
         trial = generate_trial(scen, params)
-        temps = np.array([f.temperature for f in trial.frames])
+        temps = trial.temperature
         assert np.all(np.diff(temps) > 0)
         assert temps[0] == pytest.approx(20.0)
         assert temps[-1] == pytest.approx(30.0, abs=0.02)
@@ -149,9 +172,9 @@ class TestGenerateTrial:
         scen = full_range_scenario(duration=0.5, seed=4)
         a = generate_trial(scen, params)
         b = generate_trial(scen, lagged)
-        assert a.wrenches != b.wrenches
+        assert not np.array_equal(a.wrench, b.wrench)
         # lag only reshapes the trajectory, never expands its envelope
-        assert max(abs(w.fz) for w in b.wrenches) <= 14.0 + 1e-9
+        assert np.abs(b.wrench[:, 2]).max() <= 14.0 + 1e-9
 
 
 class TestLogRoundtrip:
@@ -171,20 +194,33 @@ class TestLogRoundtrip:
     def test_random_trials_property(self, tmp_path):
         rng = np.random.default_rng(0)
         for case in range(5):
-            frames = []
-            wrenches = []
+            times, temps, counts, wrenches = [], [], [], []
             t = 0.0
             for i in range(20):
                 t += float(rng.uniform(1e-4, 0.01))
-                counts = rng.integers(0, 5000, size=12)
-                frames.append(frame_at(t, tuple(int(c) for c in counts),
-                                       temp=float(rng.uniform(-10, 60))))
-                wrenches.append(Wrench.from_sequence(rng.normal(scale=30, size=6)))
+                times.append(t)
+                counts.append(rng.integers(0, 5000, size=12))
+                temps.append(float(rng.uniform(-10, 60)))
+                wrenches.append(rng.normal(scale=30, size=6))
             trial = Trial(name=f"case{case}", seed=case, params_hash="feedc0ffee12",
-                          frames=tuple(frames), wrenches=tuple(wrenches))
+                          t=np.array(times), temperature=np.array(temps),
+                          counts=np.array(counts), wrench=np.array(wrenches))
             p = tmp_path / f"case{case}.csv"
             write_log(trial, p)
             assert load_log(p) == trial
+
+    @settings(max_examples=60, deadline=None)
+    @given(trial=small_trials())
+    def test_write_load_write_property(self, trial):
+        with tempfile.TemporaryDirectory() as d:
+            p1, p2 = Path(d) / "a.csv", Path(d) / "b.csv"
+            write_log(trial, p1)
+            loaded = load_log(p1)
+            write_log(loaded, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+        assert loaded == trial
+        for name in ("t", "temperature", "counts", "wrench"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(trial, name))
 
     def test_crlf_parses_identically(self, short_trial, tmp_path):
         p = tmp_path / "lf.csv"
@@ -245,6 +281,20 @@ class TestLogErrors:
         with pytest.raises(LogFormatError, match="non-finite"):
             load_log(p)
 
+    def test_earliest_bad_line_reported(self, tmp_path):
+        # line 3 goes back in time, line 4 also holds a negative count
+        negative = ",".join([repr(0.3), "25.0", "-3"] + ["100"] * 11 + ["0.0"] * 6)
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.5),
+                                        self.good_row(0.1), negative])
+        with pytest.raises(LogFormatError, match="line 3: non-monotonic"):
+            load_log(p)
+
+    def test_fractional_count_rejected(self, tmp_path):
+        row = ",".join([repr(0.1), "25.0", "12.0"] + ["100"] * 11 + ["0.0"] * 6)
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row])
+        with pytest.raises(LogFormatError, match=r"line 3: .*'12\.0'"):
+            load_log(p)
+
     def test_non_numeric_cell(self, tmp_path):
         row = ",".join([repr(0.0), "25.0", "abc"] + ["100"] * 11 + ["0.0"] * 6)
         p = self.write_lines(tmp_path, [LOG_HEADER, row])
@@ -275,10 +325,7 @@ class TestLogErrors:
 
 class TestSplit:
     def make_trials(self, n):
-        return [Trial(name=f"t{i}", seed=i, params_hash="",
-                      frames=(frame_at(0.0), frame_at(1.0)),
-                      wrenches=(Wrench.zero(), Wrench.zero()))
-                for i in range(n)]
+        return [trial_at([0.0, 1.0], name=f"t{i}", seed=i) for i in range(n)]
 
     def test_eleven_trials(self):
         trials = self.make_trials(11)

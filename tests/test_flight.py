@@ -47,10 +47,10 @@ def quick_model(sensor_params):
         dataio.full_range_scenario(name=f"m{i}", duration=12.0, seed=300 + i),
         sensor_params) for i in range(3)]
     base = tare(dataio.generate_trial(
-        dataio.no_load_scenario(seed=310), sensor_params).frames)
-    frames = [f for t in trials for f in t.frames]
-    wrenches = [w for t in trials for w in t.wrenches]
-    return fit(frames, wrenches, base)
+        dataio.no_load_scenario(seed=310), sensor_params).counts)
+    counts = np.concatenate([t.counts for t in trials])
+    wrenches = np.concatenate([t.wrench for t in trials])
+    return fit(counts, wrenches, base)
 
 
 def at_rest(z, v=0.0, attached=False):
