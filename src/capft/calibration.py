@@ -301,4 +301,15 @@ def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | No
         raise
     except (KeyError, TypeError, ValueError, CalibrationError) as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+    # r_squared may be NaN by design (a flat channel in fit_temp_baseline)
+    checks = [("matrix", model.matrix), ("baseline", model.baseline), ("ridge", model.ridge)]
+    if comp is not None:
+        checks += [("temp_compensator a0", comp.a0), ("temp_compensator a1", comp.a1),
+                   ("temp_compensator a2", comp.a2),
+                   ("temp_compensator reference_temp", comp.reference_temp)]
+    for name, values in checks:
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"malformed model file {path}: non-finite {name}")
+    if model.ridge < 0.0:
+        raise ModelFormatError(f"malformed model file {path}: negative ridge {model.ridge!r}")
     return model, comp

@@ -35,7 +35,7 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, quat_to_basis, slerp
+from .core import GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, slerp
 from .sensor_model import SaturationError, SensorParams, sample
 
 G_MAG = 9.81
@@ -120,19 +120,26 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
         raise ValueError(f"plant step dt {dt!r} outside (0, 0.01]")
     alpha = 1.0 - math.exp(-dt / params.tau_att)
     q_new = slerp(state.q, cmd.q_cmd, alpha)
-    z_body = quat_to_basis(q_new)[2]
+    w, x, y, z = q_new.w, q_new.x, q_new.y, q_new.z
     thrust_hat = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat)
     thrust = thrust_hat / params.k_f
     f_c = contact_force(state, env)
     attached = state.payload_attached
     mass = params.mass + (env.payload_mass if attached else 0.0)
-    # surface normal is (0, 0, -1): the reaction pushes the vehicle down
-    accel = z_body.scaled(thrust / mass) + GRAVITY + Vec3(0.0, 0.0, -f_c / mass)
+    # thrust along body z (third column of quat_to_basis), gravity, and the
+    # surface reaction, whose normal (0, 0, -1) pushes the vehicle down; the
+    # sums keep the order of the Vec3 reference step in the tests, bit for bit
+    s = thrust / mass
+    ax = 2.0 * (x * z + w * y) * s + GRAVITY.x
+    ay = 2.0 * (y * z - w * x) * s + GRAVITY.y
+    az = (1.0 - 2.0 * (x * x + y * y)) * s + GRAVITY.z - f_c / mass
     if attached and f_c > env.adhesion_threshold:
         attached = False
-    v_new = state.v + accel.scaled(dt)
-    p_new = state.p + v_new.scaled(dt)
-    return FlightState(p=p_new, v=v_new, q=q_new, payload_attached=attached, t=state.t + dt)
+    v, p = state.v, state.p
+    vx, vy, vz = v.x + ax * dt, v.y + ay * dt, v.z + az * dt
+    return FlightState(p=Vec3(p.x + vx * dt, p.y + vy * dt, p.z + vz * dt),
+                       v=Vec3(vx, vy, vz), q=q_new, payload_attached=attached,
+                       t=state.t + dt)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import sha256
 
 import numpy as np
@@ -42,6 +43,11 @@ class SensorRangeError(ValueError):
 
 class SaturationError(SensorRangeError):
     """Mechanical travel exhausted: no equilibrium within the allowed stroke."""
+
+
+def _require_finite(label: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise SensorRangeError(f"{label} must be finite")
 
 
 def parallel_plate_capacitance(eps_r: float, area: float, gap: float) -> float:
@@ -69,7 +75,8 @@ def effective_modulus(youngs: float, aspect_ratio: float):
     """
     if youngs <= 0.0:
         raise SensorRangeError(f"modulus must be positive, got {youngs!r}")
-    if np.any(np.asarray(aspect_ratio) <= 0.0):
+    bad = aspect_ratio <= 0.0  # a bool for a float, so numpy is only paid for arrays
+    if bad if isinstance(bad, bool) else np.any(bad):
         raise SensorRangeError("aspect ratio must be positive")
     return youngs * (1.0 + 0.5 / (aspect_ratio * aspect_ratio))
 
@@ -90,6 +97,8 @@ class PillarModel:
     ring_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_finite("pillar modulus, height and radii", self.youngs_modulus, self.height,
+                        self.radius, *self.ring_radii)
         if min(self.youngs_modulus, self.height, self.radius) <= 0.0:
             raise SensorRangeError("pillar modulus, height and radius must be positive")
         if len(self.ring_radii) != len(self.ring_counts) or not self.ring_radii:
@@ -105,15 +114,15 @@ class PillarModel:
     def shear_modulus(self) -> float:
         return self.youngs_modulus / 3.0  # incompressible
 
-    @property
+    @cached_property
     def pillar_area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    @property
+    @cached_property
     def count(self) -> int:
         return int(sum(self.ring_counts))
 
-    @property
+    @cached_property
     def radial_second_moment(self) -> float:
         """Sum of n_k * r_k^2 over rings, m^2; weights tilt and torsion stiffness."""
         return float(sum(n * r * r for n, r in zip(self.ring_counts, self.ring_radii)))
@@ -140,9 +149,15 @@ class SensorGeometry:
     eps_air: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite("geometry lengths, areas and permittivities", self.nominal_gap,
+                        *self.quadrant_x, *self.quadrant_y, self.normal_electrode_area,
+                        self.shear_overlap_area, self.finger_pitch, self.pillar_fill_fraction,
+                        self.eps_pillar, self.eps_air)
         if min(self.nominal_gap, self.normal_electrode_area, self.shear_overlap_area,
                self.finger_pitch) <= 0.0:
             raise SensorRangeError("geometry lengths and areas must be positive")
+        if min(self.eps_pillar, self.eps_air) <= 0.0:
+            raise SensorRangeError("relative permittivities must be positive")
         if not 0.0 <= self.pillar_fill_fraction < 1.0:
             raise SensorRangeError("fill fraction must lie in [0, 1)")
         if len(self.quadrant_x) != 4 or len(self.quadrant_y) != 4:
@@ -182,11 +197,16 @@ class DriftModel:
     def __post_init__(self) -> None:
         if len(self.alpha) != NUM_CHANNELS or len(self.beta) != NUM_CHANNELS:
             raise SensorRangeError("drift model needs one alpha and beta per channel")
+        _require_finite("drift coefficients and reference temperature", *self.alpha,
+                        *self.beta, self.reference_temp)
+
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.alpha), np.asarray(self.beta)
 
     def scale(self, temperature: float) -> np.ndarray:
         dt = temperature - self.reference_temp
-        a = np.asarray(self.alpha)
-        b = np.asarray(self.beta)
+        a, b = self._coefficients
         return 1.0 + a * dt + b * dt * dt
 
     @classmethod
@@ -204,6 +224,9 @@ class CdcConfig:
     lag_corner_hz: float | None = None  # first-order output lag, disabled by default
 
     def __post_init__(self) -> None:
+        lag = () if self.lag_corner_hz is None else (self.lag_corner_hz,)
+        _require_finite("CDC gain, noise and lag corner", self.gain_counts_per_farad,
+                        self.noise_sigma_counts, *lag)
         if self.gain_counts_per_farad <= 0.0 or self.noise_sigma_counts < 0.0:
             raise SensorRangeError("CDC gain must be positive and noise non-negative")
         if self.lag_corner_hz is not None and self.lag_corner_hz <= 0.0:
@@ -335,15 +358,16 @@ class StiffnessSet:
     k_torsion: float  # N*m/rad, about z
 
 
-def _compressed_state(pillars: PillarModel, dz) -> tuple:
+def _compressed_state(pillars: PillarModel, dz, sqrt=np.sqrt) -> tuple:
     """Height, area and aspect ratio of one pillar squashed by dz.
 
     Constant-volume compression: the radius grows as the height shrinks, so
-    area * height stays fixed.  Valid for 0 <= dz < height.
+    area * height stays fixed.  Valid for 0 <= dz < height.  Float callers
+    pass math.sqrt; both square roots are correctly rounded, so the bits agree.
     """
     h_eff = pillars.height - dz
     area = pillars.pillar_area * pillars.height / h_eff
-    radius = np.sqrt(area / math.pi)
+    radius = sqrt(area / math.pi)
     eta = h_eff / radius
     return h_eff, area, eta
 
@@ -359,7 +383,7 @@ def pillar_stiffness(pillars: PillarModel, geometry: SensorGeometry, dz: float) 
         raise SensorRangeError(f"compression dz {dz!r} must be non-negative")
     if dz >= pillars.height:
         raise SensorRangeError(f"compression dz {dz!r} not below pillar height")
-    h_eff, area, eta = _compressed_state(pillars, dz)
+    h_eff, area, eta = _compressed_state(pillars, dz, math.sqrt)
     e_eff = effective_modulus(pillars.youngs_modulus, eta)
     kz_per_pillar = e_eff * area / h_eff
     kxy_per_pillar = pillars.shear_modulus * pillars.pillar_area / pillars.height
@@ -416,6 +440,30 @@ def _solve_dz(pillars: PillarModel, fz) -> np.ndarray:
     return dz
 
 
+def _solve_dz_float(pillars: PillarModel, fz: float) -> float:
+    """_solve_dz for one load on Python floats: the same iterates, bit for bit."""
+    h = pillars.height
+    cap = _SOLVE_CAP_FRACTION * h
+    n, youngs = pillars.count, pillars.youngs_modulus
+    k0 = n * effective_modulus(youngs, pillars.aspect_ratio) * pillars.pillar_area / h
+    dz = min(max(fz / k0, 0.0), cap)
+    lo, hi = 0.0, cap
+    for _ in range(80):
+        resid = _axial_force(pillars, dz) - fz
+        if abs(resid) < 1e-12 * max(1.0, abs(fz)):
+            break
+        if resid < 0.0:
+            lo = dz
+        if resid > 0.0:
+            hi = dz
+        h_eff, area, eta = _compressed_state(pillars, dz, math.sqrt)
+        step = dz - resid / (n * effective_modulus(youngs, eta) * area / h_eff)
+        dz = 0.5 * (lo + hi) if step <= lo or step >= hi else step
+    if not abs(_axial_force(pillars, dz) - fz) < 1e-9:  # NaN fails too
+        raise SaturationError("no axial equilibrium within stroke (residual >= 1e-9 N)")
+    return dz
+
+
 def solve_deformation(w: Wrench, pillars: PillarModel, geometry: SensorGeometry) -> PlateDisplacement:
     """Static plate pose under an applied wrench.
 
@@ -428,7 +476,7 @@ def solve_deformation(w: Wrench, pillars: PillarModel, geometry: SensorGeometry)
     """
     if w.fz < 0.0:
         raise SaturationError("tensile normal load is outside the model range")
-    dz = float(_solve_dz(pillars, w.fz)[()])
+    dz = _solve_dz_float(pillars, float(w.fz))
     if dz >= MAX_COMPRESSION_FRACTION * pillars.height:
         raise SaturationError(
             f"normal stroke exhausted: dz {dz:.3e} beyond "
@@ -445,30 +493,19 @@ def solve_deformation(w: Wrench, pillars: PillarModel, geometry: SensorGeometry)
     return disp
 
 
-def _quadrant_gaps(d: PlateDisplacement, geometry: SensorGeometry):
-    qx = np.asarray(geometry.quadrant_x)
-    qy = np.asarray(geometry.quadrant_y)
-    return geometry.nominal_gap - (d.dz + d.theta_x * qy - d.theta_y * qx)
+def _quadrant_gaps(d: PlateDisplacement, geometry: SensorGeometry) -> list[float]:
+    """Local electrode gap under each quadrant centroid (m); raises once one closes."""
+    gaps = [geometry.nominal_gap - (d.dz + d.theta_x * y - d.theta_y * x)
+            for x, y in zip(geometry.quadrant_x, geometry.quadrant_y)]
+    if any(g <= 0.0 for g in gaps):
+        raise SaturationError("electrode gap closed under tilt/compression")
+    return gaps
 
 
 def normal_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple[float, ...]:
     """Quadrant gap-sensing capacitances Z1..Z4 in farads."""
-    gaps = _quadrant_gaps(d, geometry)
-    if np.any(gaps <= 0.0):
-        raise SaturationError("electrode gap closed under tilt/compression")
-    caps = EPSILON_0 * geometry.eps_effective * geometry.normal_electrode_area / gaps
-    return tuple(float(c) for c in caps)
-
-
-def _shear_deltas(d: PlateDisplacement, geometry: SensorGeometry):
-    """Tangential travel along each quadrant's sensitive axis (m)."""
-    qx = np.asarray(geometry.quadrant_x)
-    qy = np.asarray(geometry.quadrant_y)
-    # rigid in-plane motion: (dx, dy) plus theta_z cross centroid
-    tx = d.dx - d.theta_z * qy
-    ty = d.dy + d.theta_z * qx
-    # quadrants 1 and 3 sense x, quadrants 2 and 4 sense y
-    return np.where(np.arange(4) % 2 == 0, tx, ty)
+    num = EPSILON_0 * geometry.eps_effective * geometry.normal_electrode_area
+    return tuple(num / g for g in _quadrant_gaps(d, geometry))
 
 
 def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple[float, ...]:
@@ -482,20 +519,20 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
     if max(abs(d.dx), abs(d.dy)) >= half_pitch:
         raise SensorRangeError("tangential travel beyond half a finger pitch")
     gaps = _quadrant_gaps(d, geometry)
-    if np.any(gaps <= 0.0):
-        raise SaturationError("electrode gap closed under tilt/compression")
-    deltas = _shear_deltas(d, geometry)
-    if np.any(np.abs(deltas) >= half_pitch):
+    qx, qy = geometry.quadrant_x, geometry.quadrant_y
+    # rigid in-plane motion, (dx, dy) plus theta_z cross centroid, along each
+    # quadrant's sensitive axis: quadrants 1 and 3 sense x, 2 and 4 sense y
+    deltas = (d.dx - d.theta_z * qy[0], d.dy + d.theta_z * qx[1],
+              d.dx - d.theta_z * qy[2], d.dy + d.theta_z * qx[3])
+    if any(abs(v) >= half_pitch for v in deltas):
         raise SensorRangeError("comb overlap wrapped: quadrant travel beyond half pitch")
-    ratio = deltas / geometry.finger_pitch
-    base = EPSILON_0 * geometry.eps_effective * geometry.shear_overlap_area / gaps
-    plus = base * (1.0 + ratio)
-    minus = base * (1.0 - ratio)
-    # order: (Q1+, Q1-), (Q3+, Q3-), (Q2+, Q2-), (Q4+, Q4-)
-    return (
-        float(plus[0]), float(minus[0]), float(plus[2]), float(minus[2]),
-        float(plus[1]), float(minus[1]), float(plus[3]), float(minus[3]),
-    )
+    num = EPSILON_0 * geometry.eps_effective * geometry.shear_overlap_area
+    caps: list[float] = []
+    for q in (0, 2, 1, 3):  # order: (Q1+, Q1-), (Q3+, Q3-), (Q2+, Q2-), (Q4+, Q4-)
+        base = num / gaps[q]
+        ratio = deltas[q] / geometry.finger_pitch
+        caps += (base * (1.0 + ratio), base * (1.0 - ratio))
+    return tuple(caps)
 
 
 def _as_rng(rng) -> np.random.Generator:

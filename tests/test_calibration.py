@@ -1,6 +1,7 @@
 """Least-squares calibration, metrics, and thermal compensation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -364,22 +365,64 @@ class TestTempCompensation:
         assert all(isinstance(v, int) and v >= 0 for v in g.counts)
 
 
+def saved_model(path):
+    """Fit a model and a temperature compensator and save both to path."""
+    rng = np.random.default_rng(14)
+    _, baseline, counts, wrenches = synthetic_dataset(120, rng, noise=0.3)
+    model = fit(counts, wrenches, baseline)
+    comp = fit_temp_baseline(*columns(
+        [make_frame([1000 + 2 * k] * 12, temperature=20.0 + k)
+         for k in range(11) for _ in range(5)]), 25.0)
+    save_model(model, path, comp=comp)
+    return model, comp
+
+
+def edit_model_file(path, keys, value):
+    """Set the entry at the key path keys of a saved model file to value."""
+    payload = json.loads(path.read_text())
+    *parents, last = keys
+    target = payload
+    for k in parents:
+        target = target[k]
+    target[last] = value
+    path.write_text(json.dumps(payload))
+
+
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        _, baseline, counts, wrenches = synthetic_dataset(120, rng, noise=0.3)
-        model = fit(counts, wrenches, baseline)
-        comp = fit_temp_baseline(*columns(
-            [make_frame([1000 + 2 * k] * 12, temperature=20.0 + k)
-             for k in range(11) for _ in range(5)]), 25.0)
         path = tmp_path / "model.json"
-        save_model(model, path, comp=comp)
+        model, comp = saved_model(path)
         loaded, comp2 = load_model(path)
         np.testing.assert_array_equal(loaded.matrix, model.matrix)
         np.testing.assert_array_equal(loaded.baseline, model.baseline)
         assert loaded.mode == model.mode
         assert loaded.ridge == model.ridge
         assert comp2.a1 == comp.a1 and comp2.a2 == comp.a2
+
+    @pytest.mark.parametrize("keys, value, named", [
+        (("matrix", 2, 3), float("nan"), "non-finite matrix"),
+        (("baseline", 5), float("-inf"), "non-finite baseline"),
+        (("ridge",), float("inf"), "non-finite ridge"),
+        (("ridge",), -1.0, "negative ridge"),
+        (("temp_compensator", "a0", 0), float("nan"), "non-finite temp_compensator a0"),
+        (("temp_compensator", "a1", 4), float("inf"), "non-finite temp_compensator a1"),
+        (("temp_compensator", "a2", 11), float("nan"), "non-finite temp_compensator a2"),
+        (("temp_compensator", "reference_temp"), float("nan"), "reference_temp"),
+    ])
+    def test_non_finite_or_negative_entry_rejected(self, tmp_path, keys, value, named):
+        path = tmp_path / "model.json"
+        saved_model(path)
+        edit_model_file(path, keys, value)
+        with pytest.raises(ModelFormatError, match=named):
+            load_model(path)
+
+    def test_nan_fit_quality_accepted(self, tmp_path):
+        # fit_temp_baseline writes r_squared NaN for a channel that never moves
+        path = tmp_path / "model.json"
+        saved_model(path)
+        edit_model_file(path, ("temp_compensator", "r_squared", 0), float("nan"))
+        _, comp = load_model(path)
+        assert math.isnan(comp.r_squared[0])
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -27,6 +27,19 @@ def data_rows(path):
     return lines[1:]
 
 
+def corrupt_model(fitted, tmp_path, field, value):
+    """Copy of the fitted model with the first entry of one field replaced."""
+    payload = json.loads((fitted / "model.json").read_text())
+    row = payload[field][0] if field == "matrix" else payload[field]
+    row[0] = value
+    path = tmp_path / "bad_model.json"
+    path.write_text(json.dumps(payload))  # json writes NaN and Infinity tokens
+    return path
+
+
+NON_FINITE_MODEL = [("matrix", float("nan")), ("baseline", float("inf"))]
+
+
 @pytest.fixture(scope="module")
 def noisy_dir(tmp_path_factory):
     """Three short default-noise trials plus tare; shared by calibrate tests."""
@@ -141,6 +154,24 @@ class TestGenerate:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("pillars", "height", float("nan"), "height"),
+        ("cdc", "noise_sigma_counts", float("nan"), "noise"),
+        ("geometry", "eps_pillar", -50.0, "permittivities"),
+    ])
+    def test_bad_sensor_params_is_simulation_error(self, tmp_path, capsys, section, key, value,
+                                                   named):
+        params = default_sensor_params().to_dict()
+        params[section][key] = value
+        p_path = tmp_path / "sensor.json"
+        p_path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        rc = main(["generate", "--trials", "1", "--duration", "1.0",
+                   "--sensor-params", str(p_path), "--out", str(out)])
+        assert rc == 5
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch):
         # a stand-in pool records its size and runs the jobs in this process
@@ -279,6 +310,14 @@ class TestEvaluate:
                    "--model", str(tmp_path / "absent.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("field, value", NON_FINITE_MODEL)
+    def test_non_finite_model_is_model_error(self, fitted, noisy_dir, tmp_path, capsys,
+                                             field, value):
+        rc = main(["evaluate", str(noisy_dir / "trial_00.csv"),
+                   "--model", str(corrupt_model(fitted, tmp_path, field, value))])
+        assert rc == 4
+        assert f"non-finite {field}" in capsys.readouterr().err
+
     def test_missing_log_is_data_error(self, fitted, tmp_path):
         rc = main(["evaluate", str(tmp_path / "absent.csv"),
                    "--model", str(fitted / "model.json")])
@@ -384,6 +423,14 @@ class TestFly:
         rc = main(["fly", "--scenario", "track_sine", "--out", str(tmp_path)])
         assert rc == 4
         assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", NON_FINITE_MODEL)
+    def test_non_finite_model_is_model_error(self, fitted, tmp_path, capsys, field, value):
+        rc = main(["fly", "--scenario", "track_sine",
+                   "--model", str(corrupt_model(fitted, tmp_path, field, value)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert f"non-finite {field}" in capsys.readouterr().err
 
     def test_unreachable_surface_is_simulation_fault(self, tmp_path, capsys):
         cfg = flight.config_to_dict(flight.default_config("track_sine"))

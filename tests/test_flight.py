@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from capft import dataio
 from capft.calibration import CalibrationModel, fit, tare
 from capft.controller import ForceProfile, MachineState, ThrustMachineParams
-from capft.core import UnitQuaternion, Vec3, ZERO3
+from capft.core import GRAVITY, UnitQuaternion, Vec3, ZERO3, quat_to_basis, slerp
 from capft.flight import (
     Command,
     ContactEnv,
@@ -61,6 +62,30 @@ def at_rest(z, v=0.0, attached=False):
 def hover_command(plant):
     return Command(f_cmd_hat=plant.k_f * plant.mass * G,
                    q_cmd=UnitQuaternion.identity())
+
+
+def step_plant_reference(state, cmd, params, env, dt):
+    """The plant step composed from core Vec3/UnitQuaternion operations."""
+    alpha = 1.0 - math.exp(-dt / params.tau_att)
+    q_new = slerp(state.q, cmd.q_cmd, alpha)
+    z_body = quat_to_basis(q_new)[2]
+    thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
+    f_c = contact_force(state, env)
+    attached = state.payload_attached
+    mass = params.mass + (env.payload_mass if attached else 0.0)
+    accel = z_body.scaled(thrust / mass) + GRAVITY + Vec3(0.0, 0.0, -f_c / mass)
+    if attached and f_c > env.adhesion_threshold:
+        attached = False
+    v_new = state.v + accel.scaled(dt)
+    p_new = state.p + v_new.scaled(dt)
+    return FlightState(p=p_new, v=v_new, q=q_new, payload_attached=attached, t=state.t + dt)
+
+
+def state_bits(s):
+    """Every float of a state as hex, so -0.0 and 0.0 differ."""
+    q = s.q
+    floats = (*s.p.as_tuple(), *s.v.as_tuple(), q.w, q.x, q.y, q.z, s.t)
+    return tuple(v.hex() for v in floats), s.payload_attached
 
 
 class TestContactForce:
@@ -172,6 +197,40 @@ class TestPlant:
             step_plant(s, cmd, plant, env, 0.0)
         with pytest.raises(ValueError):
             step_plant(s, cmd, plant, env, 0.02)
+
+    def test_matches_vec3_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        plant = PlantParams()
+        env = ContactEnv(payload_mass=0.095)
+        seen = Counter()
+        for _ in range(3000):
+            # tip within 2 cm of the surface either way; some exact zeros
+            # in velocity and attitude exercise signed-zero arithmetic
+            z = env.surface_z - env.tip_offset + rng.uniform(-0.02, 0.02)
+            vel = rng.normal(scale=0.5, size=3) * (rng.random(3) < 0.8)
+            vel[rng.random(3) < 0.1] = -0.0
+            q = rng.normal(size=4) * (rng.random(4) < 0.7)
+            q[0] += 0.1
+            state = FlightState(p=Vec3(*rng.normal(size=2), z), v=Vec3(*vel),
+                                q=UnitQuaternion.normalized(*q),
+                                payload_attached=bool(rng.random() < 0.5),
+                                t=float(rng.uniform(0.0, 100.0)))
+            q_cmd = state.q if rng.random() < 0.2 \
+                else UnitQuaternion.normalized(*rng.normal(size=4))
+            cmd = Command(f_cmd_hat=float(rng.uniform(-0.5, 1.5)), q_cmd=q_cmd)
+            dt = float(rng.uniform(1e-5, 0.01))
+            got = step_plant(state, cmd, plant, env, dt)
+            assert state_bits(got) == state_bits(
+                step_plant_reference(state, cmd, plant, env, dt))
+            f_c = contact_force(state, env)
+            seen["separated"] += f_c == 0.0
+            seen["approaching"] += f_c > 0.0 and state.v.z > 0.0
+            seen["receding"] += f_c > 0.0 and state.v.z <= 0.0
+            seen["detach"] += state.payload_attached and not got.payload_attached
+            seen["thrust_at_zero"] += cmd.f_cmd_hat <= 0.0
+            seen["thrust_at_max"] += cmd.f_cmd_hat >= plant.max_thrust_hat
+        assert min(seen[k] for k in ("separated", "approaching", "receding", "detach",
+                                     "thrust_at_zero", "thrust_at_max")) > 0, seen
 
     def test_attitude_relaxes_toward_command(self):
         plant = PlantParams()

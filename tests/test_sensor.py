@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capft.core import Wrench
 from capft.sensor_model import (
@@ -319,6 +321,25 @@ class TestCapacitancePatterns:
         assert slopes[0] > slopes[1] > slopes[2] > 0
 
 
+# Per-axis loads (N, mN*m) near where the default sensor leaves its valid
+# range; draws scaled up to 1.5x land both inside it and on every rejection.
+AXIS_LIMITS = np.array([16.0, 16.0, 480.0, 580.0, 580.0, 175.0])
+
+
+@st.composite
+def wrench_rows(draw):
+    unit = [draw(st.floats(-1.0, 1.0)) for _ in range(6)]
+    unit[2] = draw(st.floats(-0.02, 1.0))  # mostly compressive, some tension
+    return np.array(unit) * AXIS_LIMITS * draw(st.floats(0.0, 1.5))
+
+
+def counts_or_error(fn):
+    try:
+        return tuple(fn())
+    except SensorRangeError as exc:
+        return type(exc)
+
+
 class TestSampling:
     def setup_method(self):
         self.params = default_sensor_params()
@@ -375,6 +396,16 @@ class TestSampling:
             f = sample(Wrench.from_sequence(wr[i]), temps[i], self.params, rng)
             assert tuple(batch[i]) == f.counts
 
+    @settings(max_examples=300, deadline=None)
+    @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_scalar_property(self, w, temperature, seed):
+        scalar = counts_or_error(lambda: sample(
+            Wrench.from_sequence(w), temperature, self.params,
+            np.random.default_rng(seed)).counts)
+        batch = counts_or_error(lambda: sample_trajectory(
+            w[None], [temperature], self.params, np.random.default_rng(seed))[0].tolist())
+        assert scalar == batch
+
     def test_saturation_propagates(self):
         with pytest.raises(SaturationError):
             sample(Wrench(0, 0, 1000.0, 0, 0, 0), 25.0, self.params,
@@ -402,3 +433,20 @@ class TestParamsRoundtrip:
         q = SensorParams.from_dict(p.to_dict())
         assert q == p
         assert q.hash() == p.hash()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pillars", "youngs_modulus", math.inf),
+        ("pillars", "ring_radii", [math.nan] * 18),
+        ("geometry", "quadrant_x", [0.0, 0.0, math.nan, 0.0]),
+        ("geometry", "finger_pitch", math.inf),
+        ("geometry", "eps_air", 0.0),
+        ("drift", "alpha", [math.inf] * 12),
+        ("drift", "reference_temp", math.nan),
+        ("cdc", "gain_counts_per_farad", math.inf),
+        ("cdc", "lag_corner_hz", math.nan),
+    ])
+    def test_non_finite_or_non_physical_rejected(self, section, key, value):
+        data = default_sensor_params().to_dict()
+        data[section][key] = value
+        with pytest.raises(SensorRangeError):
+            SensorParams.from_dict(data)
