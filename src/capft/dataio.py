@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
@@ -23,6 +24,7 @@ import numpy as np
 
 from .core import Wrench
 from .sensor_model import (
+    CHANNEL_NAMES,
     NUM_CHANNELS,
     CapacitanceFrame,
     DriftModel,
@@ -37,6 +39,8 @@ from .sensor_model import (
 
 LOG_HEADER = "t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz"
 _NUM_COLUMNS = 20
+_ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,)),
+                       ("wrench", "f8", (6,))])
 
 
 class LogFormatError(ValueError):
@@ -246,21 +250,42 @@ def _parse_metadata(lines: list[str]) -> tuple[dict, int]:
     return meta, consumed
 
 
+def _read_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """Parse lines with one loadtxt call, numpy's C reader: integers must be
+    ASCII decimal, floats decimal, nan or inf.  The reader skips blank
+    lines, so a short result is a bad row too, and any warning it raises
+    (such as "input contained no data") counts as a parse failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except Warning as exc:
+            raise ValueError(str(exc)) from exc
+    if len(data) != len(lines):
+        raise ValueError("blank data row")
+    return data
+
+
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
-    """Columns (t, T, counts, wrench) of the data rows; raises ValueError or
-    OverflowError on a bad row without naming it."""
-    for row in rows:
-        if row.count(",") != _NUM_COLUMNS - 1:
-            raise ValueError(f"expected {_NUM_COLUMNS} columns, got {row.count(',') + 1}")
-    cells = ",".join(rows).split(",")
-    t, temp = (np.array(list(map(float, cells[k::_NUM_COLUMNS]))) for k in (0, 1))
-    counts = np.empty((len(rows), NUM_CHANNELS), dtype=np.int64)
-    for k in range(NUM_CHANNELS):
-        counts[:, k] = list(map(int, cells[2 + k::_NUM_COLUMNS]))
-    wrench = np.empty((len(rows), 6))
-    for k in range(6):
-        wrench[:, k] = list(map(float, cells[14 + k::_NUM_COLUMNS]))
-    return t, temp, counts, wrench
+    """Row-major columns (t, T, counts, wrench) of the data rows; raises
+    ValueError on a bad row without naming it."""
+    data = _read_rows(rows, _ROW_DTYPE)
+    return tuple(np.ascontiguousarray(data[name]) for name in _ROW_DTYPE.names)
+
+
+def _row_error(text: str) -> str:
+    """Why one data row does not parse: its column count or first bad cell."""
+    cells = text.split(",")
+    if len(cells) != _NUM_COLUMNS:
+        return f"expected {_NUM_COLUMNS} columns, got {len(cells)}"
+    for name, cell in zip(LOG_HEADER.split(","), cells):
+        is_count = name in CHANNEL_NAMES
+        try:
+            _read_rows([cell], np.dtype(np.int64 if is_count else np.float64))
+        except ValueError:
+            kind = "an integer count" if is_count else "a float"
+            return f"cannot read {cell!r} in column {name} as {kind}"
+    return "malformed row"
 
 
 def _reject_first_bad_row(path, rows: list[str], first_lineno: int) -> NoReturn:
@@ -268,10 +293,9 @@ def _reject_first_bad_row(path, rows: list[str], first_lineno: int) -> NoReturn:
     prev_t = -math.inf
     for lineno, text in enumerate(rows, first_lineno):
         try:
-            # one row parses cell by cell in column order, so exc names the first bad cell
             (t,), temp, counts, wrench = _parse_rows([text])
-        except (ValueError, OverflowError) as exc:
-            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise LogFormatError(f"{path}: line {lineno}: {_row_error(text)}") from exc
         if not (math.isfinite(t) and np.isfinite(temp).all() and np.isfinite(wrench).all()):
             raise LogFormatError(f"{path}: line {lineno}: non-finite value")
         if (counts < 0).any():
@@ -311,7 +335,7 @@ def load_log(path: str | Path) -> Trial:
         # Trial's own checks cover the rest of the per-row contract
         return Trial(meta.get("name", Path(path).stem), seed, meta.get("params", ""),
                      *_parse_rows(rows))
-    except (ValueError, OverflowError):
+    except ValueError:
         _reject_first_bad_row(path, rows, consumed + 2)
 
 

@@ -35,6 +35,12 @@ _SOLVE_CAP_FRACTION = 0.95
 
 CHANNEL_NAMES = ("Z1", "Z2", "Z3", "Z4", "X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
 NUM_CHANNELS = 12
+# Counts are int64.  An extreme temperature can scale a reading past that
+# (or overflow the drift scale to inf or NaN); both paths reject it before
+# the int conversion instead of wrapping it.
+_COUNT_LIMIT = 2.0 ** 63
+_COUNT_RANGE_ERROR = ("CDC reading beyond the count range: temperature too far from the "
+                      "drift model's reference")
 
 
 class SensorRangeError(ValueError):
@@ -199,15 +205,6 @@ class DriftModel:
             raise SensorRangeError("drift model needs one alpha and beta per channel")
         _require_finite("drift coefficients and reference temperature", *self.alpha,
                         *self.beta, self.reference_temp)
-
-    @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.alpha), np.asarray(self.beta)
-
-    def scale(self, temperature: float) -> np.ndarray:
-        dt = temperature - self.reference_temp
-        a, b = self._coefficients
-        return 1.0 + a * dt + b * dt * dt
 
     @classmethod
     def disabled(cls, reference_temp: float = 25.0) -> "DriftModel":
@@ -558,12 +555,18 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     given rng seed.
     """
     gen = _as_rng(rng)
-    caps = capacitances(w, params)
-    scale = params.drift.scale(temperature)
-    mean = params.cdc.gain_counts_per_farad * caps * scale
-    noisy = mean + params.cdc.noise_sigma_counts * gen.normal(size=NUM_CHANNELS)
-    counts = np.maximum(np.rint(noisy), 0.0).astype(int)
-    return CapacitanceFrame.from_counts(counts.tolist(), timestamp, temperature)
+    drift, cdc = params.drift, params.cdc
+    dt = float(temperature) - drift.reference_temp
+    counts = []
+    # on floats an overflow gives inf or NaN, which the range test rejects
+    for c, a, b, n in zip(capacitances(w, params).tolist(), drift.alpha, drift.beta,
+                          gen.normal(size=NUM_CHANNELS).tolist()):
+        noisy = cdc.gain_counts_per_farad * c * (1.0 + a * dt + b * dt * dt) \
+            + cdc.noise_sigma_counts * n
+        if not noisy < _COUNT_LIMIT:
+            raise SensorRangeError(_COUNT_RANGE_ERROR)
+        counts.append(max(round(noisy), 0))
+    return CapacitanceFrame.from_counts(counts, timestamp, temperature)
 
 
 def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: SensorParams,
@@ -629,10 +632,14 @@ def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: Se
     dt = temps - params.drift.reference_temp
     alpha = np.asarray(params.drift.alpha)
     beta = np.asarray(params.drift.beta)
-    scale = 1.0 + alpha * dt[:, None] + beta * (dt * dt)[:, None]
-    mean = params.cdc.gain_counts_per_farad * caps * scale
-    noisy = mean + params.cdc.noise_sigma_counts * gen.normal(size=mean.shape)
-    return np.maximum(np.rint(noisy), 0.0).astype(int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + alpha * dt[:, None] + beta * (dt * dt)[:, None]
+        mean = params.cdc.gain_counts_per_farad * caps * scale
+        noisy = mean + params.cdc.noise_sigma_counts * gen.normal(size=mean.shape)
+    counts = np.maximum(np.rint(noisy), 0.0)
+    if not counts.max() < _COUNT_LIMIT:  # also false for NaN
+        raise SensorRangeError(_COUNT_RANGE_ERROR)
+    return counts.astype(int)
 
 
 @dataclass

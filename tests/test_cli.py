@@ -173,6 +173,18 @@ class TestGenerate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_extreme_temperature_is_simulation_error(self, tmp_path, capsys):
+        # 1e200 degC overflows the drift scale; the counts must not wrap to
+        # int64's minimum and surface as a data error
+        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        scenario["temp_start"] = scenario["temp_end"] = 1e200
+        sc_path = tmp_path / "hot.json"
+        sc_path.write_text(json.dumps(scenario))
+        rc = main(["generate", "--scenario-file", str(sc_path), "--trials", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 5
+        assert "count range" in capsys.readouterr().err
+
     def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch):
         # a stand-in pool records its size and runs the jobs in this process
         sizes = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,37 @@ class TestLogRoundtrip:
         for name in ("t", "temperature", "counts", "wrench"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(trial, name))
 
+    def test_random_bit_patterns_roundtrip(self, tmp_path):
+        # uniform over float64 bit patterns, not only the values hypothesis favours
+        rng = np.random.default_rng(11)
+        n = 2000
+
+        def finite_bits(shape):
+            x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+            return np.where(np.isfinite(x), x, 0.0)
+
+        trial = Trial(name="bits", seed=0, params_hash="", t=np.arange(n) / 7.0,
+                      temperature=finite_bits(n),
+                      counts=rng.integers(0, 2**63 - 1, size=(n, 12), endpoint=True),
+                      wrench=finite_bits((n, 6)))
+        p = tmp_path / "bits.csv"
+        write_log(trial, p)
+        loaded = load_log(p)
+        for name in ("temperature", "wrench"):
+            assert np.array_equal(getattr(loaded, name).view(np.uint64),
+                                  getattr(trial, name).view(np.uint64))
+        assert np.array_equal(loaded.counts, trial.counts)
+
+    def test_loaded_columns_row_major(self, short_trial, tmp_path):
+        p = tmp_path / "trial.csv"
+        write_log(short_trial, p)
+        loaded = load_log(p)
+        for name, dtype in (("t", np.float64), ("temperature", np.float64),
+                            ("counts", np.int64), ("wrench", np.float64)):
+            column = getattr(loaded, name)
+            assert column.dtype == dtype
+            assert column.flags.c_contiguous
+
     def test_crlf_parses_identically(self, short_trial, tmp_path):
         p = tmp_path / "lf.csv"
         write_log(short_trial, p)
@@ -294,6 +326,54 @@ class TestLogErrors:
         p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row])
         with pytest.raises(LogFormatError, match=r"line 3: .*'12\.0'"):
             load_log(p)
+
+    def test_blank_line_named(self, tmp_path):
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), "",
+                                        self.good_row(0.1)])
+        with pytest.raises(LogFormatError, match="line 3: expected 20 columns, got 1"):
+            load_log(p)
+
+    def test_all_data_rows_blank(self, tmp_path):
+        p = self.write_lines(tmp_path, ["# name=x", LOG_HEADER, "", ""])
+        with pytest.raises(LogFormatError, match="line 3: expected 20 columns"):
+            load_log(p)
+
+    def test_hash_inside_data_row(self, tmp_path):
+        # '#' only marks metadata above the header; in a data row it is a bad cell
+        row = self.good_row(0.1).replace("25.0", "25.0#note", 1)
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row])
+        with pytest.raises(LogFormatError, match=r"line 3: .*'25\.0#note'"):
+            load_log(p)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "0x10", "1e3"],
+                             ids=["underscore", "arabic-indic", "hex", "exponent"])
+    def test_count_outside_grammar_named(self, tmp_path, cell):
+        # Python's int() takes the first two; counts are ASCII decimal integers
+        row = ",".join([repr(0.1), "25.0", "100", cell] + ["100"] * 10 + ["0.0"] * 6)
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row,
+                                        self.good_row(0.2)])
+        with pytest.raises(LogFormatError, match=f"line 3: .*{cell!r}.* Z2 "):
+            load_log(p)
+
+    def test_float_with_underscore_named(self, tmp_path):
+        row = self.good_row(0.1).replace("25.0", "2_5.0", 1)
+        p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row])
+        with pytest.raises(LogFormatError, match="line 3: .*'2_5.0' in column T"):
+            load_log(p)
+
+    @pytest.mark.parametrize("rows", [
+        [LOG_HEADER, ""],
+        [LOG_HEADER, "1.0,2.0"],
+        [LOG_HEADER, ",".join([repr(0.1), "25.0", "12.0"] + ["100"] * 11 + ["0.0"] * 6)],
+        [LOG_HEADER, ",".join([repr(0.1), "25.0", "-3"] + ["100"] * 11 + ["0.0"] * 6)],
+    ])
+    def test_bad_file_emits_no_warning(self, tmp_path, rows):
+        p = self.write_lines(tmp_path, rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(LogFormatError, match="line 2"):
+                load_log(p)
+        assert [str(w.message) for w in caught] == []
 
     def test_non_numeric_cell(self, tmp_path):
         row = ",".join([repr(0.0), "25.0", "abc"] + ["100"] * 11 + ["0.0"] * 6)

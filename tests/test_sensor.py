@@ -406,6 +406,17 @@ class TestSampling:
             w[None], [temperature], self.params, np.random.default_rng(seed))[0].tolist())
         assert scalar == batch
 
+    @pytest.mark.parametrize("temperature", [1e12, 1e200, -1e200])
+    def test_count_overflow_rejected_on_both_paths(self, temperature):
+        # 1e12 degC scales the counts past int64; +-1e200 overflows the drift
+        # scale itself.  Both must raise before the int cast, with no warning.
+        w = np.array([[0.5, -0.5, 4.0, 5.0, -5.0, 1.0]])
+        with pytest.raises(SensorRangeError, match="count range"):
+            sample(Wrench.from_sequence(w[0]), temperature, self.params,
+                   np.random.default_rng(0))
+        with pytest.raises(SensorRangeError, match="count range"):
+            sample_trajectory(w, [temperature], self.params, np.random.default_rng(0))
+
     def test_saturation_propagates(self):
         with pytest.raises(SaturationError):
             sample(Wrench(0, 0, 1000.0, 0, 0, 0), 25.0, self.params,
