@@ -135,14 +135,24 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
 def predict_counts(model: CalibrationModel, counts,
                    baseline: np.ndarray | None = None) -> np.ndarray:
     """Wrench estimates, (6,) for one (12,) reading or (6, N) for (N, 12)
-    counts; baseline defaults to the fit-time tare."""
+    counts; baseline defaults to the fit-time tare.
+
+    A block of readings is one matrix-matrix product (gemm), and its columns
+    can differ from per-row predict (gemv) in the last bits.  evaluate's RMSE
+    and temp-sweep's traces come from this batch path; evaluate --predictions
+    and flight use predict.
+    """
     base = model.baseline if baseline is None else baseline
     return model.matrix @ expand_features(counts, base, model.mode)
 
 
 def predict(model: CalibrationModel, frame: CapacitanceFrame,
             baseline: np.ndarray | None = None) -> Wrench:
-    """Wrench estimate for one frame; baseline defaults to the fit-time tare."""
+    """Wrench estimate for one frame; baseline defaults to the fit-time tare.
+
+    One matrix-vector product (gemv), which can differ in the last bits from
+    the same row of a batch predict_counts (gemm); see predict_counts.
+    """
     return Wrench.from_sequence(predict_counts(model, frame.counts, baseline))
 
 

@@ -23,6 +23,7 @@ from .core import (
     GRAVITY,
     UnitQuaternion,
     Vec3,
+    check_finite_fields,
     cross_normalize,
     quat_to_basis,
 )
@@ -58,6 +59,8 @@ class GainSet:
             m = getattr(self, name)
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3")
+            if not np.isfinite(m).all():
+                raise ValueError(f"GainSet.{name} must be finite")
             if not np.allclose(m, m.T):
                 raise ValueError(f"{name} must be symmetric")
             if np.any(np.linalg.eigvalsh(m) <= 0.0):
@@ -140,6 +143,7 @@ class ThrustMachineParams:
     max_thrust: float = 1.0  # normalized command ceiling
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.delta_f <= 0.0 or self.hold_duration <= 0.0 or self.max_thrust <= 0.0:
             raise ValueError("delta_f, hold_duration and max_thrust must be positive")
         if self.contact_deadband < 0.0:
@@ -230,6 +234,7 @@ class ForceProfile:
     frequency_hz: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.offset <= 0.0:
             raise ValueError("desired contact force offset must be positive")
         if self.amplitude < 0.0 or self.frequency_hz < 0.0:
@@ -252,6 +257,7 @@ class SetpointSequence:
     grace: float = 2.0  # s allowed at z_high while still out of contact
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.z_high <= self.z_low:
             raise ValueError("z_high must exceed z_low")
         if self.search_speed <= 0.0 or self.grace < 0.0:

@@ -8,7 +8,7 @@ and quaternions are scalar-first (w, x, y, z) with unit norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 EPS_PARALLEL = 1e-8
 GRAVITY_Z = -9.81
@@ -23,6 +23,19 @@ def _check_finite(label: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{label}: non-finite component {v!r}")
+
+
+def check_finite_fields(obj) -> None:
+    """Reject NaN or inf in a dataclass's float fields, tuples of floats included.
+
+    The message names the class and the field, so a bad config key is found
+    without guessing.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ from .sensor_model import (
     FirstOrderLag,
     SensorParams,
     SensorRangeError,
-    normal_mode_capacitance,
+    capacitances,
     sample_trajectory,
-    shear_mode_capacitance,
-    solve_deformation,
 )
 
 LOG_HEADER = "t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz"
@@ -185,9 +183,7 @@ def check_mechanical_range(scenario: Scenario, params: SensorParams) -> None:
     """
     for corner in itertools.product(*(rng for rng in scenario.ranges())):
         try:
-            d = solve_deformation(Wrench.from_sequence(corner), params.pillars, params.geometry)
-            normal_mode_capacitance(d, params.geometry)
-            shear_mode_capacitance(d, params.geometry)
+            capacitances(Wrench.from_sequence(corner), params)
         except SensorRangeError as exc:
             raise ScenarioRangeError(
                 f"scenario {scenario.name!r} corner {corner} outside mechanical range: {exc}"

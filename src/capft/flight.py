@@ -15,7 +15,7 @@ Rates are decoupled: the plant integrates at 1 kHz, the sensor samples at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,10 +35,12 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, slerp
+from .core import GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite_fields, slerp
 from .sensor_model import SaturationError, SensorParams, sample
 
 G_MAG = 9.81
+# Simulated seconds a phase may run past its deadline without a controller tick.
+_STEP_BUDGET_S = 10.0
 
 
 class SimulationFault(RuntimeError):
@@ -57,6 +59,7 @@ class PlantParams:
     max_thrust_hat: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if min(self.mass, self.k_f, self.tau_att, self.max_thrust_hat) <= 0.0:
             raise ValueError("plant parameters must be positive")
 
@@ -73,6 +76,7 @@ class ContactEnv:
     adhesion_threshold: float = 4.0  # N of press force that sticks the payload
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.contact_stiffness <= 0.0 or self.contact_damping < 0.0:
             raise ValueError("contact stiffness must be positive, damping non-negative")
         if self.payload_mass < 0.0 or self.adhesion_threshold <= 0.0:
@@ -222,12 +226,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.scenario not in ("track_sine", "deploy_package"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not 0.0 < self.plant_dt <= 0.01:
             raise ValueError("plant_dt must lie in (0, 0.01]")
         if self.control_hz <= 0.0 or self.sensor_hz <= 0.0:
             raise ValueError("rates must be positive")
+        # the engine takes at most one sensing and one control tick per plant step
+        if max(self.control_hz, self.sensor_hz) > 1.0 / self.plant_dt:
+            raise ValueError(f"control_hz and sensor_hz must not exceed 1/plant_dt "
+                             f"= {1.0 / self.plant_dt:g} Hz")
 
 
 @dataclass(frozen=True)
@@ -272,8 +281,15 @@ class _Engine:
 
     def run(self, control: Callable[[float], tuple[Command, float, str]],
             done: Callable[[], bool], deadline: float, what: str) -> None:
-        """Advance until done() holds at a controller tick; fault past deadline."""
+        """Advance until done() holds at a controller tick; fault past deadline.
+
+        Controller ticks check done() and the deadline.  The plant steps are
+        budgeted too, to _STEP_BUDGET_S past the deadline: a run whose
+        controller ticks too rarely to see the deadline faults there, and one
+        ticking at least that often reaches its deadline tick first.
+        """
         cfg = self.cfg
+        last_step = math.ceil((deadline + _STEP_BUDGET_S) / cfg.plant_dt) + 1
         while True:
             t = self.t
             while self.ks / cfg.sensor_hz <= t + 1e-12:
@@ -292,6 +308,9 @@ class _Engine:
                     f_oc=self.f_raw, f_dc=f_dc, f_cmd_hat=cmd.f_cmd_hat,
                     machine_state=label, payload_attached=self.state.payload_attached))
                 self.kc += 1
+            if self.k > last_step:
+                raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
+                                      f"tick since the {deadline:.1f}s deadline")
             self.state = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt)
             self.peak_contact = max(self.peak_contact, contact_force(self.state, cfg.env))
             self.k += 1
@@ -426,37 +445,9 @@ def default_config(scenario: str, bypass: bool = True, seed: int = 0) -> SimConf
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    g = cfg.gains
-    return {
-        "scenario": cfg.scenario,
-        "plant": {"mass": cfg.plant.mass, "k_f": cfg.plant.k_f,
-                  "tau_att": cfg.plant.tau_att, "max_thrust_hat": cfg.plant.max_thrust_hat},
-        "env": {"surface_z": cfg.env.surface_z,
-                "contact_stiffness": cfg.env.contact_stiffness,
-                "contact_damping": cfg.env.contact_damping,
-                "tip_offset": cfg.env.tip_offset,
-                "payload_mass": cfg.env.payload_mass,
-                "adhesion_threshold": cfg.env.adhesion_threshold},
-        "gains": {name: [[float(v) for v in row] for row in getattr(g, name)]
-                  for name in ("kp_free", "kv_free", "kp_contact", "kv_contact")},
-        "machine": {"delta_f": cfg.machine.delta_f, "k_p": cfg.machine.k_p,
-                    "k_i": cfg.machine.k_i, "k_d": cfg.machine.k_d,
-                    "hold_duration": cfg.machine.hold_duration,
-                    "contact_deadband": cfg.machine.contact_deadband,
-                    "max_thrust": cfg.machine.max_thrust},
-        "seq": {"lateral": list(cfg.seq.lateral), "z_low": cfg.seq.z_low,
-                "z_high": cfg.seq.z_high, "search_speed": cfg.seq.search_speed,
-                "grace": cfg.seq.grace},
-        "profile": {"offset": cfg.profile.offset, "amplitude": cfg.profile.amplitude,
-                    "frequency_hz": cfg.profile.frequency_hz},
-        "press_forces": list(cfg.press_forces),
-        "residual_threshold": cfg.residual_threshold,
-        "plant_dt": cfg.plant_dt, "control_hz": cfg.control_hz,
-        "sensor_hz": cfg.sensor_hz, "settle_time": cfg.settle_time,
-        "measure_time": cfg.measure_time, "retreat_z": cfg.retreat_z,
-        "rms_settle": cfg.rms_settle, "max_engage_time": cfg.max_engage_time,
-        "seed": cfg.seed,
-    }
+    data = asdict(cfg)
+    data["gains"] = {name: m.tolist() for name, m in data["gains"].items()}
+    return data
 
 
 def config_from_dict(data: dict) -> SimConfig:

@@ -11,13 +11,18 @@ drift.
 Units: SI throughout (m, N, Pa, F), except Wrench moments which arrive in
 mN*m and are converted once at the mechanics boundary.  Channel order is
 fixed everywhere: Z1..Z4, X1..X4, Y1..Y4.
+
+Each formula and range check is written once and takes Python floats for
+one reading or (N,) numpy columns for a trajectory.  Only the Newton loop,
+the reduction of a check and the rounding primitive differ by type, and
+every step is a correctly rounded IEEE operation, so both agree bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from hashlib import sha256
 
@@ -36,8 +41,8 @@ _SOLVE_CAP_FRACTION = 0.95
 CHANNEL_NAMES = ("Z1", "Z2", "Z3", "Z4", "X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
 NUM_CHANNELS = 12
 # Counts are int64.  An extreme temperature can scale a reading past that
-# (or overflow the drift scale to inf or NaN); both paths reject it before
-# the int conversion instead of wrapping it.
+# (or overflow the drift scale to inf or NaN); such a reading is rejected
+# before the int conversion instead of wrapping.
 _COUNT_LIMIT = 2.0 ** 63
 _COUNT_RANGE_ERROR = ("CDC reading beyond the count range: temperature too far from the "
                       "drift model's reference")
@@ -54,6 +59,16 @@ class SaturationError(SensorRangeError):
 def _require_finite(label: str, *values: float) -> None:
     if not all(math.isfinite(v) for v in values):
         raise SensorRangeError(f"{label} must be finite")
+
+
+def _holds(check) -> bool:
+    """Whether a range check passes.
+
+    A check on floats is already a bool; one on (N,) columns passes when it
+    holds on every row.  Checks state the condition that must hold, so NaN
+    fails them.
+    """
+    return check if check.__class__ is bool else bool(check.all())
 
 
 def parallel_plate_capacitance(eps_r: float, area: float, gap: float) -> float:
@@ -81,8 +96,7 @@ def effective_modulus(youngs: float, aspect_ratio: float):
     """
     if youngs <= 0.0:
         raise SensorRangeError(f"modulus must be positive, got {youngs!r}")
-    bad = aspect_ratio <= 0.0  # a bool for a float, so numpy is only paid for arrays
-    if bad if isinstance(bad, bool) else np.any(bad):
+    if not _holds(aspect_ratio > 0.0):
         raise SensorRangeError("aspect ratio must be positive")
     return youngs * (1.0 + 0.5 / (aspect_ratio * aspect_ratio))
 
@@ -178,7 +192,10 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class PlateDisplacement:
-    """Rigid-plate pose change under load: translations in m, tilts in rad."""
+    """Rigid-plate pose change under load: translations in m, tilts in rad.
+
+    Fields are floats for one reading, or (N,) columns for a trajectory.
+    """
 
     dz: float  # normal approach, positive toward the board
     theta_x: float
@@ -188,7 +205,8 @@ class PlateDisplacement:
     theta_z: float
 
     def __post_init__(self) -> None:
-        if max(abs(self.theta_x), abs(self.theta_y), abs(self.theta_z)) >= 0.1:
+        if not _holds((abs(self.theta_x) < 0.1) & (abs(self.theta_y) < 0.1)
+                      & (abs(self.theta_z) < 0.1)):
             raise SensorRangeError("small-angle model invalid beyond 0.1 rad")
 
 
@@ -240,36 +258,8 @@ class SensorParams:
     cdc: CdcConfig = field(default_factory=CdcConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "pillars": {
-                "youngs_modulus": self.pillars.youngs_modulus,
-                "height": self.pillars.height,
-                "radius": self.pillars.radius,
-                "ring_radii": list(self.pillars.ring_radii),
-                "ring_counts": list(self.pillars.ring_counts),
-            },
-            "geometry": {
-                "nominal_gap": self.geometry.nominal_gap,
-                "quadrant_x": list(self.geometry.quadrant_x),
-                "quadrant_y": list(self.geometry.quadrant_y),
-                "normal_electrode_area": self.geometry.normal_electrode_area,
-                "shear_overlap_area": self.geometry.shear_overlap_area,
-                "finger_pitch": self.geometry.finger_pitch,
-                "pillar_fill_fraction": self.geometry.pillar_fill_fraction,
-                "eps_pillar": self.geometry.eps_pillar,
-                "eps_air": self.geometry.eps_air,
-            },
-            "drift": {
-                "alpha": list(self.drift.alpha),
-                "beta": list(self.drift.beta),
-                "reference_temp": self.drift.reference_temp,
-            },
-            "cdc": {
-                "gain_counts_per_farad": self.cdc.gain_counts_per_farad,
-                "noise_sigma_counts": self.cdc.noise_sigma_counts,
-                "lag_corner_hz": self.cdc.lag_corner_hz,
-            },
-        }
+        """Nested plain values; tuples serialize as JSON arrays."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensorParams":
@@ -355,34 +345,34 @@ class StiffnessSet:
     k_torsion: float  # N*m/rad, about z
 
 
-def _compressed_state(pillars: PillarModel, dz, sqrt=np.sqrt) -> tuple:
+def _compressed_state(pillars: PillarModel, dz) -> tuple:
     """Height, area and aspect ratio of one pillar squashed by dz.
 
     Constant-volume compression: the radius grows as the height shrinks, so
-    area * height stays fixed.  Valid for 0 <= dz < height.  Float callers
-    pass math.sqrt; both square roots are correctly rounded, so the bits agree.
+    area * height stays fixed.  Valid for 0 <= dz < height.  Floats take
+    math.sqrt and columns np.sqrt; both are correctly rounded, so the bits agree.
     """
     h_eff = pillars.height - dz
     area = pillars.pillar_area * pillars.height / h_eff
-    radius = sqrt(area / math.pi)
+    radius = (np.sqrt if isinstance(dz, np.ndarray) else math.sqrt)(area / math.pi)
     eta = h_eff / radius
     return h_eff, area, eta
 
 
-def pillar_stiffness(pillars: PillarModel, geometry: SensorGeometry, dz: float) -> StiffnessSet:
+def pillar_stiffness(pillars: PillarModel, geometry: SensorGeometry, dz) -> StiffnessSet:
     """Plate stiffnesses with the array compressed by dz meters.
 
     Normal stiffness follows the compressed effective modulus and grown
     cross-section; shear and torsion use the nominal geometry (tangential
-    comb travel is small compared to the pillar radius).
+    comb travel is small compared to the pillar radius).  dz may be an (N,)
+    column; k_z and k_tilt are then columns and k_xy and k_torsion floats.
     """
-    if dz < 0.0:
-        raise SensorRangeError(f"compression dz {dz!r} must be non-negative")
-    if dz >= pillars.height:
-        raise SensorRangeError(f"compression dz {dz!r} not below pillar height")
-    h_eff, area, eta = _compressed_state(pillars, dz, math.sqrt)
-    e_eff = effective_modulus(pillars.youngs_modulus, eta)
-    kz_per_pillar = e_eff * area / h_eff
+    if not _holds(dz >= 0.0):
+        raise SensorRangeError("compression dz must be non-negative")
+    if not _holds(dz < pillars.height):
+        raise SensorRangeError("compression dz not below pillar height")
+    h_eff, area, eta = _compressed_state(pillars, dz)
+    kz_per_pillar = effective_modulus(pillars.youngs_modulus, eta) * area / h_eff
     kxy_per_pillar = pillars.shear_modulus * pillars.pillar_area / pillars.height
     second = pillars.radial_second_moment
     return StiffnessSet(
@@ -397,52 +387,27 @@ def _axial_force(pillars: PillarModel, dz):
     """Total restoring force after compressing the array by dz (closed form).
 
     Integral of the compressed stiffness from 0 to dz; grows superlinearly
-    because the pillars fatten and their effective modulus rises.
+    because the pillars fatten and their effective modulus rises.  The
+    quartic is built from multiplies, not a power, so floats and numpy
+    columns round it alike.
     """
     h = pillars.height
     r = pillars.radius
     a = h - dz
     scale = pillars.count * pillars.youngs_modulus * pillars.pillar_area * h
     linear = 1.0 / a - 1.0 / h
-    quartic = (r * r * h / 8.0) * (1.0 / a**4 - 1.0 / h**4)
+    quartic = (r * r * h / 8.0) * (1.0 / ((a * a) * (a * a)) - 1.0 / ((h * h) * (h * h)))
     return scale * (linear + quartic)
 
 
-def _solve_dz(pillars: PillarModel, fz) -> np.ndarray:
-    """Vectorized guarded Newton solve of _axial_force(dz) = fz, fz >= 0."""
-    fz = np.asarray(fz, dtype=float)
-    h = pillars.height
-    cap = _SOLVE_CAP_FRACTION * h
-    e0 = effective_modulus(pillars.youngs_modulus, pillars.aspect_ratio)
-    k0 = pillars.count * e0 * pillars.pillar_area / h
-    dz = np.clip(fz / k0, 0.0, cap)
-    lo = np.zeros_like(dz)
-    hi = np.full_like(dz, cap)
-    for _ in range(80):
-        f = _axial_force(pillars, dz)
-        resid = f - fz
-        if np.all(np.abs(resid) < 1e-12 * np.maximum(1.0, np.abs(fz))):
-            break
-        lo = np.where(resid < 0.0, dz, lo)
-        hi = np.where(resid > 0.0, dz, hi)
-        _, area, eta = _compressed_state(pillars, dz)
-        k = pillars.count * effective_modulus(pillars.youngs_modulus, eta) * area / (h - dz)
-        step = dz - resid / k
-        # fall back to bisection whenever Newton leaves the bracket
-        bad = (step <= lo) | (step >= hi)
-        dz = np.where(bad, 0.5 * (lo + hi), step)
-    resid = np.abs(_axial_force(pillars, dz) - fz)
-    if np.any(resid >= 1e-9):
-        raise SaturationError("no axial equilibrium within stroke (residual >= 1e-9 N)")
-    return dz
+def _axial_stiffness(pillars: PillarModel, dz):
+    """Slope of _axial_force at dz: the Newton tangent."""
+    h_eff, area, eta = _compressed_state(pillars, dz)
+    return pillars.count * effective_modulus(pillars.youngs_modulus, eta) * area / h_eff
 
 
-def _solve_dz_float(pillars: PillarModel, fz: float) -> float:
-    """_solve_dz for one load on Python floats: the same iterates, bit for bit."""
-    h = pillars.height
-    cap = _SOLVE_CAP_FRACTION * h
-    n, youngs = pillars.count, pillars.youngs_modulus
-    k0 = n * effective_modulus(youngs, pillars.aspect_ratio) * pillars.pillar_area / h
+def _newton_float(pillars: PillarModel, fz: float, k0: float, cap: float) -> float:
+    """Newton steps from the linear guess, bisecting whenever one leaves the bracket."""
     dz = min(max(fz / k0, 0.0), cap)
     lo, hi = 0.0, cap
     for _ in range(80):
@@ -453,15 +418,51 @@ def _solve_dz_float(pillars: PillarModel, fz: float) -> float:
             lo = dz
         if resid > 0.0:
             hi = dz
-        h_eff, area, eta = _compressed_state(pillars, dz, math.sqrt)
-        step = dz - resid / (n * effective_modulus(youngs, eta) * area / h_eff)
+        step = dz - resid / _axial_stiffness(pillars, dz)
         dz = 0.5 * (lo + hi) if step <= lo or step >= hi else step
-    if not abs(_axial_force(pillars, dz) - fz) < 1e-9:  # NaN fails too
+    return dz
+
+
+def _newton_rows(pillars: PillarModel, fz: np.ndarray, k0: float, cap: float) -> np.ndarray:
+    """_newton_float on every row: converged rows freeze, the rest iterate on."""
+    dz = np.clip(fz / k0, 0.0, cap)
+    rows, x, f = np.arange(dz.size), dz, fz
+    lo, hi = np.zeros_like(dz), np.full_like(dz, cap)
+    for _ in range(80):
+        resid = _axial_force(pillars, x) - f
+        going = ~(np.abs(resid) < 1e-12 * np.maximum(1.0, np.abs(f)))
+        if not going.any():
+            break
+        rows, x, f, resid = rows[going], x[going], f[going], resid[going]
+        lo = np.where(resid < 0.0, x, lo[going])
+        hi = np.where(resid > 0.0, x, hi[going])
+        step = x - resid / _axial_stiffness(pillars, x)
+        x = np.where((step <= lo) | (step >= hi), 0.5 * (lo + hi), step)
+        dz[rows] = x
+    return dz
+
+
+def _solve_dz(pillars: PillarModel, fz):
+    """Guarded Newton solve of _axial_force(dz) = fz, fz >= 0.
+
+    A float runs the float loop and an (N,) column the row loop.  Both take
+    the same steps and stop each row on the same test, so row i of a column
+    solve equals the float solve of fz[i] bit for bit.
+    """
+    cap = _SOLVE_CAP_FRACTION * pillars.height
+    k0 = pillars.count * effective_modulus(pillars.youngs_modulus, pillars.aspect_ratio) \
+        * pillars.pillar_area / pillars.height
+    if isinstance(fz, np.ndarray):
+        dz = _newton_rows(pillars, fz, k0, cap)
+    else:
+        fz = float(fz)
+        dz = _newton_float(pillars, fz, k0, cap)
+    if not _holds(abs(_axial_force(pillars, dz) - fz) < 1e-9):  # NaN fails too
         raise SaturationError("no axial equilibrium within stroke (residual >= 1e-9 N)")
     return dz
 
 
-def solve_deformation(w: Wrench, pillars: PillarModel, geometry: SensorGeometry) -> PlateDisplacement:
+def solve_deformation(w, pillars: PillarModel, geometry: SensorGeometry) -> PlateDisplacement:
     """Static plate pose under an applied wrench.
 
     The normal axis is solved iteratively against the stiffening pillar
@@ -469,43 +470,45 @@ def solve_deformation(w: Wrench, pillars: PillarModel, geometry: SensorGeometry)
     stiffnesses evaluated at the solved compression.  Raises
     SaturationError when the wrench has no equilibrium inside the stroke
     (dz beyond 80% of pillar height, tension, or tilt outside the
-    small-angle window).
+    small-angle window).  w is a Wrench, or an (N, 6) float array of them,
+    which gives a pose of (N,) columns equal row by row to the single solves.
     """
-    if w.fz < 0.0:
+    fx, fy, fz, mx, my, mz = w.as_tuple() if isinstance(w, Wrench) else w.T
+    if not _holds(fz >= 0.0):
         raise SaturationError("tensile normal load is outside the model range")
-    dz = _solve_dz_float(pillars, float(w.fz))
-    if dz >= MAX_COMPRESSION_FRACTION * pillars.height:
+    dz = _solve_dz(pillars, fz)
+    if not _holds(dz < MAX_COMPRESSION_FRACTION * pillars.height):
         raise SaturationError(
-            f"normal stroke exhausted: dz {dz:.3e} beyond "
+            f"normal stroke exhausted: dz {np.max(dz):.3e} beyond "
             f"{MAX_COMPRESSION_FRACTION:.0%} of pillar height")
     stiff = pillar_stiffness(pillars, geometry, dz)
-    disp = PlateDisplacement(
+    return PlateDisplacement(
         dz=dz,
-        theta_x=w.mx * MNM_TO_NM / stiff.k_tilt,
-        theta_y=w.my * MNM_TO_NM / stiff.k_tilt,
-        dx=w.fx / stiff.k_xy,
-        dy=w.fy / stiff.k_xy,
-        theta_z=w.mz * MNM_TO_NM / stiff.k_torsion,
+        theta_x=mx * MNM_TO_NM / stiff.k_tilt,
+        theta_y=my * MNM_TO_NM / stiff.k_tilt,
+        dx=fx / stiff.k_xy,
+        dy=fy / stiff.k_xy,
+        theta_z=mz * MNM_TO_NM / stiff.k_torsion,
     )
-    return disp
 
 
-def _quadrant_gaps(d: PlateDisplacement, geometry: SensorGeometry) -> list[float]:
+def _quadrant_gaps(d: PlateDisplacement, geometry: SensorGeometry) -> list:
     """Local electrode gap under each quadrant centroid (m); raises once one closes."""
     gaps = [geometry.nominal_gap - (d.dz + d.theta_x * y - d.theta_y * x)
             for x, y in zip(geometry.quadrant_x, geometry.quadrant_y)]
-    if any(g <= 0.0 for g in gaps):
+    g1, g2, g3, g4 = gaps
+    if not _holds((g1 > 0.0) & (g2 > 0.0) & (g3 > 0.0) & (g4 > 0.0)):
         raise SaturationError("electrode gap closed under tilt/compression")
     return gaps
 
 
-def normal_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple[float, ...]:
-    """Quadrant gap-sensing capacitances Z1..Z4 in farads."""
+def normal_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
+    """Quadrant gap-sensing capacitances Z1..Z4 in farads (columns for a column pose)."""
     num = EPSILON_0 * geometry.eps_effective * geometry.normal_electrode_area
     return tuple(num / g for g in _quadrant_gaps(d, geometry))
 
 
-def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple[float, ...]:
+def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
     """Differential overlap-area capacitances X1..X4, Y1..Y4 in farads.
 
     Each quadrant carries a +/- comb pair whose overlap areas split linearly
@@ -513,7 +516,7 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
     retains the normal-load cross-coupling seen on a physical device.
     """
     half_pitch = 0.5 * geometry.finger_pitch
-    if max(abs(d.dx), abs(d.dy)) >= half_pitch:
+    if not _holds((abs(d.dx) < half_pitch) & (abs(d.dy) < half_pitch)):
         raise SensorRangeError("tangential travel beyond half a finger pitch")
     gaps = _quadrant_gaps(d, geometry)
     qx, qy = geometry.quadrant_x, geometry.quadrant_y
@@ -521,10 +524,11 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
     # quadrant's sensitive axis: quadrants 1 and 3 sense x, 2 and 4 sense y
     deltas = (d.dx - d.theta_z * qy[0], d.dy + d.theta_z * qx[1],
               d.dx - d.theta_z * qy[2], d.dy + d.theta_z * qx[3])
-    if any(abs(v) >= half_pitch for v in deltas):
+    if not _holds((abs(deltas[0]) < half_pitch) & (abs(deltas[1]) < half_pitch)
+                  & (abs(deltas[2]) < half_pitch) & (abs(deltas[3]) < half_pitch)):
         raise SensorRangeError("comb overlap wrapped: quadrant travel beyond half pitch")
     num = EPSILON_0 * geometry.eps_effective * geometry.shear_overlap_area
-    caps: list[float] = []
+    caps: list = []
     for q in (0, 2, 1, 3):  # order: (Q1+, Q1-), (Q3+, Q3-), (Q2+, Q2-), (Q4+, Q4-)
         base = num / gaps[q]
         ratio = deltas[q] / geometry.finger_pitch
@@ -532,18 +536,31 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
     return tuple(caps)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def _channel_capacitances(w, params: SensorParams) -> tuple:
+    """Noise-free capacitances of the twelve channels, in the fixed order."""
+    d = solve_deformation(w, params.pillars, params.geometry)
+    return normal_mode_capacitance(d, params.geometry) + shear_mode_capacitance(d, params.geometry)
 
 
 def capacitances(w: Wrench, params: SensorParams) -> np.ndarray:
     """Noise-free channel capacitances for one wrench, farads, fixed order."""
-    d = solve_deformation(w, params.pillars, params.geometry)
-    cn = normal_mode_capacitance(d, params.geometry)
-    cs = shear_mode_capacitance(d, params.geometry)
-    return np.array(cn + cs)
+    return np.array(_channel_capacitances(w, params))
+
+
+def _counts(c, alpha, beta, dt, cdc: CdcConfig, noise):
+    """CDC counts: thermal baseline scale, gain and read noise, rounded at zero.
+
+    Takes one channel's floats, or (N, 12) capacitances and noise with (N, 1)
+    temperature offsets.  A reading int64 cannot hold raises SensorRangeError
+    before the int conversion; rounding is half-even either way.
+    """
+    noisy = cdc.gain_counts_per_farad * c * (1.0 + alpha * dt + beta * (dt * dt)) \
+        + cdc.noise_sigma_counts * noise
+    if not _holds(noisy < _COUNT_LIMIT):  # NaN fails too
+        raise SensorRangeError(_COUNT_RANGE_ERROR)
+    if isinstance(noisy, float):
+        return round(noisy) if noisy > 0.0 else 0
+    return np.rint(np.maximum(noisy, 0.0)).astype(int)
 
 
 def sample(w: Wrench, temperature: float, params: SensorParams, rng,
@@ -552,20 +569,15 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
 
     Applies the thermal baseline scale, converts to counts, adds Gaussian
     read noise and rounds to non-negative integers.  Deterministic for a
-    given rng seed.
+    given rng seed, and equal bit for bit (dz, stiffnesses, capacitances
+    and counts) to the matching row of sample_trajectory.
     """
-    gen = _as_rng(rng)
-    drift, cdc = params.drift, params.cdc
+    gen = np.random.default_rng(rng)  # a Generator passes through
+    drift = params.drift
     dt = float(temperature) - drift.reference_temp
-    counts = []
-    # on floats an overflow gives inf or NaN, which the range test rejects
-    for c, a, b, n in zip(capacitances(w, params).tolist(), drift.alpha, drift.beta,
-                          gen.normal(size=NUM_CHANNELS).tolist()):
-        noisy = cdc.gain_counts_per_farad * c * (1.0 + a * dt + b * dt * dt) \
-            + cdc.noise_sigma_counts * n
-        if not noisy < _COUNT_LIMIT:
-            raise SensorRangeError(_COUNT_RANGE_ERROR)
-        counts.append(max(round(noisy), 0))
+    counts = [_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
+        _channel_capacitances(w, params), drift.alpha, drift.beta,
+        gen.normal(size=NUM_CHANNELS).tolist())]
     return CapacitanceFrame.from_counts(counts, timestamp, temperature)
 
 
@@ -573,73 +585,24 @@ def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: Se
                       rng) -> np.ndarray:
     """Vectorized counts for a (N, 6) wrench trajectory; returns (N, 12) ints.
 
-    Equivalent to calling sample row by row with a shared generator: the
-    noise draw order matches, so scalar and batch paths agree bit for bit.
+    Runs the same forward model as sample on (N,) columns and draws the
+    noise in the same order, so row i equals the i-th of N sample calls
+    with a shared generator bit for bit: dz, stiffnesses, capacitances
+    and counts alike.
     """
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator passes through
     w = np.asarray(wrenches, dtype=float)
     if w.ndim != 2 or w.shape[1] != 6:
         raise SensorRangeError(f"wrench trajectory must be (N, 6), got {w.shape}")
     temps = np.asarray(temperatures, dtype=float)
     if temps.shape != (w.shape[0],):
         raise SensorRangeError("one temperature per wrench sample required")
-    pillars, geometry = params.pillars, params.geometry
-
-    if np.any(w[:, 2] < 0.0):
-        raise SaturationError("tensile normal load is outside the model range")
-    dz = _solve_dz(pillars, w[:, 2])
-    if np.any(dz >= MAX_COMPRESSION_FRACTION * pillars.height):
-        raise SaturationError("normal stroke exhausted in trajectory")
-    h_eff, area, eta = _compressed_state(pillars, dz)
-    kz_per = effective_modulus(pillars.youngs_modulus, eta) * area / h_eff
-    kxy_per = pillars.shear_modulus * pillars.pillar_area / pillars.height
-    second = pillars.radial_second_moment
-    k_tilt = kz_per * second
-    k_torsion = kxy_per * second * np.ones_like(dz)
-    theta_x = w[:, 3] * MNM_TO_NM / k_tilt
-    theta_y = w[:, 4] * MNM_TO_NM / k_tilt
-    theta_z = w[:, 5] * MNM_TO_NM / k_torsion
-    dx = w[:, 0] / (pillars.count * kxy_per)
-    dy = w[:, 1] / (pillars.count * kxy_per)
-    if np.max(np.abs(np.stack([theta_x, theta_y, theta_z]))) >= 0.1:
-        raise SensorRangeError("small-angle model invalid beyond 0.1 rad")
-
-    qx = np.asarray(geometry.quadrant_x)
-    qy = np.asarray(geometry.quadrant_y)
-    gaps = geometry.nominal_gap - (dz[:, None] + np.outer(theta_x, qy) - np.outer(theta_y, qx))
-    if np.any(gaps <= 0.0):
-        raise SaturationError("electrode gap closed under tilt/compression")
-    eps = EPSILON_0 * geometry.eps_effective
-    c_normal = eps * geometry.normal_electrode_area / gaps
-
-    half_pitch = 0.5 * geometry.finger_pitch
-    tx = dx[:, None] - np.outer(theta_z, qy)
-    ty = dy[:, None] + np.outer(theta_z, qx)
-    deltas = np.where(np.arange(4) % 2 == 0, tx, ty)
-    if np.max(np.abs(dx)) >= half_pitch or np.max(np.abs(dy)) >= half_pitch \
-            or np.max(np.abs(deltas)) >= half_pitch:
-        raise SensorRangeError("tangential travel beyond half a finger pitch")
-    ratio = deltas / geometry.finger_pitch
-    base = eps * geometry.shear_overlap_area / gaps
-    plus = base * (1.0 + ratio)
-    minus = base * (1.0 - ratio)
-    caps = np.column_stack([
-        c_normal,
-        plus[:, 0], minus[:, 0], plus[:, 2], minus[:, 2],
-        plus[:, 1], minus[:, 1], plus[:, 3], minus[:, 3],
-    ])
-
-    dt = temps - params.drift.reference_temp
-    alpha = np.asarray(params.drift.alpha)
-    beta = np.asarray(params.drift.beta)
+    caps = np.column_stack(_channel_capacitances(w, params))
+    drift = params.drift
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 1.0 + alpha * dt[:, None] + beta * (dt * dt)[:, None]
-        mean = params.cdc.gain_counts_per_farad * caps * scale
-        noisy = mean + params.cdc.noise_sigma_counts * gen.normal(size=mean.shape)
-    counts = np.maximum(np.rint(noisy), 0.0)
-    if not counts.max() < _COUNT_LIMIT:  # also false for NaN
-        raise SensorRangeError(_COUNT_RANGE_ERROR)
-    return counts.astype(int)
+        return _counts(caps, np.asarray(drift.alpha), np.asarray(drift.beta),
+                       (temps - drift.reference_temp)[:, None], params.cdc,
+                       gen.normal(size=caps.shape))
 
 
 @dataclass

@@ -6,12 +6,17 @@ asserted directly; one test shells out to the installed entry point.
 
 import concurrent.futures
 import json
+import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capft
 from capft import calibration, dataio, flight
 from capft.cli import main
 from capft.sensor_model import default_sensor_params
@@ -35,6 +40,14 @@ def corrupt_model(fitted, tmp_path, field, value):
     path = tmp_path / "bad_model.json"
     path.write_text(json.dumps(payload))  # json writes NaN and Infinity tokens
     return path
+
+
+def run_cli_guarded(args, seconds=30.0):
+    """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard."""
+    path = [str(Path(capft.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, "-m", "capft.cli", *args], capture_output=True,
+                          text=True, timeout=seconds,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
 
 
 NON_FINITE_MODEL = [("matrix", float("nan")), ("baseline", float("inf"))]
@@ -453,6 +466,43 @@ class TestFly:
                    "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 5
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, code, message", [
+        # the controller never ticks again, so only the plant-step budget ends it
+        ("control_hz", 1e-9, 5, "no controller tick since the 2.5s deadline"),
+        # the sensing loop would never catch up with plant time
+        ("sensor_hz", 1e308, 2, "must not exceed 1/plant_dt"),
+    ])
+    def test_rate_probe_ends_within_guard(self, tmp_path, key, value, code, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine", key: value}))
+        proc = run_cli_guarded(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                                "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == code
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("plant", "mass", math.nan),
+        ("env", "contact_stiffness", math.nan),
+        ("env", "surface_z", math.inf),
+        ("machine", "k_i", -math.inf),
+        ("gains", "kp_free", [[math.nan, 0.0, 0.0], [0.0, 7.0, 0.0], [0.0, 0.0, 9.0]]),
+        ("seq", "lateral", [0.0, math.nan]),
+        ("seq", "grace", math.nan),
+        ("profile", "amplitude", math.inf),
+        (None, "press_forces", [0.7, math.nan]),
+        (None, "residual_threshold", math.nan),
+        (None, "max_engage_time", math.inf),
+    ])
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys, section, key, value):
+        cfg = flight.config_to_dict(flight.default_config("track_sine"))
+        (cfg if section is None else cfg[section])[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))  # json writes NaN and Infinity tokens
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f".{key} must be finite" in capsys.readouterr().err
 
     def test_config_scenario_mismatch(self, tmp_path):
         cfg = flight.config_to_dict(flight.default_config("deploy_package"))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capft.core import Wrench
@@ -333,6 +333,19 @@ def wrench_rows(draw):
     return np.array(unit) * AXIS_LIMITS * draw(st.floats(0.0, 1.5))
 
 
+def in_range(row, params):
+    try:
+        capacitances(Wrench.from_sequence(row), params)
+    except SensorRangeError:
+        return False
+    return True
+
+
+def row_hex(values, i):
+    """float.hex of row i of each value; a float stands for every row."""
+    return [float(v if np.ndim(v) == 0 else v[i]).hex() for v in values]
+
+
 def counts_or_error(fn):
     try:
         return tuple(fn())
@@ -406,6 +419,32 @@ class TestSampling:
             w[None], [temperature], self.params, np.random.default_rng(seed))[0].tolist())
         assert scalar == batch
 
+    @settings(max_examples=150, deadline=None)
+    @given(draws=st.lists(st.tuples(wrench_rows(), st.floats(0.0, 50.0)), min_size=2,
+                          max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trajectory_rows_match_single_readings_hex(self, draws, seed):
+        # every intermediate, not only the rounded counts: row i of a trajectory
+        # equals the i-th single reading as float.hex
+        p, g = self.params.pillars, self.params.geometry
+        kept = [(w, t) for w, t in draws if in_range(w, self.params)]
+        assume(len(kept) >= 2)
+        w = np.array([row for row, _ in kept])
+        temps = np.array([t for _, t in kept])
+        d = solve_deformation(w, p, g)
+        k = pillar_stiffness(p, g, d.dz)
+        caps = normal_mode_capacitance(d, g) + shear_mode_capacitance(d, g)
+        counts = sample_trajectory(w, temps, self.params, np.random.default_rng(seed))
+        gen = np.random.default_rng(seed)
+        for i, (row, temperature) in enumerate(kept):
+            wi = Wrench.from_sequence(row)
+            di = solve_deformation(wi, p, g)
+            ki = pillar_stiffness(p, g, di.dz)
+            assert row_hex(dataclasses.astuple(d), i) == row_hex(dataclasses.astuple(di), 0)
+            assert row_hex(dataclasses.astuple(k), i) == row_hex(dataclasses.astuple(ki), 0)
+            assert row_hex(caps, i) == row_hex(capacitances(wi, self.params), 0)
+            assert tuple(counts[i]) == sample(wi, temperature, self.params, gen).counts
+
     @pytest.mark.parametrize("temperature", [1e12, 1e200, -1e200])
     def test_count_overflow_rejected_on_both_paths(self, temperature):
         # 1e12 degC scales the counts past int64; +-1e200 overflows the drift
@@ -416,6 +455,16 @@ class TestSampling:
                    np.random.default_rng(0))
         with pytest.raises(SensorRangeError, match="count range"):
             sample_trajectory(w, [temperature], self.params, np.random.default_rng(0))
+
+    def test_reading_below_zero_clips_on_both_paths(self):
+        # a drift scale that overflows to -inf rounds at zero, like any negative
+        # reading, on both paths (round(-inf) on a float would raise OverflowError)
+        params = dataclasses.replace(self.params, drift=dataclasses.replace(
+            self.params.drift, alpha=(0.0,) * 12, beta=(-4e-6,) * 12))
+        w = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        frame = sample(Wrench.from_sequence(w[0]), 1e200, params, np.random.default_rng(0))
+        batch = sample_trajectory(w, [1e200], params, np.random.default_rng(0))
+        assert frame.counts == tuple(batch[0]) == (0,) * 12
 
     def test_saturation_propagates(self):
         with pytest.raises(SaturationError):
