@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Wrench
+from .core import InputFileError, Wrench, from_plain, read_json
 from .sensor_model import NUM_CHANNELS, CapacitanceFrame
 
 AXIS_NAMES = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
@@ -114,8 +114,8 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
     gram = x @ x.T
     if ridge is None:
         ridge = 1e-9 * np.trace(gram) / 24.0
-    if ridge < 0.0:
-        raise CalibrationError("ridge must be non-negative")
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise CalibrationError(f"ridge must be finite and non-negative, got {ridge!r}")
     if ridge == 0.0 and np.linalg.matrix_rank(gram, hermitian=True) < n_feat:
         raise IllConditionedError("feature Gram matrix is rank deficient with ridge 0")
     xyt = x @ y.T
@@ -282,31 +282,17 @@ def save_model(model: CalibrationModel, path: str | Path,
 def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | None]:
     """Read a model file written by save_model, validating shape and version."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+        payload = read_json(path)
+    except InputFileError as exc:
+        raise ModelFormatError(str(exc)) from exc
     try:
         if payload["format_version"] != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
                 f"unsupported model format version {payload['format_version']!r}")
-        model = CalibrationModel(
-            matrix=np.array(payload["matrix"], dtype=float),
-            baseline=np.array(payload["baseline"], dtype=float),
-            mode=payload["mode"],
-            ridge=float(payload["ridge"]),
-            train_rmse=tuple(float(v) for v in payload["train_rmse"]),
-            normal_eq_residual=float(payload["normal_eq_residual"]),
-        )
-        comp = None
-        if payload.get("temp_compensator") is not None:
-            tc = payload["temp_compensator"]
-            comp = TempCompensator(
-                a0=tuple(float(v) for v in tc["a0"]),
-                a1=tuple(float(v) for v in tc["a1"]),
-                a2=tuple(float(v) for v in tc["a2"]),
-                reference_temp=float(tc["reference_temp"]),
-                r_squared=tuple(float(v) for v in tc["r_squared"]),
-            )
+        del payload["format_version"]
+        tc = payload.pop("temp_compensator", None)
+        model = from_plain(CalibrationModel, payload)
+        comp = None if tc is None else from_plain(TempCompensator, tc)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, CalibrationError) as exc:

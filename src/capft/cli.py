@@ -24,6 +24,7 @@ import numpy as np
 from . import calibration, dataio, flight
 from .calibration import CalibrationError
 from .controller import SurfaceNotFoundError
+from .core import InputFileError, read_json
 from .dataio import LogFormatError, ScenarioRangeError
 from .flight import SimulationFault
 from .sensor_model import SensorParams, SensorRangeError, default_sensor_params
@@ -40,13 +41,7 @@ def _child_seed(base: int, index: int) -> int:
 
 
 def _load_sensor_params(path: str | None) -> SensorParams:
-    if path is None:
-        return default_sensor_params()
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LogFormatError(f"cannot read sensor params {path}: {exc}") from exc
-    return SensorParams.from_dict(data)
+    return default_sensor_params() if path is None else SensorParams.from_dict(read_json(path))
 
 
 def _sha256_file(path: Path) -> str:
@@ -77,7 +72,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     params = _load_sensor_params(args.sensor_params)
     if args.scenario_file is not None:
-        base = dataio.scenario_from_dict(json.loads(Path(args.scenario_file).read_text()))
+        base = dataio.scenario_from_dict(read_json(args.scenario_file))
     else:
         base = _SCENARIO_BUILDERS[args.scenario](duration=args.duration, seed=args.seed)
     out_dir = _resolve_out(args)
@@ -213,7 +208,7 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
 def cmd_fly(args: argparse.Namespace) -> int:
     params = _load_sensor_params(args.sensor_params)
     if args.config is not None:
-        cfg = flight.config_from_dict(json.loads(Path(args.config).read_text()))
+        cfg = flight.config_from_dict(read_json(args.config))
         if cfg.scenario != args.scenario:
             raise ValueError(f"config scenario {cfg.scenario!r} does not match "
                              f"requested {args.scenario!r}")
@@ -262,6 +257,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         print("            finger_pitch m, pillar_fill_fraction, eps_pillar, eps_air")
         print("  drift: alpha 1/degC and beta 1/degC^2 (12 each), reference_temp degC")
         print("  cdc: gain_counts_per_farad, noise_sigma_counts, lag_corner_hz or null")
+        print("every key is required; an unknown key or a wrong JSON type is rejected")
         print("defaults below are illustrative, not measurements of a physical device:")
     print(json.dumps(params.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -331,7 +327,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except (LogFormatError, ScenarioRangeError, FileNotFoundError) as exc:
+    except (LogFormatError, ScenarioRangeError, InputFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CalibrationError as exc:

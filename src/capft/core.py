@@ -7,8 +7,13 @@ and quaternions are scalar-first (w, x, y, z) with unit norm.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 EPS_PARALLEL = 1e-8
 GRAVITY_Z = -9.81
@@ -25,17 +30,85 @@ def _check_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label}: non-finite component {v!r}")
 
 
-def check_finite_fields(obj) -> None:
+def check_finite_fields(obj, error: type[Exception] = ValueError) -> None:
     """Reject NaN or inf in a dataclass's float fields, tuples of floats included.
 
-    The message names the class and the field, so a bad config key is found
-    without guessing.
+    Raises error with a message naming the class and the field, so a bad
+    config key is found without guessing.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
+                raise error(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
+
+
+class InputFileError(ValueError):
+    """A JSON input file cannot be read, decoded or parsed."""
+
+
+def read_json(path) -> object:
+    """Parse a UTF-8 JSON file.  A file that cannot be read, decoded or parsed
+    (nesting too deep included) raises InputFileError naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
+
+
+def from_plain(cls, data, base=None):
+    """Build dataclass cls from parsed JSON, converting each value by its declared type.
+
+    Unknown keys are rejected; a missing key takes base's value, or is an
+    error without a base.  Raises ValueError naming the field.  Range checks
+    stay in cls's __post_init__.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be an object, got {data!r}")
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {cls.__name__}")
+    kwargs = {}
+    for name in names:
+        label = f"{cls.__name__}.{name}"
+        if name in data:
+            kwargs[name] = _convert(hints[name], data[name], label, getattr(base, name, None))
+        elif base is not None:
+            kwargs[name] = getattr(base, name)
+        else:
+            raise ValueError(f"{label} is missing")
+    return cls(**kwargs)
+
+
+def _convert(tp, value, label: str, base=None):
+    """value as type tp: a dataclass recurses, X | None takes null or an X, a tuple
+    a list of its length, np.ndarray nested lists of numbers, float any non-bool
+    number, and int, bool and str exactly that JSON type."""
+    if tp is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{label} is too large for a float") from None
+    if type(value) is tp:
+        return value
+    if is_dataclass(tp):
+        return from_plain(tp, value, base)
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _convert(args[0], value, label)
+    if get_origin(tp) is tuple and isinstance(value, (list, tuple)):
+        types = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+        if len(value) != len(types):
+            raise ValueError(f"{label} must have {len(types)} items, got {len(value)}")
+        return tuple(_convert(t, v, f"{label}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if tp is np.ndarray and isinstance(value, list):
+        cells = np.array(value, dtype=object)  # ragged or very deep lists stay list cells
+        for k, v in enumerate(cells.reshape(-1)):
+            _convert(float, v, label + "".join(f"[{i}]" for i in np.unravel_index(k, cells.shape)))
+        return cells.astype(float)
+    raise ValueError(f"{label} must be {getattr(tp, '__name__', tp)}, got {value!r}")
 
 
 @dataclass(frozen=True)

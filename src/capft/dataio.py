@@ -22,7 +22,7 @@ from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Wrench
+from .core import Wrench, check_finite_fields, from_plain
 from .sensor_model import (
     CHANNEL_NAMES,
     NUM_CHANNELS,
@@ -78,13 +78,10 @@ class Scenario:
     drift_enabled: bool = True
 
     def __post_init__(self) -> None:
-        values = (self.duration, self.sample_rate, self.duration * self.sample_rate,
-                  self.band_hz, self.temp_start, self.temp_end,
-                  *itertools.chain(*self.ranges()))
-        if not all(math.isfinite(v) for v in values):
-            raise ScenarioRangeError(f"scenario {self.name!r} has a non-finite value")
-        if self.duration <= 0.0 or self.sample_rate <= 0.0 or self.sample_count < 1:
-            raise ScenarioRangeError("duration and sample rate must give at least one sample")
+        check_finite_fields(self, ScenarioRangeError)
+        if self.duration <= 0.0 or self.sample_rate <= 0.0 \
+                or not math.isfinite(self.duration * self.sample_rate) or self.sample_count < 1:
+            raise ScenarioRangeError("duration * sample_rate must give a finite sample count >= 1")
         if self.band_hz <= 0.0 or self.band_hz > 2.0:
             raise ScenarioRangeError("excitation band must lie in (0, 2] Hz")
         if self.components < 1:
@@ -381,18 +378,6 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        pairs = {k: tuple(float(v) for v in data[k]) for k in ("fx", "fy", "fz", "mx", "my", "mz")}
-        return Scenario(
-            name=str(data["name"]), duration=float(data["duration"]), seed=int(data["seed"]),
-            sample_rate=float(data.get("sample_rate", 360.0)),
-            band_hz=float(data.get("band_hz", 2.0)),
-            components=int(data.get("components", 4)),
-            temp_start=float(data.get("temp_start", 25.0)),
-            temp_end=float(data.get("temp_end", 25.0)),
-            temp_steps=int(data.get("temp_steps", 1)),
-            noise_enabled=bool(data.get("noise_enabled", True)),
-            drift_enabled=bool(data.get("drift_enabled", True)),
-            **pairs,
-        )
+        return from_plain(Scenario, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioRangeError(f"bad scenario structure: {exc}") from exc

@@ -15,7 +15,7 @@ Rates are decoupled: the plant integrates at 1 kHz, the sensor samples at
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,8 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite_fields, slerp
+from .core import (GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite_fields,
+                   from_plain, slerp)
 from .sensor_model import SaturationError, SensorParams, sample
 
 G_MAG = 9.81
@@ -451,38 +452,10 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SimConfig:
+    """Config from a mapping overlaid on default_config(data["scenario"]): a
+    missing key, nested ones included, keeps the scenario default."""
     try:
-        base = default_config(str(data["scenario"]))
-        plant = replace(base.plant, **{k: float(v) for k, v in data.get("plant", {}).items()})
-        env = replace(base.env, **{k: float(v) for k, v in data.get("env", {}).items()})
-        gains = base.gains
-        if "gains" in data:
-            gains = GainSet(**{name: np.array(data["gains"][name], dtype=float)
-                               for name in ("kp_free", "kv_free", "kp_contact", "kv_contact")})
-        mach = base.machine
-        if "machine" in data:
-            mach = replace(mach, **{k: float(v) for k, v in data["machine"].items()})
-        seq = base.seq
-        if "seq" in data:
-            s = dict(data["seq"])
-            lateral = tuple(float(v) for v in s.pop("lateral", base.seq.lateral))
-            seq = replace(seq, lateral=lateral, **{k: float(v) for k, v in s.items()})
-        prof = base.profile
-        if "profile" in data:
-            prof = ForceProfile(**{k: float(v) for k, v in data["profile"].items()})
-        return replace(
-            base, plant=plant, env=env, gains=gains, machine=mach, seq=seq, profile=prof,
-            press_forces=tuple(float(v) for v in data.get("press_forces", base.press_forces)),
-            residual_threshold=float(data.get("residual_threshold", base.residual_threshold)),
-            plant_dt=float(data.get("plant_dt", base.plant_dt)),
-            control_hz=float(data.get("control_hz", base.control_hz)),
-            sensor_hz=float(data.get("sensor_hz", base.sensor_hz)),
-            settle_time=float(data.get("settle_time", base.settle_time)),
-            measure_time=float(data.get("measure_time", base.measure_time)),
-            retreat_z=float(data.get("retreat_z", base.retreat_z)),
-            rms_settle=float(data.get("rms_settle", base.rms_settle)),
-            max_engage_time=float(data.get("max_engage_time", base.max_engage_time)),
-            seed=int(data.get("seed", base.seed)))
+        return from_plain(SimConfig, data, base=default_config(data["scenario"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad simulation config: {exc}") from exc
 

@@ -28,7 +28,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .core import MNM_TO_NM, Wrench
+from .core import MNM_TO_NM, Wrench, check_finite_fields, from_plain
 
 EPSILON_0 = 8.8541878128e-12  # F/m
 
@@ -54,11 +54,6 @@ class SensorRangeError(ValueError):
 
 class SaturationError(SensorRangeError):
     """Mechanical travel exhausted: no equilibrium within the allowed stroke."""
-
-
-def _require_finite(label: str, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise SensorRangeError(f"{label} must be finite")
 
 
 def _holds(check) -> bool:
@@ -117,8 +112,7 @@ class PillarModel:
     ring_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_finite("pillar modulus, height and radii", self.youngs_modulus, self.height,
-                        self.radius, *self.ring_radii)
+        check_finite_fields(self, SensorRangeError)
         if min(self.youngs_modulus, self.height, self.radius) <= 0.0:
             raise SensorRangeError("pillar modulus, height and radius must be positive")
         if len(self.ring_radii) != len(self.ring_counts) or not self.ring_radii:
@@ -169,10 +163,7 @@ class SensorGeometry:
     eps_air: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite("geometry lengths, areas and permittivities", self.nominal_gap,
-                        *self.quadrant_x, *self.quadrant_y, self.normal_electrode_area,
-                        self.shear_overlap_area, self.finger_pitch, self.pillar_fill_fraction,
-                        self.eps_pillar, self.eps_air)
+        check_finite_fields(self, SensorRangeError)
         if min(self.nominal_gap, self.normal_electrode_area, self.shear_overlap_area,
                self.finger_pitch) <= 0.0:
             raise SensorRangeError("geometry lengths and areas must be positive")
@@ -221,8 +212,7 @@ class DriftModel:
     def __post_init__(self) -> None:
         if len(self.alpha) != NUM_CHANNELS or len(self.beta) != NUM_CHANNELS:
             raise SensorRangeError("drift model needs one alpha and beta per channel")
-        _require_finite("drift coefficients and reference temperature", *self.alpha,
-                        *self.beta, self.reference_temp)
+        check_finite_fields(self, SensorRangeError)
 
     @classmethod
     def disabled(cls, reference_temp: float = 25.0) -> "DriftModel":
@@ -239,9 +229,7 @@ class CdcConfig:
     lag_corner_hz: float | None = None  # first-order output lag, disabled by default
 
     def __post_init__(self) -> None:
-        lag = () if self.lag_corner_hz is None else (self.lag_corner_hz,)
-        _require_finite("CDC gain, noise and lag corner", self.gain_counts_per_farad,
-                        self.noise_sigma_counts, *lag)
+        check_finite_fields(self, SensorRangeError)
         if self.gain_counts_per_farad <= 0.0 or self.noise_sigma_counts < 0.0:
             raise SensorRangeError("CDC gain must be positive and noise non-negative")
         if self.lag_corner_hz is not None and self.lag_corner_hz <= 0.0:
@@ -264,41 +252,7 @@ class SensorParams:
     @classmethod
     def from_dict(cls, data: dict) -> "SensorParams":
         try:
-            p = data["pillars"]
-            g = data["geometry"]
-            d = data["drift"]
-            c = data.get("cdc", {})
-            return cls(
-                pillars=PillarModel(
-                    youngs_modulus=float(p["youngs_modulus"]),
-                    height=float(p["height"]),
-                    radius=float(p["radius"]),
-                    ring_radii=tuple(float(r) for r in p["ring_radii"]),
-                    ring_counts=tuple(int(n) for n in p["ring_counts"]),
-                ),
-                geometry=SensorGeometry(
-                    nominal_gap=float(g["nominal_gap"]),
-                    quadrant_x=tuple(float(v) for v in g["quadrant_x"]),
-                    quadrant_y=tuple(float(v) for v in g["quadrant_y"]),
-                    normal_electrode_area=float(g["normal_electrode_area"]),
-                    shear_overlap_area=float(g["shear_overlap_area"]),
-                    finger_pitch=float(g["finger_pitch"]),
-                    pillar_fill_fraction=float(g["pillar_fill_fraction"]),
-                    eps_pillar=float(g.get("eps_pillar", 3.0)),
-                    eps_air=float(g.get("eps_air", 1.0)),
-                ),
-                drift=DriftModel(
-                    alpha=tuple(float(v) for v in d["alpha"]),
-                    beta=tuple(float(v) for v in d["beta"]),
-                    reference_temp=float(d["reference_temp"]),
-                ),
-                cdc=CdcConfig(
-                    gain_counts_per_farad=float(c.get("gain_counts_per_farad", 1.0e15)),
-                    noise_sigma_counts=float(c.get("noise_sigma_counts", 2.0)),
-                    lag_corner_hz=(None if c.get("lag_corner_hz") is None
-                                   else float(c["lag_corner_hz"])),
-                ),
-            )
+            return from_plain(cls, data)
         except (KeyError, TypeError, ValueError) as exc:
             raise SensorRangeError(f"bad sensor parameter structure: {exc}") from exc
 

@@ -163,6 +163,14 @@ class TestFit:
         with pytest.raises(CalibrationError):
             fit(counts, wrenches[:-1], baseline)
 
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, -1.0])
+    def test_ridge_not_finite_and_non_negative_rejected(self, ridge):
+        # inf would otherwise reach the solve and raise a numpy RuntimeWarning
+        rng = np.random.default_rng(6)
+        _, baseline, counts, wrenches = synthetic_dataset(30, rng)
+        with pytest.raises(CalibrationError, match="ridge must be finite and non-negative"):
+            fit(counts, wrenches, baseline, ridge=ridge)
+
 
 class TestPredict:
     def test_baseline_frame_predicts_zero(self):

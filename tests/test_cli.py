@@ -294,6 +294,15 @@ class TestCalibrate:
         assert rc == 4
         assert "two trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_non_finite_ridge_writes_no_model(self, noisy_dir, tmp_path, capsys, ridge):
+        model_path = tmp_path / "m.json"
+        rc = main(["calibrate", str(noisy_dir), "--mode", "both", "--ridge", ridge,
+                   "--model", str(model_path)])
+        assert rc == 4
+        assert "ridge must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_too_few_samples_reports_minimum(self, tmp_path, capsys):
         # 0.05 s at 360 Hz leaves 18 training frames, below the 24 features
         rc = main(["generate", "--trials", "2", "--duration", "0.05",
@@ -524,6 +533,54 @@ class TestFly:
         assert lines == [flight.TRACE_COLUMNS]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["success"] is True
+
+
+def json_input_command(flag, path, out):
+    """A CLI run that reads path through flag and writes under out."""
+    if flag in ("--sensor-params", "--scenario-file"):
+        return ["generate", "--trials", "1", "--duration", "1.0", flag, str(path),
+                "--out", str(out)]
+    bypass = [] if flag == "--model" else ["--bypass-sensor"]
+    return ["fly", "--scenario", "track_sine", *bypass, flag, str(path), "--out", str(out)]
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("flag, code", [
+        ("--sensor-params", 3), ("--scenario-file", 3), ("--config", 3), ("--model", 4)])
+    @pytest.mark.parametrize("content", [None, b'{"name": "\xe9t\xe9"}'],
+                             ids=["directory", "latin-1"])
+    def test_unreadable_file(self, tmp_path, capsys, flag, code, content):
+        path = tmp_path / "in.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(json_input_command(flag, path, out)) == code
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, code", [
+        ("--sensor-params", 5), ("--scenario-file", 3), ("--config", 2), ("--model", 4)])
+    def test_integer_too_large_for_a_float(self, fitted, tmp_path, capsys, flag, code):
+        huge = 10 ** 400
+        if flag == "--sensor-params":
+            data = default_sensor_params().to_dict()
+            data["pillars"]["height"] = huge
+        elif flag == "--scenario-file":
+            data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+            data["duration"] = huge
+        elif flag == "--config":
+            data = {"scenario": "track_sine", "plant": {"mass": huge}}
+        else:
+            data = json.loads((fitted / "model.json").read_text())
+            data["ridge"] = huge
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(json_input_command(flag, path, out)) == code
+        assert "too large for a float" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMisc:
