@@ -286,9 +286,10 @@ def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | No
     except InputFileError as exc:
         raise ModelFormatError(str(exc)) from exc
     try:
-        if payload["format_version"] != MODEL_FORMAT_VERSION:
+        version = payload["format_version"]
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not true or 1.0
             raise ModelFormatError(
-                f"unsupported model format version {payload['format_version']!r}")
+                f"unsupported model format version {version!r}")
         del payload["format_version"]
         tc = payload.pop("temp_compensator", None)
         model = from_plain(CalibrationModel, payload)

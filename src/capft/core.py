@@ -193,6 +193,8 @@ class Wrench:
 
     @classmethod
     def from_sequence(cls, seq) -> "Wrench":
+        if isinstance(seq, np.ndarray):
+            seq = seq.tolist()  # the same floats, without a numpy scalar per item
         fx, fy, fz, mx, my, mz = (float(v) for v in seq)
         return cls(fx, fy, fz, mx, my, mz)
 

@@ -84,10 +84,11 @@ class Scenario:
             raise ScenarioRangeError("duration * sample_rate must give a finite sample count >= 1")
         if self.band_hz <= 0.0 or self.band_hz > 2.0:
             raise ScenarioRangeError("excitation band must lie in (0, 2] Hz")
-        if self.components < 1:
-            raise ScenarioRangeError("need at least one sinusoid component")
-        if self.temp_steps < 0:
-            raise ScenarioRangeError("temp_steps must be >= 0")
+        # both size arrays in generate, so more of either than samples is rejected
+        if not 1 <= self.components <= self.sample_count:
+            raise ScenarioRangeError("components must lie in [1, sample count]")
+        if not 0 <= self.temp_steps <= self.sample_count:
+            raise ScenarioRangeError("temp_steps must lie in [0, sample count]")
         for lo, hi in self.ranges():
             if hi < lo:
                 raise ScenarioRangeError(f"axis range ({lo}, {hi}) is inverted")

@@ -432,6 +432,15 @@ class TestModelFile:
         _, comp = load_model(path)
         assert math.isnan(comp.r_squared[0])
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, version):
+        # true and 1.0 compare equal to 1 but are not the JSON integer 1
+        path = tmp_path / "model.json"
+        saved_model(path)
+        edit_model_file(path, ("format_version",), version)
+        with pytest.raises(ModelFormatError, match="unsupported model format version"):
+            load_model(path)
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not": "a model"}')

@@ -582,6 +582,28 @@ class TestJsonInputs:
         assert "too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["components", "temp_steps"])
+    def test_scenario_count_beyond_the_samples(self, tmp_path, capsys, field):
+        data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        data[field] = 10 ** 400
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(json_input_command("--scenario-file", path, out)) == 3
+        assert f"{field} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_model_format_version_not_the_integer_1(self, fitted, tmp_path, capsys, version):
+        data = json.loads((fitted / "model.json").read_text())
+        data["format_version"] = version
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(json_input_command("--model", path, out)) == 4
+        assert "unsupported model format version" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMisc:
     def test_help_exits_zero(self):

@@ -67,6 +67,18 @@ class TestWrench:
     def test_zero(self):
         assert Wrench.zero().as_tuple() == (0.0,) * 6
 
+    @pytest.mark.parametrize("dtype", [float, np.float32, int])
+    def test_from_ndarray_matches_items(self, dtype):
+        row = np.array([0.1, -2.0, 3.7, 1e-300, -0.0, 6.0]).astype(dtype)
+        w = Wrench.from_sequence(row)
+        assert [v.hex() for v in w.as_tuple()] == [float(v).hex() for v in row]
+        assert all(type(v) is float for v in w.as_tuple())
+
+    @pytest.mark.parametrize("seq", [[1.0] * 5, np.ones(7)])
+    def test_from_sequence_wrong_length(self, seq):
+        with pytest.raises(ValueError):
+            Wrench.from_sequence(seq)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Wrench(0.0, 0.0, float("nan"), 0.0, 0.0, 0.0)

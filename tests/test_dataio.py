@@ -447,6 +447,17 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioRangeError):
             Scenario(name="x", duration=1.0, seed=0, fz=(5.0, 1.0))
 
+    @pytest.mark.parametrize("field", ["components", "temp_steps"])
+    @pytest.mark.parametrize("value", [361, 10 ** 400])
+    def test_more_than_one_per_sample_rejected(self, field, value):
+        # 1 s at 360 Hz: both size arrays in generate, so 361 is one too many
+        with pytest.raises(ScenarioRangeError, match=field):
+            Scenario(name="x", duration=1.0, seed=0, **{field: value})
+
+    @pytest.mark.parametrize("field", ["components", "temp_steps"])
+    def test_one_per_sample_accepted(self, field):
+        assert getattr(Scenario(name="x", duration=1.0, seed=0, **{field: 360}), field) == 360
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioRangeError):
             Scenario(name="x", duration=0.0, seed=0)

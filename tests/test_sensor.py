@@ -33,6 +33,7 @@ from capft.sensor_model import (
     shore_to_youngs,
     solve_deformation,
 )
+from capft.sensor_model import _channel_capacitances, _counts, _last_capacitances
 
 # Golden value of the adopted shore->modulus relation at shore A 30,
 # frozen from a hand evaluation of the closed form.
@@ -465,6 +466,43 @@ class TestSampling:
         frame = sample(Wrench.from_sequence(w[0]), 1e200, params, np.random.default_rng(0))
         batch = sample_trajectory(w, [1e200], params, np.random.default_rng(0))
         assert frame.counts == tuple(batch[0]) == (0,) * 12
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=st.lists(wrench_rows(), min_size=1, max_size=4),
+           steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63), st.integers(0, 2)),
+                          min_size=2, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_memo_matches_unmemoised_solve(self, pool, steps, seed):
+        # repeats of a load, with the sign of its zero components flipped and
+        # params swapped for an equal copy or for stiffer pillars, read what a
+        # fresh solve reads
+        pool = [row for row in ([0.0 if abs(v) < 1.0 else v for v in row] for row in pool)
+                if in_range(row, self.params)]
+        assume(pool)
+        twin = SensorParams.from_dict(self.params.to_dict())
+        assert twin == self.params and twin is not self.params
+        stiffer = dataclasses.replace(self.params, pillars=dataclasses.replace(
+            self.params.pillars, radius=1.1 * self.params.pillars.radius))
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for pick, signs, which in steps:
+            row = pool[pick % len(pool)]
+            w = Wrench.from_sequence(
+                [-v if v == 0.0 and signs >> k & 1 else v for k, v in enumerate(row)])
+            params = (self.params, twin, stiffer)[which]
+            fresh = _channel_capacitances(w, params)
+            dt = 25.0 - params.drift.reference_temp
+            expect = tuple(_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
+                fresh, params.drift.alpha, params.drift.beta, ref.normal(size=12).tolist()))
+            assert sample(w, 25.0, params, gen).counts == expect
+            assert [c.hex() for c in _last_capacitances(w, params)] == [c.hex() for c in fresh]
+            assert _last_capacitances.cache_info().currsize == 1
+
+    def test_memo_holds_one_entry(self):
+        loads = [Wrench(0, 0, fz, 0, 0, 0) for fz in (0.0, 0.5, 0.93195, 0.5, 0.0)]
+        for w in loads:
+            sample(w, 25.0, self.params, np.random.default_rng(0))
+            info = _last_capacitances.cache_info()
+            assert info.maxsize == 1 and info.currsize == 1
 
     def test_saturation_propagates(self):
         with pytest.raises(SaturationError):
