@@ -24,7 +24,8 @@ class DegenerateOrientationError(ValueError):
     """A direction needed to build an orthonormal frame is ill defined."""
 
 
-def _check_finite(label: str, *values: float) -> None:
+def check_finite(label: str, *values: float) -> None:
+    """Raise ValueError naming label and the first NaN or inf among values."""
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{label}: non-finite component {v!r}")
@@ -120,7 +121,7 @@ class Vec3:
     z: float
 
     def __post_init__(self) -> None:
-        _check_finite("Vec3", self.x, self.y, self.z)
+        check_finite("Vec3", self.x, self.y, self.z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -176,7 +177,7 @@ class Wrench:
     mz: float
 
     def __post_init__(self) -> None:
-        _check_finite("Wrench", self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
+        check_finite("Wrench", self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
 
     def force(self) -> Vec3:
         return Vec3(self.fx, self.fy, self.fz)
@@ -214,15 +215,8 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self) -> None:
-        _check_finite("UnitQuaternion", self.w, self.x, self.y, self.z)
-        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n!r} deviates from 1 by more than 1e-6")
-        if n != 1.0:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+        for name, value in zip("wxyz", snap_unit_quat(self.w, self.x, self.y, self.z)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls) -> "UnitQuaternion":
@@ -231,10 +225,7 @@ class UnitQuaternion:
     @classmethod
     def normalized(cls, w: float, x: float, y: float, z: float) -> "UnitQuaternion":
         """Build from arbitrary nonzero components, dividing out the norm."""
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if n <= EPS_PARALLEL:
-            raise ValueError("cannot normalize near-zero quaternion")
-        return cls(w / n, x / n, y / n, z / n)
+        return cls(*normalize_quat(w, x, y, z))
 
     @classmethod
     def from_axis_angle(cls, axis: Vec3, angle: float) -> "UnitQuaternion":
@@ -281,6 +272,9 @@ class UnitQuaternion:
     def dot(self, other: "UnitQuaternion") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.w, self.x, self.y, self.z)
+
 
 def quat_to_basis(q: UnitQuaternion) -> tuple[Vec3, Vec3, Vec3]:
     """Columns of the rotation matrix: body axes expressed in the world frame."""
@@ -302,23 +296,59 @@ def cross_normalize(a: Vec3, b: Vec3) -> Vec3:
 
 def slerp(qa: UnitQuaternion, qb: UnitQuaternion, alpha: float) -> UnitQuaternion:
     """Shortest-path spherical interpolation, alpha in [0, 1]."""
+    return UnitQuaternion(*slerp_quat(qa.as_tuple(), qb.as_tuple(), alpha))
+
+
+# The quaternion arithmetic on plain (w, x, y, z) floats.  UnitQuaternion and
+# slerp are built on these, and a hot loop that keeps its attitude as floats
+# calls them directly, so both get the same bits.
+
+def snap_unit_quat(w: float, x: float, y: float, z: float
+                   ) -> tuple[float, float, float, float]:
+    """The components UnitQuaternion(w, x, y, z) holds.
+
+    Rejects non-finite components and a norm more than 1e-6 from 1, and
+    divides out a norm that is not exactly 1.
+    """
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not math.isfinite(n):  # a NaN or inf component makes n NaN or inf
+        check_finite("UnitQuaternion", w, x, y, z)
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"quaternion norm {n!r} deviates from 1 by more than 1e-6")
+    if n != 1.0:
+        return (w / n, x / n, y / n, z / n)
+    return (w, x, y, z)
+
+
+def normalize_quat(w: float, x: float, y: float, z: float
+                   ) -> tuple[float, float, float, float]:
+    """Arbitrary nonzero components divided by their norm: what
+    UnitQuaternion.normalized passes to the constructor."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n <= EPS_PARALLEL:
+        raise ValueError("cannot normalize near-zero quaternion")
+    return (w / n, x / n, y / n, z / n)
+
+
+def slerp_quat(a: tuple[float, float, float, float], b: tuple[float, float, float, float],
+               alpha: float) -> tuple[float, float, float, float]:
+    """Shortest-path spherical interpolation between unit components a and b,
+    alpha in [0, 1]; returns the normalized components slerp builds its
+    quaternion from."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha!r} outside [0, 1]")
-    d = qa.dot(qb)
-    bw, bx, by, bz = qb.w, qb.x, qb.y, qb.z
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    d = aw * bw + ax * bx + ay * by + az * bz
     if d < 0.0:  # negate one end to take the short arc
         d = -d
         bw, bx, by, bz = -bw, -bx, -by, -bz
     if d > 1.0 - 1e-9:
-        w = qa.w + alpha * (bw - qa.w)
-        x = qa.x + alpha * (bx - qa.x)
-        y = qa.y + alpha * (by - qa.y)
-        z = qa.z + alpha * (bz - qa.z)
-        return UnitQuaternion.normalized(w, x, y, z)
+        return normalize_quat(aw + alpha * (bw - aw), ax + alpha * (bx - ax),
+                              ay + alpha * (by - ay), az + alpha * (bz - az))
     theta = math.acos(max(-1.0, min(1.0, d)))
     s = math.sin(theta)
     ka = math.sin((1.0 - alpha) * theta) / s
     kb = math.sin(alpha * theta) / s
-    return UnitQuaternion.normalized(
-        ka * qa.w + kb * bw, ka * qa.x + kb * bx, ka * qa.y + kb * by, ka * qa.z + kb * bz
-    )
+    return normalize_quat(ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by,
+                          ka * az + kb * bz)

@@ -211,8 +211,7 @@ def generate_trial(scenario: Scenario, params: SensorParams,
     if params.cdc.lag_corner_hz is not None:
         lag = FirstOrderLag(params.cdc.lag_corner_hz)
         dt = 1.0 / scenario.sample_rate
-        wrench_arr = np.array(
-            [lag.step(Wrench.from_sequence(row), dt).as_tuple() for row in wrench_arr])
+        wrench_arr = np.array([lag.advance(row, dt) for row in wrench_arr.tolist()])
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
     return Trial(name=scenario.name, seed=seed, params_hash=params.hash(),
                  t=t, temperature=temps, counts=counts, wrench=wrench_arr)

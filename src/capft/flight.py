@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import (GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite_fields,
-                   from_plain, slerp)
+from .core import (GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite,
+                   check_finite_fields, from_plain, slerp_quat, snap_unit_quat)
 from .sensor_model import SaturationError, SensorParams, sample
 
 G_MAG = 9.81
@@ -88,13 +88,43 @@ class ContactEnv:
         return self.payload_mass * G_MAG
 
 
-@dataclass(frozen=True)
-class FlightState:
-    p: Vec3
-    v: Vec3
-    q: UnitQuaternion
+class FlightState(NamedTuple):
+    """Vehicle state between plant steps, as floats.
+
+    px..pz is the position (m) and vx..vz the velocity (m/s), world frame.
+    qw..qz are the attitude's components as core.normalize_quat returns
+    them (what UnitQuaternion.normalized and slerp pass to the
+    constructor), before the constructor snaps them to unit norm.  So q
+    rebuilds the attitude bit for bit, where the snapped components would
+    not: snapping them again changes the last bits of some quaternions.
+    The plant steps on the floats; p, v and q build objects for the
+    controller and the trace.
+    """
+
+    px: float
+    py: float
+    pz: float
+    vx: float
+    vy: float
+    vz: float
+    qw: float
+    qx: float
+    qy: float
+    qz: float
     payload_attached: bool
     t: float
+
+    @property
+    def p(self) -> Vec3:
+        return Vec3(self.px, self.py, self.pz)
+
+    @property
+    def v(self) -> Vec3:
+        return Vec3(self.vx, self.vy, self.vz)
+
+    @property
+    def q(self) -> UnitQuaternion:
+        return UnitQuaternion(self.qw, self.qx, self.qy, self.qz)
 
 
 @dataclass(frozen=True)
@@ -105,10 +135,10 @@ class Command:
 
 def contact_force(state: FlightState, env: ContactEnv) -> float:
     """Press force between tip and surface, newtons, zero when separated."""
-    penetration = state.p.z + env.tip_offset - env.surface_z
+    penetration = state.pz + env.tip_offset - env.surface_z
     if penetration <= 0.0:
         return 0.0
-    closing = max(0.0, state.v.z)  # damping resists approach only
+    closing = max(0.0, state.vz)  # damping resists approach only
     return max(0.0, env.contact_stiffness * penetration + env.contact_damping * closing)
 
 
@@ -124,8 +154,9 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     if not 0.0 < dt <= 0.01:
         raise ValueError(f"plant step dt {dt!r} outside (0, 0.01]")
     alpha = 1.0 - math.exp(-dt / params.tau_att)
-    q_new = slerp(state.q, cmd.q_cmd, alpha)
-    w, x, y, z = q_new.w, q_new.x, q_new.y, q_new.z
+    q_new = slerp_quat(snap_unit_quat(state.qw, state.qx, state.qy, state.qz),
+                       cmd.q_cmd.as_tuple(), alpha)
+    w, x, y, z = snap_unit_quat(*q_new)  # the components of slerp's quaternion
     thrust_hat = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat)
     thrust = thrust_hat / params.k_f
     f_c = contact_force(state, env)
@@ -140,11 +171,10 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     az = (1.0 - 2.0 * (x * x + y * y)) * s + GRAVITY.z - f_c / mass
     if attached and f_c > env.adhesion_threshold:
         attached = False
-    v, p = state.v, state.p
-    vx, vy, vz = v.x + ax * dt, v.y + ay * dt, v.z + az * dt
-    return FlightState(p=Vec3(p.x + vx * dt, p.y + vy * dt, p.z + vz * dt),
-                       v=Vec3(vx, vy, vz), q=q_new, payload_attached=attached,
-                       t=state.t + dt)
+    vx, vy, vz = state.vx + ax * dt, state.vy + ay * dt, state.vz + az * dt
+    px, py, pz = state.px + vx * dt, state.py + vy * dt, state.pz + vz * dt
+    check_finite("Vec3", px, py, pz, vx, vy, vz)  # what building p, then v, would raise
+    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, state.t + dt)
 
 
 @dataclass
@@ -264,8 +294,8 @@ class _Engine:
         self.stack = stack
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EB5)))
         lat = cfg.seq.lateral
-        self.state = FlightState(
-            p=Vec3(lat[0], lat[1], cfg.seq.z_low), v=ZERO3, q=UnitQuaternion.identity(),
+        self.state = FlightState(  # at rest and level
+            lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
             payload_attached=cfg.env.payload_mass > 0.0, t=0.0)
         self.k = 0
         self.ks = 0

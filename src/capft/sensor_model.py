@@ -249,6 +249,19 @@ class SensorParams:
         """Nested plain values; tuples serialize as JSON arrays."""
         return asdict(self)
 
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # computed once: sample's memo hashes params on every reading, and a
+        # hash over the nested fields walks all of them
+        return hash((self.pillars, self.geometry, self.drift, self.cdc))
+
+    def __getstate__(self) -> dict:
+        # hash(None) differs between processes, so a pickle leaves the hash behind
+        return {k: v for k, v in self.__dict__.items() if k != "_field_hash"}
+
     @classmethod
     def from_dict(cls, data: dict) -> "SensorParams":
         try:
@@ -573,21 +586,30 @@ def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: Se
 
 @dataclass
 class FirstOrderLag:
-    """Optional mechanical lag applied to the wrench seen by the transducer."""
+    """Optional mechanical lag applied to the wrench seen by the transducer.
+
+    The first input sets the state; each later one moves every component
+    alpha = 1 - exp(-2 pi corner_hz dt) of the way toward the input.
+    """
 
     corner_hz: float
-    _state: np.ndarray | None = None
+    _state: tuple[float, ...] | None = None
 
     def step(self, w: Wrench, dt: float) -> Wrench:
+        return Wrench(*self.advance(w.as_tuple(), dt))
+
+    def advance(self, target, dt: float) -> tuple[float, ...]:
+        """One step on a row of floats; returns the new state."""
         if dt <= 0.0:
             raise SensorRangeError("lag step requires dt > 0")
-        target = np.asarray(w.as_tuple())
-        if self._state is None:
-            self._state = target.copy()
+        alpha = 1.0 - math.exp(-2.0 * math.pi * self.corner_hz * dt)
+        # at alpha 1 the lag settles within the step, and s + (x - s) can
+        # round past x, outside the inputs' envelope
+        if self._state is None or alpha == 1.0:
+            self._state = tuple(target)
         else:
-            alpha = 1.0 - math.exp(-2.0 * math.pi * self.corner_hz * dt)
-            self._state = self._state + alpha * (target - self._state)
-        return Wrench.from_sequence(self._state)
+            self._state = tuple(s + alpha * (x - s) for s, x in zip(self._state, target))
+        return self._state
 
 
 def default_pillars() -> PillarModel:

@@ -1,6 +1,7 @@
 """Trial generation, the CSV log format, and dataset splitting."""
 
 import dataclasses
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capft import dataio
 from capft.core import Wrench
 from capft.dataio import (
     LOG_HEADER,
@@ -176,6 +178,30 @@ class TestGenerateTrial:
         assert not np.array_equal(a.wrench, b.wrench)
         # lag only reshapes the trajectory, never expands its envelope
         assert np.abs(b.wrench[:, 2]).max() <= 14.0 + 1e-9
+
+    def test_lag_matches_per_row_numpy_formula(self, params, monkeypatch):
+        lagged = dataclasses.replace(
+            params, cdc=dataclasses.replace(params.cdc, lag_corner_hz=97.0))
+        scen = full_range_scenario(duration=2.0)
+        got = generate_trial(scen, lagged)
+        # the lag draws nothing, so the unlagged trial carries the raw trajectory
+        dt = 1.0 / scen.sample_rate
+        alpha = 1.0 - math.exp(-2.0 * math.pi * 97.0 * dt)
+        state, rows = None, []
+        for row in generate_trial(scen, params).wrench:
+            target = np.asarray(Wrench.from_sequence(row).as_tuple())
+            state = target.copy() if state is None else state + alpha * (target - state)
+            rows.append(Wrench.from_sequence(state).as_tuple())
+        expect = np.array(rows)
+        sample_trajectory = dataio.sample_trajectory
+        monkeypatch.setattr(dataio, "sample_trajectory",
+                            lambda w, temps, eff, rng: sample_trajectory(expect, temps, eff, rng))
+        expect_counts = generate_trial(scen, lagged).counts
+
+        def hexes(a):
+            return [float(v).hex() for v in a.ravel().tolist()]
+        assert hexes(got.wrench) == hexes(expect)
+        assert hexes(got.counts) == hexes(expect_counts)
 
 
 class TestLogRoundtrip:

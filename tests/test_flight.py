@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from capft import dataio
 from capft.calibration import CalibrationModel, fit, tare
 from capft.controller import ForceProfile, MachineState, ThrustMachineParams
-from capft.core import GRAVITY, UnitQuaternion, Vec3, ZERO3, quat_to_basis, slerp
+from capft.core import (GRAVITY, UnitQuaternion, Vec3, ZERO3, normalize_quat, quat_to_basis,
+                        slerp)
 from capft.flight import (
     Command,
     ContactEnv,
@@ -55,8 +57,8 @@ def quick_model(sensor_params):
 
 
 def at_rest(z, v=0.0, attached=False):
-    return FlightState(p=Vec3(0.0, 0.0, z), v=Vec3(0.0, 0.0, v),
-                       q=UnitQuaternion.identity(), payload_attached=attached, t=0.0)
+    return FlightState(0.0, 0.0, z, 0.0, 0.0, v, *UnitQuaternion.identity().as_tuple(),
+                       payload_attached=attached, t=0.0)
 
 
 def hover_command(plant):
@@ -78,7 +80,10 @@ def step_plant_reference(state, cmd, params, env, dt):
         attached = False
     v_new = state.v + accel.scaled(dt)
     p_new = state.p + v_new.scaled(dt)
-    return FlightState(p=p_new, v=v_new, q=q_new, payload_attached=attached, t=state.t + dt)
+    # the objects themselves: a FlightState holds a quaternion's components
+    # from before the constructor snapped them, which q_new no longer has
+    return SimpleNamespace(p=p_new, v=v_new, q=q_new, payload_attached=attached,
+                           t=state.t + dt)
 
 
 def state_bits(s):
@@ -198,6 +203,14 @@ class TestPlant:
         with pytest.raises(ValueError):
             step_plant(s, cmd, plant, env, 0.02)
 
+    def test_non_finite_state_rejected(self):
+        # no Vec3 is built per step, so step_plant checks the new p and v itself
+        plant = PlantParams()
+        env = ContactEnv()
+        s = at_rest(1.0)._replace(px=1.7976e308, vx=1e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            step_plant(s, hover_command(plant), plant, env, 0.001)
+
     def test_matches_vec3_reference_bit_for_bit(self):
         rng = np.random.default_rng(11)
         plant = PlantParams()
@@ -211,8 +224,7 @@ class TestPlant:
             vel[rng.random(3) < 0.1] = -0.0
             q = rng.normal(size=4) * (rng.random(4) < 0.7)
             q[0] += 0.1
-            state = FlightState(p=Vec3(*rng.normal(size=2), z), v=Vec3(*vel),
-                                q=UnitQuaternion.normalized(*q),
+            state = FlightState(*rng.normal(size=2), z, *vel, *normalize_quat(*q),
                                 payload_attached=bool(rng.random() < 0.5),
                                 t=float(rng.uniform(0.0, 100.0)))
             q_cmd = state.q if rng.random() < 0.2 \

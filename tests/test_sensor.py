@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -524,6 +525,18 @@ class TestFirstOrderLag:
         expect = 1.0 - math.exp(-3 * dt * 2.0 * math.pi * 97.0)
         assert out.fz == pytest.approx(expect, rel=1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 6), min_size=1, max_size=30),
+           corner_hz=st.floats(1e-3, 1e6), dt=st.floats(1e-6, 1.0))
+    def test_never_widens_the_envelope(self, rows, corner_hz, dt):
+        # corners far above 1/dt give alpha == 1, where s + (x - s) can round past x
+        lag = FirstOrderLag(corner_hz=corner_hz)
+        for i, row in enumerate(rows):
+            out = lag.step(Wrench(*row), dt).as_tuple()
+            for k, v in enumerate(out):
+                seen = [r[k] for r in rows[:i + 1]]
+                assert min(seen) <= v <= max(seen), (i, k)
+
 
 class TestParamsRoundtrip:
     def test_dict_roundtrip(self):
@@ -531,6 +544,21 @@ class TestParamsRoundtrip:
         q = SensorParams.from_dict(p.to_dict())
         assert q == p
         assert q.hash() == p.hash()
+
+    def test_cached_hash(self):
+        # equal but distinct objects hash equal, and the cached value stays out
+        # of the dict, the file hash and a pickle (hash(None) is per process)
+        p = default_sensor_params()
+        data, digest = p.to_dict(), p.hash()
+        q = SensorParams.from_dict(data)
+        assert q is not p and q == p
+        assert hash(q) == hash(p) == hash(p)
+        assert p.to_dict() == data and p.hash() == digest
+        assert SensorParams.from_dict(p.to_dict()) == p
+        assert "_field_hash" not in pickle.loads(pickle.dumps(p)).__dict__
+        stiffer = dataclasses.replace(p, pillars=dataclasses.replace(
+            p.pillars, radius=1.1 * p.pillars.radius))
+        assert stiffer != p and {p: 1, stiffer: 2, q: 3} == {p: 3, stiffer: 2}
 
     @pytest.mark.parametrize("section, key, value", [
         ("pillars", "youngs_modulus", math.inf),
