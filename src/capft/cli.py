@@ -15,7 +15,7 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -228,20 +228,13 @@ def cmd_fly(args: argparse.Namespace) -> int:
     (out_dir / "trace.csv").write_text(
         "\n".join(flight.rows_to_csv_lines(rows)) + "\n", newline="\n")
     if cfg.scenario == "track_sine":
-        payload = {"scenario": cfg.scenario, "hold_entered": summary.hold_entered,
-                   "hold_time": summary.hold_time, "rms_error": summary.rms_error,
-                   "saturated": summary.saturated}
         print(f"hold {summary.hold_time:.1f}s, force tracking rms "
               f"{summary.rms_error:.3f} N, saturated={summary.saturated}")
     else:
-        payload = {"scenario": cfg.scenario,
-                   "residuals": list(summary.residuals),
-                   "press_peaks": list(summary.press_peaks),
-                   "payload_attached": summary.payload_attached,
-                   "success": summary.success}
         res = ", ".join(f"{r:.3f}" for r in summary.residuals)
         print(f"residuals [{res}] N, presses {len(summary.press_peaks)}, "
               f"payload_attached={summary.payload_attached}, success={summary.success}")
+    payload = {"scenario": cfg.scenario, **asdict(summary)}
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

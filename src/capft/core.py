@@ -179,12 +179,6 @@ class Wrench:
     def __post_init__(self) -> None:
         check_finite("Wrench", self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
 
-    def force(self) -> Vec3:
-        return Vec3(self.fx, self.fy, self.fz)
-
-    def moment(self) -> Vec3:
-        return Vec3(self.mx, self.my, self.mz)
-
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
 

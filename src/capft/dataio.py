@@ -28,10 +28,10 @@ from .sensor_model import (
     NUM_CHANNELS,
     CapacitanceFrame,
     DriftModel,
-    FirstOrderLag,
     SensorParams,
     SensorRangeError,
     capacitances,
+    lag_rows,
     sample_trajectory,
 )
 
@@ -209,9 +209,8 @@ def generate_trial(scenario: Scenario, params: SensorParams,
     if not scenario.noise_enabled:
         eff = replace(eff, cdc=replace(params.cdc, noise_sigma_counts=0.0))
     if params.cdc.lag_corner_hz is not None:
-        lag = FirstOrderLag(params.cdc.lag_corner_hz)
-        dt = 1.0 / scenario.sample_rate
-        wrench_arr = np.array([lag.advance(row, dt) for row in wrench_arr.tolist()])
+        wrench_arr = np.array(lag_rows(wrench_arr.tolist(), params.cdc.lag_corner_hz,
+                                       1.0 / scenario.sample_rate))
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
     return Trial(name=scenario.name, seed=seed, params_hash=params.hash(),
                  t=t, temperature=temps, counts=counts, wrench=wrench_arr)

@@ -190,8 +190,7 @@ class SensingStack:
             raise SimulationFault("sensor-in-the-loop mode requires a calibration model")
 
 
-def sense(state: FlightState, env: ContactEnv, stack: SensingStack, rng,
-          timestamp: float = 0.0) -> float:
+def sense(state: FlightState, env: ContactEnv, stack: SensingStack, rng) -> float:
     """Magnitude of the force the sensor reports at its mounting point.
 
     The true load is the press force plus the weight of an attached
@@ -204,8 +203,7 @@ def sense(state: FlightState, env: ContactEnv, stack: SensingStack, rng,
         return true_force
     w = Wrench(0.0, 0.0, true_force, 0.0, 0.0, 0.0)
     try:
-        frame = sample(w, stack.params.drift.reference_temp, stack.params, rng,
-                       timestamp=timestamp)
+        frame = sample(w, stack.params.drift.reference_temp, stack.params, rng)
     except SaturationError as exc:
         raise SensedRangeFault(f"sensor saturated at {true_force:.2f} N: {exc}") from exc
     est = predict(stack.model, frame)
@@ -324,8 +322,7 @@ class _Engine:
         while True:
             t = self.t
             while self.ks / cfg.sensor_hz <= t + 1e-12:
-                ts = self.ks / cfg.sensor_hz
-                self.f_raw = sense(self.state, cfg.env, self.stack, self.rng, timestamp=ts)
+                self.f_raw = sense(self.state, cfg.env, self.stack, self.rng)
                 self.ks += 1
             if self.kc / cfg.control_hz <= t + 1e-12:
                 if done():

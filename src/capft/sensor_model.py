@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from hashlib import sha256
 
 import numpy as np
@@ -248,19 +248,6 @@ class SensorParams:
     def to_dict(self) -> dict:
         """Nested plain values; tuples serialize as JSON arrays."""
         return asdict(self)
-
-    def __hash__(self) -> int:
-        return self._field_hash
-
-    @cached_property
-    def _field_hash(self) -> int:
-        # computed once: sample's memo hashes params on every reading, and a
-        # hash over the nested fields walks all of them
-        return hash((self.pillars, self.geometry, self.drift, self.cdc))
-
-    def __getstate__(self) -> dict:
-        # hash(None) differs between processes, so a pickle leaves the hash behind
-        return {k: v for k, v in self.__dict__.items() if k != "_field_hash"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensorParams":
@@ -509,11 +496,13 @@ def _channel_capacitances(w, params: SensorParams) -> tuple:
     return normal_mode_capacitance(d, params.geometry) + shear_mode_capacitance(d, params.geometry)
 
 
-# sample's memo of the last load: a closed loop holds one load for many ticks
-# (0 N while separated, the payload weight in hover), and a repeat skips the
-# solve.  Keys that compare equal hold the same numbers up to the sign of a
-# zero, which no capacitance carries, so a hit returns the bits a solve would.
-_last_capacitances = lru_cache(maxsize=1)(_channel_capacitances)
+# sample's memo of the last load, ((w, params), capacitances): a closed loop
+# holds one load for many ticks (0 N while separated, the payload weight in
+# hover), and a repeat skips the solve.  Keys that compare equal hold the same
+# numbers up to the sign of a zero, which no capacitance carries, so a hit
+# returns the bits a solve would.  One tuple, so a reader never sees a key
+# with another load's capacitances.
+_last_load: tuple = (None, ())
 
 
 def capacitances(w: Wrench, params: SensorParams) -> np.ndarray:
@@ -546,17 +535,23 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     given rng seed, and equal bit for bit (dz, stiffnesses, capacitances
     and counts) to the matching row of sample_trajectory.
 
-    The noise-free capacitances of the last (w, params) are memoised, one
-    entry only: a call that repeats them skips the solve, while the noise
-    draw and rounding run on every call.  In flight that is 36% of
-    track_sine ticks and 69% of deploy_package ticks.
+    The noise-free capacitances of the last (w, params) are kept: a call
+    whose key compares equal to the last one skips the solve, and nothing is
+    hashed.  The same params object compares by identity, so a hit usually
+    compares only the six wrench floats.  The noise draw and rounding run
+    on every call.  In flight that is 36% of track_sine ticks and 69% of
+    deploy_package ticks.
     """
+    global _last_load
+    key, caps = _last_load
+    if key != (w, params):
+        caps = _channel_capacitances(w, params)
+        _last_load = (w, params), caps
     gen = np.random.default_rng(rng)  # a Generator passes through
     drift = params.drift
     dt = float(temperature) - drift.reference_temp
     counts = [_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
-        _last_capacitances(w, params), drift.alpha, drift.beta,
-        gen.normal(size=NUM_CHANNELS).tolist())]
+        caps, drift.alpha, drift.beta, gen.normal(size=NUM_CHANNELS).tolist())]
     return CapacitanceFrame.from_counts(counts, timestamp, temperature)
 
 
@@ -584,32 +579,25 @@ def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: Se
                        gen.normal(size=caps.shape))
 
 
-@dataclass
-class FirstOrderLag:
-    """Optional mechanical lag applied to the wrench seen by the transducer.
+def lag_rows(rows, corner_hz: float, dt: float) -> list[tuple[float, ...]]:
+    """Optional mechanical lag applied to the wrench rows seen by the transducer.
 
-    The first input sets the state; each later one moves every component
-    alpha = 1 - exp(-2 pi corner_hz dt) of the way toward the input.
+    The first row sets the state; each later one moves every component
+    alpha = 1 - exp(-2 pi corner_hz dt) of the way toward the row.  Rows
+    are sequences of floats, one per sample dt apart; returns the states.
     """
-
-    corner_hz: float
-    _state: tuple[float, ...] | None = None
-
-    def step(self, w: Wrench, dt: float) -> Wrench:
-        return Wrench(*self.advance(w.as_tuple(), dt))
-
-    def advance(self, target, dt: float) -> tuple[float, ...]:
-        """One step on a row of floats; returns the new state."""
-        if dt <= 0.0:
-            raise SensorRangeError("lag step requires dt > 0")
-        alpha = 1.0 - math.exp(-2.0 * math.pi * self.corner_hz * dt)
+    if dt <= 0.0:
+        raise SensorRangeError("lag step requires dt > 0")
+    alpha = 1.0 - math.exp(-2.0 * math.pi * corner_hz * dt)
+    states: list[tuple[float, ...]] = []
+    for row in rows:
         # at alpha 1 the lag settles within the step, and s + (x - s) can
         # round past x, outside the inputs' envelope
-        if self._state is None or alpha == 1.0:
-            self._state = tuple(target)
+        if not states or alpha == 1.0:
+            states.append(tuple(row))
         else:
-            self._state = tuple(s + alpha * (x - s) for s, x in zip(self._state, target))
-        return self._state
+            states.append(tuple(s + alpha * (x - s) for s, x in zip(states[-1], row)))
+    return states
 
 
 def default_pillars() -> PillarModel:

@@ -14,7 +14,6 @@ from capft.sensor_model import (
     CHANNEL_NAMES,
     CdcConfig,
     EPSILON_0,
-    FirstOrderLag,
     PillarModel,
     SaturationError,
     SensorParams,
@@ -25,6 +24,7 @@ from capft.sensor_model import (
     default_pillars,
     default_sensor_params,
     effective_modulus,
+    lag_rows,
     normal_mode_capacitance,
     parallel_plate_capacitance,
     pillar_stiffness,
@@ -34,7 +34,8 @@ from capft.sensor_model import (
     shore_to_youngs,
     solve_deformation,
 )
-from capft.sensor_model import _channel_capacitances, _counts, _last_capacitances
+from capft import sensor_model
+from capft.sensor_model import _channel_capacitances, _counts
 
 # Golden value of the adopted shore->modulus relation at shore A 30,
 # frozen from a hand evaluation of the closed form.
@@ -495,47 +496,60 @@ class TestSampling:
             expect = tuple(_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
                 fresh, params.drift.alpha, params.drift.beta, ref.normal(size=12).tolist()))
             assert sample(w, 25.0, params, gen).counts == expect
-            assert [c.hex() for c in _last_capacitances(w, params)] == [c.hex() for c in fresh]
-            assert _last_capacitances.cache_info().currsize == 1
+            key, caps = sensor_model._last_load
+            assert key == (w, params)
+            assert [c.hex() for c in caps] == [c.hex() for c in fresh]
 
     def test_memo_holds_one_entry(self):
         loads = [Wrench(0, 0, fz, 0, 0, 0) for fz in (0.0, 0.5, 0.93195, 0.5, 0.0)]
         for w in loads:
             sample(w, 25.0, self.params, np.random.default_rng(0))
-            info = _last_capacitances.cache_info()
-            assert info.maxsize == 1 and info.currsize == 1
+            key, caps = sensor_model._last_load
+            assert key == (w, self.params) and len(caps) == 12
 
     def test_saturation_propagates(self):
         with pytest.raises(SaturationError):
             sample(Wrench(0, 0, 1000.0, 0, 0, 0), 25.0, self.params,
                    np.random.default_rng(0))
 
+    def test_failed_solve_keeps_the_memo(self):
+        ok = Wrench(0.5, -0.5, 4.0, 5.0, -5.0, 1.0)
+        sample(ok, 25.0, self.params, np.random.default_rng(0))
+        with pytest.raises(SaturationError):
+            sample(Wrench(0, 0, 1000.0, 0, 0, 0), 25.0, self.params,
+                   np.random.default_rng(0))
+        key, caps = sensor_model._last_load
+        assert key == (ok, self.params)
+        fresh = _channel_capacitances(ok, self.params)
+        assert [c.hex() for c in caps] == [c.hex() for c in fresh]
 
-class TestFirstOrderLag:
+
+class TestLagRows:
     def test_step_response(self):
-        lag = FirstOrderLag(corner_hz=97.0)
         dt = 1.0 / 360.0
         # first sample initializes the state, then a unit step decays
         # toward the target with tau = 1/(2*pi*97)
-        lag.step(Wrench.zero(), dt)
-        target = Wrench(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        out = None
-        for _ in range(3):
-            out = lag.step(target, dt)
+        target = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        out = lag_rows([Wrench.zero().as_tuple()] + [target] * 3, 97.0, dt)[-1]
         expect = 1.0 - math.exp(-3 * dt * 2.0 * math.pi * 97.0)
-        assert out.fz == pytest.approx(expect, rel=1e-9)
+        assert out[2] == pytest.approx(expect, rel=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 6), min_size=1, max_size=30),
            corner_hz=st.floats(1e-3, 1e6), dt=st.floats(1e-6, 1.0))
     def test_never_widens_the_envelope(self, rows, corner_hz, dt):
         # corners far above 1/dt give alpha == 1, where s + (x - s) can round past x
-        lag = FirstOrderLag(corner_hz=corner_hz)
-        for i, row in enumerate(rows):
-            out = lag.step(Wrench(*row), dt).as_tuple()
+        states = lag_rows(rows, corner_hz, dt)
+        assert len(states) == len(rows)
+        for i, out in enumerate(states):
             for k, v in enumerate(out):
                 seen = [r[k] for r in rows[:i + 1]]
                 assert min(seen) <= v <= max(seen), (i, k)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(SensorRangeError, match="dt > 0"):
+            lag_rows([(0.0,) * 6], 97.0, dt)
 
 
 class TestParamsRoundtrip:
