@@ -68,10 +68,17 @@ def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndar
     baseline = np.asarray(baseline, dtype=float)
     if baseline.shape != (NUM_CHANNELS,):
         raise CalibrationError(f"baseline must have {NUM_CHANNELS} channels")
+    return _features(counts, baseline, mode)
+
+
+def _features(counts, baseline: np.ndarray, mode: str) -> np.ndarray:
+    """expand_features for a mode and (12,) baseline already checked."""
     tared = np.asarray(counts, dtype=float) - baseline
     if mode == "shear_only":
         tared = tared[..., 4:]
-    return np.concatenate([tared.T, (tared * tared).T])
+    if tared.ndim == 1:
+        return np.concatenate((tared, tared * tared))
+    return np.concatenate((tared.T, (tared * tared).T))
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,15 @@ def predict(model: CalibrationModel, frame: CapacitanceFrame,
     """Wrench estimate for one frame; baseline defaults to the fit-time tare.
 
     One matrix-vector product (gemv), which can differ in the last bits from
-    the same row of a batch predict_counts (gemm); see predict_counts.
+    the same row of a batch predict_counts (gemm); see predict_counts.  The
+    model's own baseline and mode were checked when it was built, so only an
+    explicit baseline goes through expand_features' checks.
     """
-    return Wrench.from_sequence(predict_counts(model, frame.counts, baseline))
+    if baseline is None:
+        x = _features(frame.counts, model.baseline, model.mode)
+    else:
+        x = expand_features(frame.counts, baseline, model.mode)
+    return Wrench(*(model.matrix @ x).tolist())
 
 
 @dataclass(frozen=True)

@@ -216,10 +216,26 @@ def generate_trial(scenario: Scenario, params: SensorParams,
                  t=t, temperature=temps, counts=counts, wrench=wrench_arr)
 
 
+def _texts(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt of every entry of values, as an object array of the same shape.
+
+    fmt runs once per distinct bit pattern (a float is keyed by its bits, so
+    -0.0 and 0.0 keep their own text): a trial repeats most counts and
+    temperatures.
+    """
+    flat = values.ravel()
+    if flat.dtype.kind == "f":
+        flat = flat.view(f"i{flat.dtype.itemsize}")
+    # 1-D input, whose inverse is 1-D on numpy 1.x and 2.x alike
+    keys, inverse = np.unique(flat, return_inverse=True)
+    texts = np.array([fmt(v) for v in keys.view(values.dtype).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
 def write_log(trial: Trial, path: str | Path) -> None:
     """Serialize a trial; see the module docstring for the format."""
-    columns = [map(repr, trial.t.tolist()), map(repr, trial.temperature.tolist())]
-    columns += [map(str, col) for col in trial.counts.T.tolist()]
+    columns = [map(repr, trial.t.tolist()), _texts(trial.temperature, repr).tolist()]
+    columns += _texts(trial.counts, str).T.tolist()
     columns += [map(repr, col) for col in trial.wrench.T.tolist()]
     lines = itertools.chain(
         (f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",

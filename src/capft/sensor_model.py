@@ -273,7 +273,7 @@ class CapacitanceFrame:
     def __post_init__(self) -> None:
         if len(self.normal_counts) != 4 or len(self.shear_counts) != 8:
             raise SensorRangeError("frame needs 4 normal and 8 shear counts")
-        if any(c < 0 for c in self.normal_counts) or any(c < 0 for c in self.shear_counts):
+        if min(self.normal_counts) < 0 or min(self.shear_counts) < 0:
             raise SensorRangeError("counts must be non-negative")
 
     @property
@@ -519,11 +519,12 @@ def _counts(c, alpha, beta, dt, cdc: CdcConfig, noise):
     """
     noisy = cdc.gain_counts_per_farad * c * (1.0 + alpha * dt + beta * (dt * dt)) \
         + cdc.noise_sigma_counts * noise
-    if not _holds(noisy < _COUNT_LIMIT):  # NaN fails too
-        raise SensorRangeError(_COUNT_RANGE_ERROR)
     if isinstance(noisy, float):
-        return round(noisy) if noisy > 0.0 else 0
-    return np.rint(np.maximum(noisy, 0.0)).astype(int)
+        if noisy < _COUNT_LIMIT:  # NaN fails too
+            return round(noisy) if noisy > 0.0 else 0
+    elif _holds(noisy < _COUNT_LIMIT):
+        return np.rint(np.maximum(noisy, 0.0)).astype(int)
+    raise SensorRangeError(_COUNT_RANGE_ERROR)
 
 
 def sample(w: Wrench, temperature: float, params: SensorParams, rng,
@@ -550,9 +551,9 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     gen = np.random.default_rng(rng)  # a Generator passes through
     drift = params.drift
     dt = float(temperature) - drift.reference_temp
-    counts = [_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
-        caps, drift.alpha, drift.beta, gen.normal(size=NUM_CHANNELS).tolist())]
-    return CapacitanceFrame.from_counts(counts, timestamp, temperature)
+    counts = tuple([_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
+        caps, drift.alpha, drift.beta, gen.normal(size=NUM_CHANNELS).tolist())])
+    return CapacitanceFrame(counts[:4], counts[4:], timestamp, temperature)
 
 
 def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: SensorParams,

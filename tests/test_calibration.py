@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capft.core import Wrench
 from capft.calibration import (
@@ -200,6 +202,27 @@ class TestPredict:
         w_a = predict(model, f)
         w_b = predict(model, shifted, baseline=baseline + 7.0)
         assert w_a.as_tuple() == w_b.as_tuple()
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(["full", "shear_only"]),
+           counts=st.lists(st.integers(0, 2**40), min_size=12, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_reading_matches_expand_features_hex(self, mode, counts, seed):
+        # predict skips expand_features' checks for the model's own baseline
+        # and must give the same bits; an explicit baseline is still checked
+        rng = np.random.default_rng(seed)
+        n_feat = 24 if mode == "full" else 16
+        model = CalibrationModel(
+            matrix=rng.normal(scale=rng.uniform(1e-9, 1.0), size=(6, n_feat)),
+            baseline=rng.uniform(0.0, 2.0**40, size=12), mode=mode, ridge=0.0,
+            train_rmse=(0.0,) * 6, normal_eq_residual=0.0)
+        frame = make_frame(counts)
+        expect = Wrench.from_sequence(
+            model.matrix @ expand_features(frame.counts, model.baseline, model.mode))
+        got = predict(model, frame)
+        assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in expect.as_tuple()]
+        with pytest.raises(CalibrationError):
+            predict(model, frame, baseline=np.zeros(11))
 
     def test_end_to_end_roundtrip(self):
         params = default_sensor_params()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capft import dataio
@@ -19,6 +19,7 @@ from capft.dataio import (
     Scenario,
     ScenarioRangeError,
     Trial,
+    check_mechanical_range,
     full_range_scenario,
     generate_trial,
     load_log,
@@ -30,7 +31,7 @@ from capft.dataio import (
     temp_sweep_scenario,
     write_log,
 )
-from capft.sensor_model import capacitances, default_sensor_params
+from capft.sensor_model import SensorRangeError, capacitances, default_sensor_params
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,67 @@ def small_trials(draw):
         wrench=np.array(draw(rows(finite, 6)), dtype=float))
 
 
+@st.composite
+def repetitive_trials(draw):
+    """Valid trials whose counts and temperatures repeat a few values, with
+    0.0 and -0.0 always among the temperatures drawn from."""
+    n = draw(st.integers(1, 30))
+
+    def picks(pool, size):
+        return st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+
+    temps = draw(st.lists(finite, min_size=1, max_size=3)) + [0.0, -0.0]
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4))
+    wrench = draw(st.lists(finite, min_size=1, max_size=4))
+    return Trial(
+        name="rep", seed=draw(st.integers(0, 2**32)), params_hash="feedc0ffee12",
+        t=np.array(sorted(draw(st.sets(finite, min_size=n, max_size=n))), dtype=float),
+        temperature=np.array(draw(picks(temps, n)), dtype=float),
+        counts=np.array(draw(picks(counts, 12 * n)), dtype=np.int64).reshape(n, 12),
+        wrench=np.array(draw(picks(wrench, 6 * n)), dtype=float).reshape(n, 6))
+
+
+def reference_log(trial):
+    """write_log's bytes built from one repr (floats) or str (counts) per cell."""
+    rows = [",".join([repr(t), repr(temp), *map(str, c), *map(repr, w)])
+            for t, temp, c, w in zip(trial.t.tolist(), trial.temperature.tolist(),
+                                     trial.counts.tolist(), trial.wrench.tolist())]
+    head = [f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",
+            LOG_HEADER]
+    return ("\n".join(head + rows) + "\n").encode()
+
+
+# Per-axis loads (N, mN*m) past the default sensor's valid range, so drawn
+# scenarios land on both sides of the corner check.
+AXIS_LIMITS = np.array([16.0, 16.0, 480.0, 580.0, 580.0, 175.0])
+
+
 class TestTrialInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_corner_feasible_scenario_interior_in_range(self, params, ends, seed):
+        # corner feasibility bounds the whole trial: no point inside the box
+        # of a scenario that passes the corner check leaves the valid range
+        ends = np.sort(np.array(ends), axis=1)
+        ends[2] = np.sort(np.abs(ends[2]))  # fz: compression, where saturation lies
+        ranges = ends * AXIS_LIMITS[:, None]
+        scen = Scenario("box", 1.0, 0, *map(tuple, ranges.tolist()))
+        try:
+            check_mechanical_range(scen, params)
+        except ScenarioRangeError:
+            assume(False)
+        lo, hi = ranges[:, 0], ranges[:, 1]
+        rng = np.random.default_rng(seed)
+        # a trial reaches both ends of each axis, so put some coordinates on them
+        u = rng.choice([0.0, 1.0, 0.5], size=(50, 6), p=[0.15, 0.15, 0.7])
+        u[u == 0.5] = rng.uniform(size=np.count_nonzero(u == 0.5))
+        for row in np.minimum(lo + u * (hi - lo), hi):
+            try:
+                capacitances(Wrench.from_sequence(row), params)
+            except SensorRangeError as exc:
+                pytest.fail(f"interior point {row.tolist()} of {ranges.tolist()}: {exc}")
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             trial_at([0.0, 1.0], wrench_rows=1)
@@ -248,6 +309,16 @@ class TestLogRoundtrip:
         assert loaded == trial
         for name in ("t", "temperature", "counts", "wrench"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(trial, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial=repetitive_trials())
+    def test_bytes_equal_per_cell_reference(self, trial):
+        # write_log formats each distinct count and temperature once; a -0.0
+        # next to 0.0 keeps its own text
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "a.csv"
+            write_log(trial, p)
+            assert p.read_bytes() == reference_log(trial)
 
     def test_random_bit_patterns_roundtrip(self, tmp_path):
         # uniform over float64 bit patterns, not only the values hypothesis favours

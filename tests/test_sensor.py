@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from capft.core import Wrench
 from capft.sensor_model import (
     CHANNEL_NAMES,
+    CapacitanceFrame,
     CdcConfig,
     EPSILON_0,
     PillarModel,
@@ -354,6 +355,32 @@ def counts_or_error(fn):
         return tuple(fn())
     except SensorRangeError as exc:
         return type(exc)
+
+
+class TestFrame:
+    @pytest.mark.parametrize("normal, shear", [(3, 8), (4, 7), (5, 7)])
+    def test_channel_split_rejected(self, normal, shear):
+        with pytest.raises(SensorRangeError, match="4 normal and 8 shear"):
+            CapacitanceFrame((100,) * normal, (100,) * shear, 0.0, 25.0)
+
+    @given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=12, max_size=12),
+           slot=st.integers(0, 11), negative=st.integers(-2**63, -1))
+    def test_negative_count_rejected(self, counts, slot, negative):
+        counts[slot] = negative
+        with pytest.raises(SensorRangeError, match="non-negative"):
+            CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
+        with pytest.raises(SensorRangeError, match="non-negative"):
+            CapacitanceFrame.from_counts(counts, 0.0, 25.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_frame_holds_ints(self, w, temperature, seed):
+        params = default_sensor_params()
+        assume(in_range(w, params))
+        frame = sample(Wrench.from_sequence(w), temperature, params,
+                       np.random.default_rng(seed), timestamp=0.5)
+        assert all(type(c) is int for c in frame.counts)
+        assert frame == CapacitanceFrame.from_counts(frame.counts, 0.5, temperature)
 
 
 class TestSampling:
