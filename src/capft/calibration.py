@@ -76,9 +76,7 @@ def _features(counts, baseline: np.ndarray, mode: str) -> np.ndarray:
     tared = np.asarray(counts, dtype=float) - baseline
     if mode == "shear_only":
         tared = tared[..., 4:]
-    if tared.ndim == 1:
-        return np.concatenate((tared, tared * tared))
-    return np.concatenate((tared.T, (tared * tared).T))
+    return np.concatenate([tared.T, (tared * tared).T])
 
 
 @dataclass(frozen=True)
@@ -147,10 +145,13 @@ def predict_counts(model: CalibrationModel, counts,
     A block of readings is one matrix-matrix product (gemm), and its columns
     can differ from per-row predict (gemv) in the last bits.  evaluate's RMSE
     and temp-sweep's traces come from this batch path; evaluate --predictions
-    and flight use predict.
+    and flight use predict.  The model's own baseline and mode were checked
+    when it was built, so only an explicit baseline goes through
+    expand_features' checks.
     """
-    base = model.baseline if baseline is None else baseline
-    return model.matrix @ expand_features(counts, base, model.mode)
+    if baseline is None:
+        return model.matrix @ _features(counts, model.baseline, model.mode)
+    return model.matrix @ expand_features(counts, baseline, model.mode)
 
 
 def predict(model: CalibrationModel, frame: CapacitanceFrame,
@@ -158,15 +159,9 @@ def predict(model: CalibrationModel, frame: CapacitanceFrame,
     """Wrench estimate for one frame; baseline defaults to the fit-time tare.
 
     One matrix-vector product (gemv), which can differ in the last bits from
-    the same row of a batch predict_counts (gemm); see predict_counts.  The
-    model's own baseline and mode were checked when it was built, so only an
-    explicit baseline goes through expand_features' checks.
+    the same row of a batch predict_counts (gemm); see predict_counts.
     """
-    if baseline is None:
-        x = _features(frame.counts, model.baseline, model.mode)
-    else:
-        x = expand_features(frame.counts, baseline, model.mode)
-    return Wrench(*(model.matrix @ x).tolist())
+    return Wrench(*predict_counts(model, frame.counts, baseline).tolist())
 
 
 @dataclass(frozen=True)

@@ -273,7 +273,7 @@ class CapacitanceFrame:
     def __post_init__(self) -> None:
         if len(self.normal_counts) != 4 or len(self.shear_counts) != 8:
             raise SensorRangeError("frame needs 4 normal and 8 shear counts")
-        if min(self.normal_counts) < 0 or min(self.shear_counts) < 0:
+        if any(c < 0 for c in self.normal_counts) or any(c < 0 for c in self.shear_counts):
             raise SensorRangeError("counts must be non-negative")
 
     @property

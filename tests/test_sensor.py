@@ -372,6 +372,15 @@ class TestFrame:
         with pytest.raises(SensorRangeError, match="non-negative"):
             CapacitanceFrame.from_counts(counts, 0.0, 25.0)
 
+    @pytest.mark.parametrize("normal, shear", [
+        ((math.nan, -1, 0, 0), (0,) * 8),
+        ((0,) * 4, (math.nan, 0, 0, 0, 0, 0, 0, -1)),
+    ])
+    def test_negative_count_beside_nan_rejected(self, normal, shear):
+        # a NaN ahead of the negative count must not hide it
+        with pytest.raises(SensorRangeError, match="non-negative"):
+            CapacitanceFrame(normal, shear, 0.0, 25.0)
+
     @settings(max_examples=100, deadline=None)
     @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
     def test_sampled_frame_holds_ints(self, w, temperature, seed):
