@@ -273,7 +273,8 @@ class CapacitanceFrame:
     def __post_init__(self) -> None:
         if len(self.normal_counts) != 4 or len(self.shear_counts) != 8:
             raise SensorRangeError("frame needs 4 normal and 8 shear counts")
-        if any(c < 0 for c in self.normal_counts) or any(c < 0 for c in self.shear_counts):
+        # 0 leads, so a NaN first does not hide a negative count behind it
+        if min(0, *self.normal_counts, *self.shear_counts) < 0:
             raise SensorRangeError("counts must be non-negative")
 
     @property

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capft.core import Wrench
@@ -372,14 +372,17 @@ class TestFrame:
         with pytest.raises(SensorRangeError, match="non-negative"):
             CapacitanceFrame.from_counts(counts, 0.0, 25.0)
 
-    @pytest.mark.parametrize("normal, shear", [
-        ((math.nan, -1, 0, 0), (0,) * 8),
-        ((0,) * 4, (math.nan, 0, 0, 0, 0, 0, 0, -1)),
-    ])
-    def test_negative_count_beside_nan_rejected(self, normal, shear):
-        # a NaN ahead of the negative count must not hide it
-        with pytest.raises(SensorRangeError, match="non-negative"):
-            CapacitanceFrame(normal, shear, 0.0, 25.0)
+    @example(counts=[math.nan, -1] + [0] * 10)
+    @example(counts=[0] * 4 + [math.nan] + [0] * 6 + [-1])
+    @given(counts=st.lists(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0),
+                                      st.just(math.nan)), min_size=12, max_size=12))
+    def test_rejects_exactly_the_negative_counts(self, counts):
+        # a NaN ahead of a negative count must not hide it
+        if any(c < 0 for c in counts):
+            with pytest.raises(SensorRangeError, match="non-negative"):
+                CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
+        else:
+            CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
 
     @settings(max_examples=100, deadline=None)
     @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
