@@ -39,6 +39,7 @@ LOG_HEADER = "t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz"
 _NUM_COLUMNS = 20
 _ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,)),
                        ("wrench", "f8", (6,))])
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class LogFormatError(ValueError):
@@ -105,8 +106,9 @@ class Scenario:
 class Trial:
     """Sensor counts and reference wrenches at a fixed rate, as columns.
 
-    t and temperature are (N,) floats, counts (N, 12) non-negative ints in
-    Z1..Z4, X1..X4, Y1..Y4 order and wrench (N, 6) floats in Fx..Mz order.
+    t and temperature are (N,) floats, counts (N, 12) ints from 0 to
+    int64's maximum in Z1..Z4, X1..X4, Y1..Y4 order and wrench (N, 6)
+    floats in Fx..Mz order.
     Keep 2-D columns row-major: batch sums depend on the memory layout.
     """
 
@@ -124,11 +126,14 @@ class Trial:
                 or self.counts.shape != (n, NUM_CHANNELS) or self.wrench.shape != (n, 6):
             raise ValueError("trial needs non-empty columns t (N,), temperature (N,), "
                              "counts (N, 12) and wrench (N, 6)")
-        if not np.issubdtype(self.counts.dtype, np.integer) or np.any(self.counts < 0):
-            raise ValueError("trial counts must be non-negative integers")
+        # load_log reads counts as int64, so a larger one would not load back
+        if not np.issubdtype(self.counts.dtype, np.integer) or np.any(self.counts < 0) \
+                or int(self.counts.max()) > _INT64_MAX:
+            raise ValueError("trial counts must be integers from 0 to int64's maximum")
         if not all(np.isfinite(a).all() for a in (self.t, self.temperature, self.wrench)):
             raise ValueError("trial values must be finite")
-        if np.any(np.diff(self.t) <= 0.0):
+        # compare neighbours, not their difference: that overflows for far-apart finite times
+        if np.any(self.t[1:] <= self.t[:-1]):
             raise ValueError("trial timestamps must be strictly increasing")
 
     def __len__(self) -> int:

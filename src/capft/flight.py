@@ -133,48 +133,70 @@ class Command:
     q_cmd: UnitQuaternion
 
 
-def contact_force(state: FlightState, env: ContactEnv) -> float:
-    """Press force between tip and surface, newtons, zero when separated."""
-    penetration = state.pz + env.tip_offset - env.surface_z
+def press_force(pz: float, vz: float, env: ContactEnv) -> float:
+    """Press force between tip and surface, newtons, zero when separated,
+    for a body at height pz rising at vz.  Never negative, never -0.0."""
+    penetration = pz + env.tip_offset - env.surface_z
     if penetration <= 0.0:
         return 0.0
-    closing = max(0.0, state.vz)  # damping resists approach only
+    closing = max(0.0, vz)  # damping resists approach only
     return max(0.0, env.contact_stiffness * penetration + env.contact_damping * closing)
 
 
-def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: ContactEnv,
-               dt: float) -> FlightState:
-    """One semi-implicit integration step of the vehicle.
+def contact_force(state: FlightState, env: ContactEnv) -> float:
+    """Press force between tip and surface, newtons, zero when separated."""
+    return press_force(state.pz, state.vz, env)
 
-    Attitude relaxes toward the command first, thrust acts along the
-    updated body z, and velocity is integrated before position.  A payload
-    sticks to the surface (detaches from the vehicle, permanently) when the
-    press force exceeds the adhesion threshold.
+
+def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: ContactEnv,
+               dt: float, steps: int = 1) -> tuple[FlightState, float]:
+    """steps semi-implicit integration steps of the vehicle under one command.
+
+    Each step relaxes the attitude toward the command first, thrust acts
+    along the updated body z, and velocity is integrated before position.
+    A payload sticks to the surface (detaches from the vehicle, permanently)
+    when the press force exceeds the adhesion threshold.  Returns the last
+    state and the largest press force among the states the steps produced;
+    n calls of one step give the same states bit for bit.
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError(f"plant step dt {dt!r} outside (0, 0.01]")
+    if steps < 1:
+        raise ValueError(f"plant steps {steps!r} must be at least 1")
     alpha = 1.0 - math.exp(-dt / params.tau_att)
-    q_new = slerp_quat(snap_unit_quat(state.qw, state.qx, state.qy, state.qz),
-                       cmd.q_cmd.as_tuple(), alpha)
-    w, x, y, z = snap_unit_quat(*q_new)  # the components of slerp's quaternion
-    thrust_hat = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat)
-    thrust = thrust_hat / params.k_f
-    f_c = contact_force(state, env)
-    attached = state.payload_attached
+    q_cmd = cmd.q_cmd.as_tuple()
+    thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
+    adhesion = env.adhesion_threshold
+    gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, attached, t = state
+    snapped = snap_unit_quat(qw, qx, qy, qz)
+    f_c = press_force(pz, vz, env)
     mass = params.mass + (env.payload_mass if attached else 0.0)
-    # thrust along body z (third column of quat_to_basis), gravity, and the
-    # surface reaction, whose normal (0, 0, -1) pushes the vehicle down; the
-    # sums keep the order of the Vec3 reference step in the tests, bit for bit
     s = thrust / mass
-    ax = 2.0 * (x * z + w * y) * s + GRAVITY.x
-    ay = 2.0 * (y * z - w * x) * s + GRAVITY.y
-    az = (1.0 - 2.0 * (x * x + y * y)) * s + GRAVITY.z - f_c / mass
-    if attached and f_c > env.adhesion_threshold:
-        attached = False
-    vx, vy, vz = state.vx + ax * dt, state.vy + ay * dt, state.vz + az * dt
-    px, py, pz = state.px + vx * dt, state.py + vy * dt, state.pz + vz * dt
-    check_finite("Vec3", px, py, pz, vx, vy, vz)  # what building p, then v, would raise
-    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, state.t + dt)
+    peak = 0.0  # press forces are never negative
+    for _ in range(steps):
+        q_new = slerp_quat(snapped, q_cmd, alpha)
+        # the components of slerp's quaternion, which the next step starts from
+        snapped = w, x, y, z = snap_unit_quat(*q_new)
+        # thrust along body z (third column of quat_to_basis), gravity, and the
+        # surface reaction, whose normal (0, 0, -1) pushes the vehicle down; the
+        # sums keep the order of the Vec3 reference step in the tests, bit for bit
+        ax = 2.0 * (x * z + w * y) * s + gx
+        ay = 2.0 * (y * z - w * x) * s + gy
+        az = (1.0 - 2.0 * (x * x + y * y)) * s + gz - f_c / mass
+        if attached and f_c > adhesion:
+            attached = False
+            mass = params.mass
+            s = thrust / mass
+        vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
+        px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+        if not math.isfinite(px + py + pz + vx + vy + vz):
+            check_finite("Vec3", px, py, pz, vx, vy, vz)  # what building p, then v, would raise
+        t += dt
+        f_c = press_force(pz, vz, env)
+        if f_c > peak:
+            peak = f_c
+    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, t), peak
 
 
 @dataclass
@@ -284,6 +306,23 @@ class DeploySummary:
     success: bool
 
 
+def _due_step(j: int, hz: float, dt: float, k: int, stop: int) -> int:
+    """The first plant step from k on at which tick j of a hz clock is due.
+
+    Tick j is due at step n when j / hz <= n * dt + 1e-12, and once due it
+    stays due as n grows.  Returns stop + 1 when no step up to stop is due,
+    which covers a tick time of inf.
+    """
+    tick = j / hz
+    if not tick <= stop * dt + 1e-12:
+        return stop + 1
+    # the floor's rounding error is far below one step, so it never passes the answer
+    n = max(k, math.floor((tick - 1e-12) / dt))
+    while not tick <= n * dt + 1e-12:
+        n += 1
+    return n
+
+
 class _Engine:
     """Shared plant/sensor/controller scheduling for mission phases."""
 
@@ -315,16 +354,23 @@ class _Engine:
         Controller ticks check done() and the deadline.  The plant steps are
         budgeted too, to _STEP_BUDGET_S past the deadline: a run whose
         controller ticks too rarely to see the deadline faults there, and one
-        ticking at least that often reaches its deadline tick first.
+        ticking at least that often reaches its deadline tick first.  Each
+        tick's step is computed once, when the tick before it fires, and the
+        plant runs in one step_plant call up to the next due tick.
         """
         cfg = self.cfg
-        last_step = math.ceil((deadline + _STEP_BUDGET_S) / cfg.plant_dt) + 1
+        env, dt = cfg.env, cfg.plant_dt
+        stop = math.ceil((deadline + _STEP_BUDGET_S) / dt) + 2  # the first step past the budget
+        next_sense = _due_step(self.ks, cfg.sensor_hz, dt, self.k, stop)
+        next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
         while True:
-            t = self.t
-            while self.ks / cfg.sensor_hz <= t + 1e-12:
-                self.f_raw = sense(self.state, cfg.env, self.stack, self.rng)
+            k = self.k
+            t = k * dt
+            while next_sense == k:  # more than one sensing tick may fall on a step
+                self.f_raw = sense(self.state, env, self.stack, self.rng)
                 self.ks += 1
-            if self.kc / cfg.control_hz <= t + 1e-12:
+                next_sense = _due_step(self.ks, cfg.sensor_hz, dt, k, stop)
+            if next_control == k:
                 if done():
                     return
                 if t > deadline:
@@ -336,12 +382,15 @@ class _Engine:
                     f_oc=self.f_raw, f_dc=f_dc, f_cmd_hat=cmd.f_cmd_hat,
                     machine_state=label, payload_attached=self.state.payload_attached))
                 self.kc += 1
-            if self.k > last_step:
+                # one control tick per step: the next one is due from step k + 1
+                next_control = _due_step(self.kc, cfg.control_hz, dt, k + 1, stop)
+            if k >= stop:
                 raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
                                       f"tick since the {deadline:.1f}s deadline")
-            self.state = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt)
-            self.peak_contact = max(self.peak_contact, contact_force(self.state, cfg.env))
-            self.k += 1
+            n = min(next_sense, next_control, stop) - k
+            self.state, peak = step_plant(self.state, self.cmd, cfg.plant, env, dt, n)
+            self.peak_contact = max(self.peak_contact, peak)
+            self.k = k + n
 
     def _position_command(self, p_des: Vec3, v_des: Vec3) -> Command:
         cfg = self.cfg

@@ -479,6 +479,10 @@ class TestFly:
     @pytest.mark.parametrize("key, value, code, message", [
         # the controller never ticks again, so only the plant-step budget ends it
         ("control_hz", 1e-9, 5, "no controller tick since the 2.5s deadline"),
+        # tick 1 falls at 1 / 5e-324 = inf: past the budget, not a crash
+        ("control_hz", 5e-324, 5, "no controller tick since the 2.5s deadline"),
+        # one sensing tick at t=0, then none: the search never sees the surface
+        ("sensor_hz", 5e-324, 5, "no contact by t=7.05s"),
         # the sensing loop would never catch up with plant time
         ("sensor_hz", 1e308, 2, "must not exceed 1/plant_dt"),
     ])

@@ -142,6 +142,34 @@ class TestTrialInvariants:
         with pytest.raises(ValueError):
             trial_at([0.0, 0.0])
 
+    def test_far_apart_timestamps_checked_without_overflow(self):
+        # the gap between these finite times is not finite; the order check
+        # must not warn (RuntimeWarning is an error here) and must still hold
+        big = np.finfo(float).max
+        assert len(trial_at([-big, big])) == 2
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trial_at([big, -big])
+
+    def test_counts_past_int64_rejected(self, tmp_path):
+        # load_log reads counts as int64: a larger count would write a log
+        # its own loader refuses, and int64's maximum must round-trip
+        top = np.iinfo(np.int64).max
+        base = trial_at([0.0, 1.0])
+        for dtype, value in ((np.uint64, top + 1), (np.uint64, 2**64 - 1)):
+            counts = np.zeros((2, 12), dtype=dtype)
+            counts[1, 5] = value
+            with pytest.raises(ValueError, match="int64's maximum"):
+                dataclasses.replace(base, counts=counts)
+        for dtype in (np.int64, np.uint64):
+            counts = np.zeros((2, 12), dtype=dtype)
+            counts[1, 5] = top
+            p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            write_log(dataclasses.replace(base, counts=counts), p1)
+            loaded = load_log(p1)
+            assert int(loaded.counts[1, 5]) == top
+            write_log(loaded, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
     def test_nominal_spacing(self, short_trial):
         times = short_trial.t
         dt = np.diff(times)

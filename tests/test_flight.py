@@ -7,8 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capft import dataio
+from capft import dataio, flight
 from capft.calibration import CalibrationModel, fit, tare
 from capft.controller import ForceProfile, MachineState, ThrustMachineParams
 from capft.core import (GRAVITY, UnitQuaternion, Vec3, ZERO3, normalize_quat, quat_to_basis,
@@ -23,6 +25,7 @@ from capft.flight import (
     SimConfig,
     SimulationFault,
     TRACE_COLUMNS,
+    _due_step,
     config_from_dict,
     config_to_dict,
     contact_force,
@@ -124,7 +127,7 @@ class TestContactForce:
         cmd = hover_command(plant)
         prev = 0.0
         for _ in range(20):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
             f = contact_force(s, env)
             if f > 0.0:
                 bound = env.contact_stiffness * s.v.z * 0.001 \
@@ -144,7 +147,7 @@ class TestPlant:
         s = at_rest(1.0)
         cmd = hover_command(plant)
         for _ in range(1000):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
         assert abs(s.v.z) < 1e-9
         assert abs(s.p.z - 1.0) < 1e-9
 
@@ -155,7 +158,7 @@ class TestPlant:
         cmd = Command(f_cmd_hat=0.0, q_cmd=UnitQuaternion.identity())
         n = 500
         for _ in range(n):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
         assert s.v.z == pytest.approx(-G * n * 0.001, rel=1e-9)
 
     def test_press_settles_at_spring_balance(self):
@@ -167,7 +170,7 @@ class TestPlant:
                       q_cmd=UnitQuaternion.identity())
         s = at_rest(env.surface_z - env.tip_offset + 0.001)
         for _ in range(6000):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
         penetration = s.p.z + env.tip_offset - env.surface_z
         assert penetration == pytest.approx(surplus / env.contact_stiffness, rel=0.05)
         assert abs(s.v.z) < 0.01
@@ -187,7 +190,7 @@ class TestPlant:
         peak_ke = 0.5 * plant.mass * 35.0 ** 2
         worst = 0.0
         for _ in range(10000):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
             peak_ke = max(peak_ke, 0.5 * plant.mass
                           * sum(c * c for c in s.v.as_tuple()))
             worst = max(worst, abs(energy(s) - e0))
@@ -231,7 +234,7 @@ class TestPlant:
                 else UnitQuaternion.normalized(*rng.normal(size=4))
             cmd = Command(f_cmd_hat=float(rng.uniform(-0.5, 1.5)), q_cmd=q_cmd)
             dt = float(rng.uniform(1e-5, 0.01))
-            got = step_plant(state, cmd, plant, env, dt)
+            got, _ = step_plant(state, cmd, plant, env, dt)
             assert state_bits(got) == state_bits(
                 step_plant_reference(state, cmd, plant, env, dt))
             f_c = contact_force(state, env)
@@ -244,6 +247,90 @@ class TestPlant:
         assert min(seen[k] for k in ("separated", "approaching", "receding", "detach",
                                      "thrust_at_zero", "thrust_at_max")) > 0, seen
 
+    @staticmethod
+    def assert_steps_match_chain(state, cmd, plant, env, dt, n):
+        """steps=n against n one-step calls; returns the chained states."""
+        chained = []
+        s = state
+        for _ in range(n):
+            s, peak = step_plant(s, cmd, plant, env, dt)
+            assert peak == contact_force(s, env)
+            chained.append(s)
+        got, peak = step_plant(state, cmd, plant, env, dt, steps=n)
+        assert state_bits(got) == state_bits(chained[-1])
+        assert peak.hex() == max(contact_force(c, env) for c in chained).hex()
+        return chained
+
+    @settings(max_examples=150, deadline=None)
+    @given(dz=st.floats(-0.02, 0.02),
+           vel=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)] * 3),
+           q=st.tuples(st.floats(0.1, 1.0), *[st.floats(-1.0, 1.0)] * 3),
+           q_cmd=st.none() | st.tuples(st.floats(0.1, 1.0), *[st.floats(-1.0, 1.0)] * 3),
+           attached=st.booleans(), f_cmd_hat=st.floats(-0.5, 1.5),
+           dt=st.floats(1e-5, 0.01), n=st.integers(1, 60))
+    def test_steps_equal_chained_single_steps(self, dz, vel, q, q_cmd, attached, f_cmd_hat,
+                                              dt, n):
+        plant = PlantParams()
+        env = ContactEnv(payload_mass=0.095)
+        state = FlightState(0.3, -0.2, env.surface_z - env.tip_offset + dz, *vel,
+                            *normalize_quat(*q), payload_attached=attached, t=7.0)
+        cmd = Command(f_cmd_hat=f_cmd_hat, q_cmd=state.q if q_cmd is None
+                      else UnitQuaternion.normalized(*q_cmd))
+        self.assert_steps_match_chain(state, cmd, plant, env, dt, n)
+
+    @pytest.mark.parametrize("case", ["detach", "separation", "thrust_at_zero",
+                                      "thrust_at_max"])
+    def test_steps_cover_contact_and_clamps(self, case):
+        plant = PlantParams()
+        env = ContactEnv(payload_mass=0.095)
+        z_touch = env.surface_z - env.tip_offset
+        tilt = UnitQuaternion.normalized(math.cos(0.1), 0.0, math.sin(0.1), 0.0)
+        state, cmd = {
+            # a 5 N press sticks the payload on the first step
+            "detach": (at_rest(z_touch + 0.01, attached=True), hover_command(plant)),
+            # pressing, then falling away from the surface
+            "separation": (at_rest(z_touch + 0.002, v=-0.5),
+                           Command(f_cmd_hat=0.0, q_cmd=tilt)),
+            "thrust_at_zero": (at_rest(z_touch - 0.01, v=0.3),
+                               Command(f_cmd_hat=-0.4, q_cmd=tilt)),
+            "thrust_at_max": (at_rest(z_touch - 0.01, v=0.3, attached=True),
+                              Command(f_cmd_hat=1.4, q_cmd=tilt)),
+        }[case]
+        chained = self.assert_steps_match_chain(state, cmd, plant, env, 0.001, 40)
+        forces = [contact_force(s, env) for s in chained]
+        if case == "detach":
+            assert not chained[0].payload_attached
+        if case == "separation":
+            assert contact_force(state, env) > 0.0 and forces[-1] == 0.0
+        if case == "thrust_at_max":
+            assert max(forces) > env.adhesion_threshold and not chained[-1].payload_attached
+
+    def test_steps_below_one_rejected(self):
+        plant = PlantParams()
+        s = at_rest(1.0)
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                step_plant(s, hover_command(plant), plant, ContactEnv(), 0.001, steps=steps)
+
+    def test_steps_raise_where_the_chain_does(self):
+        # the position overflows on step m + 1: steps=m matches the chain, and
+        # more steps raise the chain's error
+        plant = PlantParams()
+        env = ContactEnv()
+        cmd = hover_command(plant)
+        start = at_rest(1.0)._replace(px=1.797e308 - 5e305, vx=1e308)
+        s, m = start, 0
+        with pytest.raises(ValueError, match="non-finite") as one_step:
+            while True:
+                s, _ = step_plant(s, cmd, plant, env, 0.001)
+                m += 1
+        assert m > 1
+        got, _ = step_plant(start, cmd, plant, env, 0.001, steps=m)
+        assert state_bits(got) == state_bits(s)
+        with pytest.raises(ValueError) as multi:
+            step_plant(start, cmd, plant, env, 0.001, steps=m + 3)
+        assert str(multi.value) == str(one_step.value)
+
     def test_attitude_relaxes_toward_command(self):
         plant = PlantParams()
         env = dataclasses.replace(ContactEnv(), surface_z=1e6)
@@ -252,7 +339,7 @@ class TestPlant:
         s = at_rest(0.0)
         gaps = []
         for _ in range(400):
-            s = step_plant(s, cmd, plant, env, 0.001)
+            s, _ = step_plant(s, cmd, plant, env, 0.001)
             gaps.append(abs(s.q.w * tilt.w + s.q.x * tilt.x
                             + s.q.y * tilt.y + s.q.z * tilt.z))
         # monotone convergence to the commanded attitude, ~tau = 50 ms
@@ -272,16 +359,16 @@ class TestPayload:
     def test_light_press_keeps_payload(self):
         s = self.press_state(2.0)
         cmd = hover_command(self.plant)
-        s2 = step_plant(s, cmd, self.plant, self.env, 0.001)
+        s2, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
         assert s2.payload_attached
 
     def test_hard_press_detaches_permanently(self):
         s = self.press_state(5.0)
         cmd = hover_command(self.plant)
-        s = step_plant(s, cmd, self.plant, self.env, 0.001)
+        s, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
         assert not s.payload_attached
         for _ in range(200):
-            s = step_plant(s, cmd, self.plant, self.env, 0.001)
+            s, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
             assert not s.payload_attached
 
     def test_attached_mass_slows_acceleration(self):
@@ -289,8 +376,8 @@ class TestPayload:
         s_att = at_rest(1.0, attached=True)
         s_det = at_rest(1.0, attached=False)
         cmd = Command(f_cmd_hat=0.5, q_cmd=UnitQuaternion.identity())
-        a_att = step_plant(s_att, cmd, self.plant, env_free, 0.001).v.z
-        a_det = step_plant(s_det, cmd, self.plant, env_free, 0.001).v.z
+        a_att = step_plant(s_att, cmd, self.plant, env_free, 0.001)[0].v.z
+        a_det = step_plant(s_det, cmd, self.plant, env_free, 0.001)[0].v.z
         assert a_att < a_det
 
 
@@ -345,6 +432,97 @@ class TestSense:
         s = at_rest(env.surface_z - env.tip_offset + 1.2)  # ~600 N press
         with pytest.raises(SensedRangeFault):
             sense(s, env, stack, np.random.default_rng(0))
+
+
+def due_step_scan(j, hz, dt, k, stop):
+    """The engine's per-step tick test, tried at every step from k to stop."""
+    for n in range(k, stop + 1):
+        if j / hz <= n * dt + 1e-12:
+            return n
+    return stop + 1
+
+
+def scan_schedule(count, hz, dt, gap):
+    """Steps of ticks 0..count-1 under the per-step test, tick j no earlier
+    than gap steps after tick j - 1: 0 for sensing, 1 for control."""
+    steps, n = [], 0
+    for j in range(count):
+        while not j / hz <= n * dt + 1e-12:
+            n += 1
+        steps.append(n)
+        n += gap
+    return steps
+
+
+class TestSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(dt=st.floats(1e-4, 0.01), rate=st.floats(1e-6, 1.0), k=st.integers(0, 10**9),
+           span=st.integers(0, 1500), at=st.floats(-0.1, 1.1), nudge=st.integers(-2, 2))
+    def test_due_step_equals_scan(self, dt, rate, k, span, at, nudge):
+        hz = rate / dt  # rates up to 1/dt, as SimConfig allows
+        stop = k + span
+        j = max(0, math.floor((k + at * span) * dt * hz) + nudge)  # a tick near the window
+        assert _due_step(j, hz, dt, k, stop) == due_step_scan(j, hz, dt, k, stop)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dt=st.sampled_from([2.0**-7, 2.0**-10, 0.001, 0.0007]), n=st.integers(1, 5000),
+           slack=st.sampled_from([0.0, 1e-12]), ulps=st.integers(-3, 3))
+    def test_due_step_at_the_slack_boundary(self, dt, n, slack, ulps):
+        # a tick time a few ulps from n * dt or n * dt + 1e-12, where the
+        # test flips from false to true
+        tick = n * dt + slack
+        for _ in range(abs(ulps)):
+            tick = math.nextafter(tick, math.inf if ulps > 0 else 0.0)
+        hz = 1.0 / tick
+        assert _due_step(1, hz, dt, 0, n + 5) == due_step_scan(1, hz, dt, 0, n + 5)
+
+    @pytest.mark.parametrize("dt, hz", [(0.001, 20.0), (0.001, 360.0), (0.001, 1000.0),
+                                        (0.0007, 1.0 / 0.0007), (0.003, 7.3)])
+    def test_due_step_every_tick_of_a_clock(self, dt, hz):
+        stop = 3000
+        for j in range(math.floor(stop * dt * hz) + 3):
+            for k in (0, max(0, math.floor(j / hz / dt) - 1)):
+                assert _due_step(j, hz, dt, k, stop) == due_step_scan(j, hz, dt, k, stop)
+
+    def test_infinite_or_late_tick_is_never_due(self):
+        assert 1 / 5e-324 == math.inf
+        assert _due_step(1, 5e-324, 0.001, 0, 12_502) == 12_503
+        assert _due_step(0, 5e-324, 0.001, 40, 12_502) == 40
+        assert _due_step(10**6, 20.0, 0.001, 0, 12_502) == 12_503
+        assert _due_step(250, 20.0, 0.001, 0, 12_500) == 12_500  # due on the last step
+        assert _due_step(250, 20.0, 0.001, 0, 12_499) == 12_500
+
+    @pytest.mark.parametrize("plant_dt, sensor_hz, control_hz", [
+        (0.001, 1000.0, 333.3), (0.001, 359.7, 1000.0), (0.0007, 1.0 / 0.0007, 1.0 / 0.0007),
+        # rates SimConfig rejects: only here do sensing ticks share a step and
+        # control fall behind its clock
+        (0.001, 2500.0, 1250.0)])
+    def test_engine_ticks_follow_per_step_scan(self, monkeypatch, plant_dt, sensor_hz,
+                                               control_hz):
+        base = default_config("track_sine", seed=3)
+        cfg = dataclasses.replace(base, plant_dt=plant_dt, settle_time=0.3, measure_time=0.6,
+                                  machine=dataclasses.replace(base.machine, hold_duration=0.5))
+        object.__setattr__(cfg, "sensor_hz", sensor_hz)  # past SimConfig's rate check
+        object.__setattr__(cfg, "control_hz", control_hz)
+        stepped, sensed = [0], []
+        real_step, real_sense = flight.step_plant, flight.sense
+
+        def counting_step(state, cmd, params, env, dt, steps=1):
+            stepped[0] += steps
+            return real_step(state, cmd, params, env, dt, steps)
+
+        def recording_sense(*args):
+            sensed.append(stepped[0])
+            return real_sense(*args)
+
+        monkeypatch.setattr(flight, "step_plant", counting_step)
+        monkeypatch.setattr(flight, "sense", recording_sense)
+        rows, _ = run_mission(cfg, SensingStack(params=default_sensor_params(), bypass=True))
+        controlled = [round(r.t / plant_dt) for r in rows]
+        assert [r.t for r in rows] == [k * plant_dt for k in controlled]
+        # control fires at most once per step, sensing may repeat at one
+        assert controlled == scan_schedule(len(rows), control_hz, plant_dt, gap=1)
+        assert sensed == scan_schedule(len(sensed), sensor_hz, plant_dt, gap=0)
 
 
 class TestMissions:
