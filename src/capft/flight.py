@@ -15,6 +15,7 @@ Rates are decoupled: the plant integrates at 1 kHz, the sensor samples at
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,7 +99,9 @@ class FlightState(NamedTuple):
     rebuilds the attitude bit for bit, where the snapped components would
     not: snapping them again changes the last bits of some quaternions.
     The plant steps on the floats; p, v and q build objects for the
-    controller and the trace.
+    controller and the trace.  Under a held command the attitude reaches a
+    bit-exact fixed point (a level hover does on its first step), after
+    which step_plant keeps qw..qz as they are without slerping again.
     """
 
     px: float
@@ -148,17 +151,35 @@ def contact_force(state: FlightState, env: ContactEnv) -> float:
     return press_force(state.pz, state.vz, env)
 
 
+_quat_bits = struct.Struct("4d").pack
+_settle_key = struct.Struct("9d").pack  # a state's q, the command's q and alpha
+
+# The attitude of the last step_plant call that ended at a fixed point of its
+# command, as (key, (q_new, bx, by, bz)): from a state whose q, command and
+# alpha have the key's bits, every step gives q_new and the body-z factors
+# bx, by, bz again.  Keyed by packed bits, so -0.0 and 0.0 differ.  One
+# tuple, so a reader never sees a key with another attitude's values.
+_settled: tuple = (None, ())
+
+
 def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: ContactEnv,
-               dt: float, steps: int = 1) -> tuple[FlightState, float]:
+               dt: float, steps: int = 1) -> tuple[FlightState, float, float]:
     """steps semi-implicit integration steps of the vehicle under one command.
 
     Each step relaxes the attitude toward the command first, thrust acts
     along the updated body z, and velocity is integrated before position.
     A payload sticks to the surface (detaches from the vehicle, permanently)
     when the press force exceeds the adhesion threshold.  Returns the last
-    state and the largest press force among the states the steps produced;
-    n calls of one step give the same states bit for bit.
+    state, the largest press force among the states the steps produced and
+    the last state's press force; n calls of one step give the same states
+    bit for bit.
+
+    Once a step's snapped attitude has the bits of the one it started from,
+    every later step under the same command and alpha repeats it, so the
+    remaining steps reuse its attitude and body z instead of slerping.  The
+    fixed point carries over to the next call through a one-slot memo.
     """
+    global _settled
     if not 0.0 < dt <= 0.01:
         raise ValueError(f"plant step dt {dt!r} outside (0, 0.01]")
     if steps < 1:
@@ -169,21 +190,33 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     adhesion = env.adhesion_threshold
     gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, attached, t = state
-    snapped = snap_unit_quat(qw, qx, qy, qz)
+    memo_key, memo = _settled
+    hit = settled = _settle_key(qw, qx, qy, qz, *q_cmd, alpha) == memo_key
+    if hit:
+        q_new, bx, by, bz = memo
+    else:
+        snapped = snap_unit_quat(qw, qx, qy, qz)
     f_c = press_force(pz, vz, env)
     mass = params.mass + (env.payload_mass if attached else 0.0)
     s = thrust / mass
     peak = 0.0  # press forces are never negative
     for _ in range(steps):
-        q_new = slerp_quat(snapped, q_cmd, alpha)
-        # the components of slerp's quaternion, which the next step starts from
-        snapped = w, x, y, z = snap_unit_quat(*q_new)
-        # thrust along body z (third column of quat_to_basis), gravity, and the
-        # surface reaction, whose normal (0, 0, -1) pushes the vehicle down; the
-        # sums keep the order of the Vec3 reference step in the tests, bit for bit
-        ax = 2.0 * (x * z + w * y) * s + gx
-        ay = 2.0 * (y * z - w * x) * s + gy
-        az = (1.0 - 2.0 * (x * x + y * y)) * s + gz - f_c / mass
+        if not settled:
+            q_new = slerp_quat(snapped, q_cmd, alpha)
+            # the components of slerp's quaternion, which the next step starts from
+            q = w, x, y, z = snap_unit_quat(*q_new)
+            settled = _quat_bits(*q) == _quat_bits(*snapped)
+            snapped = q
+            # body z (third column of quat_to_basis)
+            bx = 2.0 * (x * z + w * y)
+            by = 2.0 * (y * z - w * x)
+            bz = 1.0 - 2.0 * (x * x + y * y)
+        # thrust along body z, gravity, and the surface reaction, whose normal
+        # (0, 0, -1) pushes the vehicle down; the sums keep the order of the
+        # Vec3 reference step in the tests, bit for bit
+        ax = bx * s + gx
+        ay = by * s + gy
+        az = bz * s + gz - f_c / mass
         if attached and f_c > adhesion:
             attached = False
             mass = params.mass
@@ -196,7 +229,9 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
         f_c = press_force(pz, vz, env)
         if f_c > peak:
             peak = f_c
-    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, t), peak
+    if settled and not hit:
+        _settled = _settle_key(*q_new, *q_cmd, alpha), (q_new, bx, by, bz)
+    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, t), peak, f_c
 
 
 @dataclass
@@ -212,15 +247,16 @@ class SensingStack:
             raise SimulationFault("sensor-in-the-loop mode requires a calibration model")
 
 
-def sense(state: FlightState, env: ContactEnv, stack: SensingStack, rng) -> float:
+def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack,
+          rng) -> float:
     """Magnitude of the force the sensor reports at its mounting point.
 
-    The true load is the press force plus the weight of an attached
-    payload, both compressing the sensor along its normal axis.
+    press is the state's press force, contact_force(state, env), which
+    step_plant returns with the state.  The true load is the press force
+    plus the weight of an attached payload, both compressing the sensor
+    along its normal axis.
     """
-    true_force = contact_force(state, env)
-    if state.payload_attached:
-        true_force += env.payload_weight
+    true_force = press + env.payload_weight if state.payload_attached else press
     if stack.bypass:
         return true_force
     w = Wrench(0.0, 0.0, true_force, 0.0, 0.0, 0.0)
@@ -288,6 +324,13 @@ class SimConfig:
         if max(self.control_hz, self.sensor_hz) > 1.0 / self.plant_dt:
             raise ValueError(f"control_hz and sensor_hz must not exceed 1/plant_dt "
                              f"= {1.0 / self.plant_dt:g} Hz")
+        for name in ("settle_time", "measure_time", "rms_settle", "residual_threshold"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"SimConfig.{name} must not be negative, "
+                                 f"got {getattr(self, name)!r}")
+        if self.max_engage_time <= 0.0:
+            raise ValueError(f"SimConfig.max_engage_time must be positive, "
+                             f"got {self.max_engage_time!r}")
 
 
 @dataclass(frozen=True)
@@ -334,6 +377,7 @@ class _Engine:
         self.state = FlightState(  # at rest and level
             lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
             payload_attached=cfg.env.payload_mass > 0.0, t=0.0)
+        self.press = contact_force(self.state, cfg.env)  # kept current with self.state
         self.k = 0
         self.ks = 0
         self.kc = 0
@@ -367,7 +411,7 @@ class _Engine:
             k = self.k
             t = k * dt
             while next_sense == k:  # more than one sensing tick may fall on a step
-                self.f_raw = sense(self.state, env, self.stack, self.rng)
+                self.f_raw = sense(self.state, self.press, env, self.stack, self.rng)
                 self.ks += 1
                 next_sense = _due_step(self.ks, cfg.sensor_hz, dt, k, stop)
             if next_control == k:
@@ -388,7 +432,8 @@ class _Engine:
                 raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
                                       f"tick since the {deadline:.1f}s deadline")
             n = min(next_sense, next_control, stop) - k
-            self.state, peak = step_plant(self.state, self.cmd, cfg.plant, env, dt, n)
+            self.state, peak, self.press = step_plant(self.state, self.cmd, cfg.plant, env,
+                                                      dt, n)
             self.peak_contact = max(self.peak_contact, peak)
             self.k = k + n
 

@@ -5,6 +5,7 @@ asserted directly; one test shells out to the installed entry point.
 """
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -537,6 +538,48 @@ class TestFly:
         assert lines == [flight.TRACE_COLUMNS]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["success"] is True
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("settle_time", -0.1, "SimConfig.settle_time must not be negative"),
+        ("measure_time", -1.0, "SimConfig.measure_time must not be negative"),
+        ("rms_settle", -0.5, "SimConfig.rms_settle must not be negative"),
+        ("residual_threshold", -0.01, "SimConfig.residual_threshold must not be negative"),
+        ("max_engage_time", 0.0, "SimConfig.max_engage_time must be positive"),
+        ("max_engage_time", -3.0, "SimConfig.max_engage_time must be positive"),
+    ])
+    def test_bad_mission_duration_is_usage_error(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "deploy_package", key: value}))
+        rc = main(["fly", "--scenario", "deploy_package", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # Bypass flight draws no random numbers and calls no BLAS routine, so
+    # these bytes hold for every seed and numpy build.  Sensed flight is not
+    # pinned: predict's gemv sums in the BLAS kernel's order.
+    BYPASS_DIGESTS = {
+        "track_sine": (
+            "2465c12d5a7e8953189e9d22a051b9d3797d13cd5d3a0626848280a032aeb0b1",
+            "ad75db113f8a173753eb79094ed66d24526756e9ae3538c6ce0fdc4e7ca6f1c6",
+            "6b039605e9feeeed5addfeb2e8e3543a2ce73295de2bc21a11db919b019e8547"),
+        "deploy_package": (
+            "78efad860333e333351e62db189750c8c6c5c11c8ccf89ef4085fca8b953bf1b",
+            "cb4114ba7b9c07ac9db7404748b38d42674ff754eaef445cb02a53f4779ba024",
+            "fd2d5ad3bc72e70ce33c89cb921c5eaea42daf0e4054eafbe1294393bda7afb3"),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("scenario", sorted(BYPASS_DIGESTS))
+    def test_bypass_outputs_pinned(self, tmp_path, capsys, scenario, seed):
+        rc = main(["fly", "--scenario", scenario, "--bypass-sensor", "--seed", str(seed),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        got = tuple(hashlib.sha256(data).hexdigest() for data in (
+            (tmp_path / "trace.csv").read_bytes(), (tmp_path / "summary.json").read_bytes(),
+            capsys.readouterr().out.encode()))
+        assert got == self.BYPASS_DIGESTS[scenario]
 
 
 def json_input_command(flag, path, out):

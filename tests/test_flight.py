@@ -2,19 +2,20 @@
 
 import dataclasses
 import math
+import struct
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capft import dataio, flight
 from capft.calibration import CalibrationModel, fit, tare
 from capft.controller import ForceProfile, MachineState, ThrustMachineParams
 from capft.core import (GRAVITY, UnitQuaternion, Vec3, ZERO3, normalize_quat, quat_to_basis,
-                        slerp)
+                        slerp, slerp_quat, snap_unit_quat)
 from capft.flight import (
     Command,
     ContactEnv,
@@ -30,6 +31,7 @@ from capft.flight import (
     config_to_dict,
     contact_force,
     default_config,
+    press_force,
     rows_to_csv_lines,
     run_mission,
     sense,
@@ -75,7 +77,7 @@ def step_plant_reference(state, cmd, params, env, dt):
     q_new = slerp(state.q, cmd.q_cmd, alpha)
     z_body = quat_to_basis(q_new)[2]
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
-    f_c = contact_force(state, env)
+    f_c = press_force(state.p.z, state.v.z, env)  # takes its own output, so it chains
     attached = state.payload_attached
     mass = params.mass + (env.payload_mass if attached else 0.0)
     accel = z_body.scaled(thrust / mass) + GRAVITY + Vec3(0.0, 0.0, -f_c / mass)
@@ -94,6 +96,92 @@ def state_bits(s):
     q = s.q
     floats = (*s.p.as_tuple(), *s.v.as_tuple(), q.w, q.x, q.y, q.z, s.t)
     return tuple(v.hex() for v in floats), s.payload_attached
+
+
+def flip_zeros(q):
+    """q with the sign of each zero component flipped."""
+    return tuple(-v if v == 0.0 else v for v in q)
+
+
+def settled_attitude(q_cmd, alpha):
+    """A bit-exact fixed point of the held command q_cmd, reached from q_cmd:
+    slerp's components once snapping them gives back the attitude the step
+    started from."""
+    snapped = q_cmd.as_tuple()
+    for _ in range(100):
+        q_new = slerp_quat(snapped, q_cmd.as_tuple(), alpha)
+        q = snap_unit_quat(*q_new)
+        if struct.pack("4d", *q) == struct.pack("4d", *snapped):
+            return q_new
+        snapped = q
+    raise AssertionError(f"{q_cmd} not settled in 100 steps")
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+COMPONENT = SIGNED_ZERO | st.floats(-1.0, 1.0)
+NO_ALPHA = 1e15  # a tau_att at which alpha = 1 - exp(-dt / tau_att) rounds to 0
+
+
+@st.composite
+def held_attitudes(draw):
+    """(state q, command components, tau_att, dt): a level, tilted,
+    near-settled or settled attitude under a command with signed zeros."""
+    cmd = draw(st.tuples(st.just(1.0), SIGNED_ZERO, SIGNED_ZERO, SIGNED_ZERO)
+               | st.tuples(st.floats(0.1, 1.0), COMPONENT, COMPONENT, COMPONENT))
+    tau = draw(st.sampled_from([0.05, 0.005, NO_ALPHA]))
+    dt = draw(st.floats(1e-5, 0.01))
+    kind = draw(st.sampled_from(["level", "tilted", "near", "settled"]))
+    if kind == "level":
+        q = (1.0, draw(SIGNED_ZERO), draw(SIGNED_ZERO), draw(SIGNED_ZERO))
+    elif kind == "tilted":
+        q = normalize_quat(draw(st.floats(0.1, 1.0)), draw(COMPONENT), draw(COMPONENT),
+                           draw(COMPONENT))
+    else:
+        q = list(settled_attitude(UnitQuaternion.normalized(*cmd), 1.0 - math.exp(-dt / tau)))
+        if kind == "near":  # a few ulps off one component
+            i, ulps = draw(st.integers(0, 3)), draw(st.integers(1, 8))
+            toward = draw(st.sampled_from([-math.inf, math.inf]))
+            for _ in range(ulps):
+                q[i] = math.nextafter(q[i], toward)
+    return tuple(q), cmd, tau, dt
+
+
+def interleaved_chains(chains, dt, splits):
+    """step_plant on each (q, command components, tau_att) chain in turn, n
+    steps a call for each n in splits, held equal under state_bits to n
+    chained step_plant_reference steps after every call; returns the last
+    states."""
+    env = ContactEnv()
+    runs = []
+    for q, cmd, tau in chains:
+        state = FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, *q, payload_attached=False, t=0.0)
+        runs.append([state, state, Command(f_cmd_hat=0.35, q_cmd=UnitQuaternion.normalized(
+            *cmd)), PlantParams(tau_att=tau)])
+    for n in splits:
+        for run in runs:
+            state, ref, cmd, plant = run
+            state, _, _ = step_plant(state, cmd, plant, env, dt, steps=n)
+            for _ in range(n):
+                ref = step_plant_reference(ref, cmd, plant, env, dt)
+            assert state_bits(state) == state_bits(ref)
+            run[:2] = state, ref
+    return [run[0] for run in runs]
+
+
+LEVEL = (1.0, 0.0, 0.0, 0.0)
+LEVEL_NEG_X = (1.0, -0.0, 0.0, 0.0)
+TILT = (math.cos(0.3), -0.0, math.sin(0.3), 0.0)
+# At alpha = 0 a level attitude stays level under a tilted command, and each
+# zero component becomes its sum with 0 times the command's: -0.0 only when
+# both are -0.0.  Each pair starts from memo keys that differ only in what
+# it names, and ends at different bits.
+KEY_TWINS = {
+    "state zero sign": ((LEVEL_NEG_X, TILT, NO_ALPHA), (LEVEL, TILT, NO_ALPHA)),
+    "command zero sign": ((LEVEL_NEG_X, TILT, NO_ALPHA),
+                          (LEVEL_NEG_X, flip_zeros(TILT), NO_ALPHA)),
+    "alpha": ((LEVEL, TILT, NO_ALPHA), (LEVEL, TILT, 0.05)),
+    "command": ((LEVEL, LEVEL, 0.05), (LEVEL, TILT, 0.05)),
+}
 
 
 class TestContactForce:
@@ -127,7 +215,7 @@ class TestContactForce:
         cmd = hover_command(plant)
         prev = 0.0
         for _ in range(20):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
             f = contact_force(s, env)
             if f > 0.0:
                 bound = env.contact_stiffness * s.v.z * 0.001 \
@@ -147,7 +235,7 @@ class TestPlant:
         s = at_rest(1.0)
         cmd = hover_command(plant)
         for _ in range(1000):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
         assert abs(s.v.z) < 1e-9
         assert abs(s.p.z - 1.0) < 1e-9
 
@@ -158,7 +246,7 @@ class TestPlant:
         cmd = Command(f_cmd_hat=0.0, q_cmd=UnitQuaternion.identity())
         n = 500
         for _ in range(n):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
         assert s.v.z == pytest.approx(-G * n * 0.001, rel=1e-9)
 
     def test_press_settles_at_spring_balance(self):
@@ -170,7 +258,7 @@ class TestPlant:
                       q_cmd=UnitQuaternion.identity())
         s = at_rest(env.surface_z - env.tip_offset + 0.001)
         for _ in range(6000):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
         penetration = s.p.z + env.tip_offset - env.surface_z
         assert penetration == pytest.approx(surplus / env.contact_stiffness, rel=0.05)
         assert abs(s.v.z) < 0.01
@@ -190,7 +278,7 @@ class TestPlant:
         peak_ke = 0.5 * plant.mass * 35.0 ** 2
         worst = 0.0
         for _ in range(10000):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
             peak_ke = max(peak_ke, 0.5 * plant.mass
                           * sum(c * c for c in s.v.as_tuple()))
             worst = max(worst, abs(energy(s) - e0))
@@ -234,7 +322,7 @@ class TestPlant:
                 else UnitQuaternion.normalized(*rng.normal(size=4))
             cmd = Command(f_cmd_hat=float(rng.uniform(-0.5, 1.5)), q_cmd=q_cmd)
             dt = float(rng.uniform(1e-5, 0.01))
-            got, _ = step_plant(state, cmd, plant, env, dt)
+            got, _, _ = step_plant(state, cmd, plant, env, dt)
             assert state_bits(got) == state_bits(
                 step_plant_reference(state, cmd, plant, env, dt))
             f_c = contact_force(state, env)
@@ -253,11 +341,12 @@ class TestPlant:
         chained = []
         s = state
         for _ in range(n):
-            s, peak = step_plant(s, cmd, plant, env, dt)
-            assert peak == contact_force(s, env)
+            s, peak, press = step_plant(s, cmd, plant, env, dt)
+            assert peak == press == contact_force(s, env)
             chained.append(s)
-        got, peak = step_plant(state, cmd, plant, env, dt, steps=n)
+        got, peak, press = step_plant(state, cmd, plant, env, dt, steps=n)
         assert state_bits(got) == state_bits(chained[-1])
+        assert press.hex() == contact_force(got, env).hex()
         assert peak.hex() == max(contact_force(c, env) for c in chained).hex()
         return chained
 
@@ -322,10 +411,10 @@ class TestPlant:
         s, m = start, 0
         with pytest.raises(ValueError, match="non-finite") as one_step:
             while True:
-                s, _ = step_plant(s, cmd, plant, env, 0.001)
+                s, _, _ = step_plant(s, cmd, plant, env, 0.001)
                 m += 1
         assert m > 1
-        got, _ = step_plant(start, cmd, plant, env, 0.001, steps=m)
+        got, _, _ = step_plant(start, cmd, plant, env, 0.001, steps=m)
         assert state_bits(got) == state_bits(s)
         with pytest.raises(ValueError) as multi:
             step_plant(start, cmd, plant, env, 0.001, steps=m + 3)
@@ -339,12 +428,60 @@ class TestPlant:
         s = at_rest(0.0)
         gaps = []
         for _ in range(400):
-            s, _ = step_plant(s, cmd, plant, env, 0.001)
+            s, _, _ = step_plant(s, cmd, plant, env, 0.001)
             gaps.append(abs(s.q.w * tilt.w + s.q.x * tilt.x
                             + s.q.y * tilt.y + s.q.z * tilt.z))
         # monotone convergence to the commanded attitude, ~tau = 50 ms
         assert gaps[-1] > 0.99999
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+
+class TestSettledAttitude:
+    """step_plant's reuse of an attitude at a fixed point of the held command,
+    within a call and, through its memo, across calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=held_attitudes(),
+           twin=st.sampled_from(["same", "state zero sign", "command zero sign", "alpha"]),
+           splits=st.lists(st.integers(1, 25), min_size=1, max_size=4))
+    @example(case=(LEVEL_NEG_X, TILT, NO_ALPHA, 0.001), twin="state zero sign", splits=[3, 3])
+    @example(case=(LEVEL_NEG_X, TILT, NO_ALPHA, 0.001), twin="command zero sign",
+             splits=[3, 3])
+    @example(case=(LEVEL, TILT, NO_ALPHA, 0.001), twin="alpha", splits=[3, 3])
+    @example(case=(LEVEL, TILT, 0.05, 0.001), twin="same", splits=[3, 3])
+    def test_steps_equal_reference_chain(self, case, twin, splits):
+        # the drawn chain and a twin whose memo keys match it, or differ only
+        # in the sign of zeros or in alpha, take turns
+        q, cmd, tau, dt = case
+        other = {"same": (q, cmd, tau), "state zero sign": (flip_zeros(q), cmd, tau),
+                 "command zero sign": (q, flip_zeros(cmd), tau),
+                 "alpha": (q, cmd, 0.05 if tau == NO_ALPHA else NO_ALPHA)}[twin]
+        interleaved_chains([(q, cmd, tau), other], dt, splits)
+
+    @pytest.mark.parametrize("name", sorted(KEY_TWINS))
+    def test_interleaved_memo_keys(self, name):
+        first, second = interleaved_chains(KEY_TWINS[name], 0.001, [3, 3, 3])
+        assert state_bits(first) != state_bits(second)
+
+    def test_held_tilt_settles(self, monkeypatch):
+        # a tilted command reached from level settles too, and from then on
+        # the plant slerps no more
+        plant = PlantParams()
+        cmd = Command(f_cmd_hat=0.3, q_cmd=UnitQuaternion.normalized(*TILT))
+        env = dataclasses.replace(ContactEnv(), surface_z=1e6)
+        s, _, _ = step_plant(at_rest(0.0), cmd, plant, env, 0.001, steps=3000)
+        calls = [0]
+        real_slerp = flight.slerp_quat
+
+        def counting_slerp(*args):
+            calls[0] += 1
+            return real_slerp(*args)
+
+        monkeypatch.setattr(flight, "slerp_quat", counting_slerp)
+        s2, _, _ = step_plant(s, cmd, plant, env, 0.001, steps=500)
+        assert calls[0] == 0
+        assert (s2.qw, s2.qx, s2.qy, s2.qz) == (s.qw, s.qx, s.qy, s.qz)
 
 
 class TestPayload:
@@ -359,16 +496,16 @@ class TestPayload:
     def test_light_press_keeps_payload(self):
         s = self.press_state(2.0)
         cmd = hover_command(self.plant)
-        s2, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
+        s2, _, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
         assert s2.payload_attached
 
     def test_hard_press_detaches_permanently(self):
         s = self.press_state(5.0)
         cmd = hover_command(self.plant)
-        s, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
+        s, _, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
         assert not s.payload_attached
         for _ in range(200):
-            s, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
+            s, _, _ = step_plant(s, cmd, self.plant, self.env, 0.001)
             assert not s.payload_attached
 
     def test_attached_mass_slows_acceleration(self):
@@ -391,13 +528,13 @@ class TestSense:
             attached = bool(rng.integers(0, 2))
             s = at_rest(z, v=float(rng.uniform(-1, 1)), attached=attached)
             expect = contact_force(s, env) + (env.payload_weight if attached else 0.0)
-            assert sense(s, env, stack, rng) == expect
+            assert sense(s, contact_force(s, env), env, stack, rng) == expect
 
     def test_payload_weight_hand_value(self):
         env = ContactEnv(payload_mass=0.095)
         stack = SensingStack(params=default_sensor_params(), bypass=True)
         s = at_rest(1.0, attached=True)
-        assert sense(s, env, stack, np.random.default_rng(0)) \
+        assert sense(s, contact_force(s, env), env, stack, np.random.default_rng(0)) \
             == pytest.approx(0.095 * G, rel=1e-12)
 
     def test_stack_requires_model(self, sensor_params):
@@ -409,7 +546,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=quick_model)
         s = at_rest(1.0)
         rng = np.random.default_rng(3)
-        vals = [sense(s, env, stack, rng) for _ in range(20)]
+        vals = [sense(s, contact_force(s, env), env, stack, rng) for _ in range(20)]
         assert max(vals) < 0.3
         assert np.mean(vals) < 0.12
 
@@ -418,7 +555,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=quick_model)
         s = at_rest(env.surface_z - env.tip_offset + 5.0 / env.contact_stiffness)
         rng = np.random.default_rng(4)
-        vals = [sense(s, env, stack, rng) for _ in range(20)]
+        vals = [sense(s, contact_force(s, env), env, stack, rng) for _ in range(20)]
         errs = [abs(v - 5.0) for v in vals]
         assert max(errs) < 0.5
         assert np.mean(errs) < 0.2
@@ -431,7 +568,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=dummy)
         s = at_rest(env.surface_z - env.tip_offset + 1.2)  # ~600 N press
         with pytest.raises(SensedRangeFault):
-            sense(s, env, stack, np.random.default_rng(0))
+            sense(s, contact_force(s, env), env, stack, np.random.default_rng(0))
 
 
 def due_step_scan(j, hz, dt, k, stop):
