@@ -284,7 +284,7 @@ def save_model(model: CalibrationModel, path: str | Path,
             "a0": list(comp.a0), "a1": list(comp.a1), "a2": list(comp.a2),
             "reference_temp": comp.reference_temp, "r_squared": list(comp.r_squared),
         }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | None]:

@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from hashlib import sha256
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -56,13 +57,21 @@ def _generate_one(scenario: dataio.Scenario, params: SensorParams,
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
-    """--out, falling back to the CAPFT_OUT environment variable."""
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get("CAPFT_OUT")
-    if not env:
+    """--out, falling back to the CAPFT_OUT environment variable; created if missing."""
+    out = args.out if args.out is not None else os.environ.get("CAPFT_OUT") or None
+    if out is None:
         raise ValueError("--out is required (or set CAPFT_OUT)")
-    return Path(env)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
+
+
+def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
+    """A CLI text output: UTF-8, each line ended by LF."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -76,7 +85,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         base = _SCENARIO_BUILDERS[args.scenario](duration=args.duration, seed=args.seed)
     out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenarios = [replace(base, name=f"{base.name}_{i:02d}", seed=_child_seed(args.seed, i))
                  for i in range(args.trials)]
     scenarios.append(dataio.no_load_scenario(seed=_child_seed(args.seed, args.trials)))
@@ -95,7 +103,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "files": {name: digest for name, digest in sorted(results)},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(results)} logs + manifest to {out_dir}")
     return 0
 
@@ -110,14 +118,18 @@ def _load_trial_dir(path: Path) -> tuple[list[dataio.Trial], dataio.Trial]:
     return [dataio.load_log(p) for p in trial_files], dataio.load_log(tare_file)
 
 
+def _training_set(tare_trial: dataio.Trial, train: Sequence[dataio.Trial]) -> tuple:
+    """fit's counts, wrenches and baseline: the train trials, tared on the no-load trial."""
+    return (np.concatenate([t.counts for t in train]), np.concatenate([t.wrench for t in train]),
+            calibration.tare(tare_trial.counts))
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     trials, tare_trial = _load_trial_dir(Path(args.data))
     if len(trials) < 2:
         raise CalibrationError("need at least two trials (train + held-out test)")
     train, test = dataio.split(trials)
-    baseline = calibration.tare(tare_trial.counts)
-    counts = np.concatenate([t.counts for t in train])
-    wrenches = np.concatenate([t.wrench for t in train])
+    counts, wrenches, baseline = _training_set(tare_trial, train)
     modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
     report = {"axes": list(calibration.AXIS_NAMES), "test_trial": test.name, "modes": {}}
     for mode in modes:
@@ -138,7 +150,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "test_r_squared": list(test_metrics.r_squared),
         }
     if args.report is not None:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(args.report, report)
     return 0
 
 
@@ -156,7 +168,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for frame, w in zip(trial.iter_frames(), trial.wrench.tolist()):
             pred = calibration.predict(model, frame).as_tuple()
             lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
-        Path(args.predictions).write_text("\n".join(lines) + "\n", newline="\n")
+        _write_lines(args.predictions, lines)
     return 0
 
 
@@ -168,21 +180,18 @@ def _quick_model(params: SensorParams, seed: int) -> calibration.CalibrationMode
         dataio.full_range_scenario(name=f"cal_{i}", duration=10.0,
                                    seed=_child_seed(seed, 101 + i)), params)
         for i in range(3)]
-    baseline = calibration.tare(tare_trial.counts)
-    return calibration.fit(np.concatenate([t.counts for t in trials]),
-                           np.concatenate([t.wrench for t in trials]), baseline)
+    return calibration.fit(*_training_set(tare_trial, trials))
 
 
 def cmd_temp_sweep(args: argparse.Namespace) -> int:
     params = _load_sensor_params(args.sensor_params)
+    scenario = dataio.temp_sweep_scenario(seed=_child_seed(args.seed, 200),
+                                          temp_start=args.temp_start, temp_end=args.temp_end)
     if args.model is not None:
         model, _ = calibration.load_model(args.model)
     else:
         model = _quick_model(params, args.seed)
-    sweep = dataio.generate_trial(
-        dataio.temp_sweep_scenario(seed=_child_seed(args.seed, 200),
-                                   temp_start=args.temp_start, temp_end=args.temp_end),
-        params)
+    sweep = dataio.generate_trial(scenario, params)
     comp = calibration.fit_temp_baseline(sweep.counts, sweep.temperature,
                                          params.drift.reference_temp)
     pred_raw = calibration.predict_counts(model, sweep.counts)
@@ -191,13 +200,12 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
     f_raw = np.linalg.norm(pred_raw[:3], axis=0)
     f_comp = np.linalg.norm(pred_comp[:3], axis=0)
     out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     calibration.save_model(model, out_dir / "model_with_comp.json", comp=comp)
     lines = ["t,T,f_err_raw,f_err_comp"]
     for t, temp, fr, fc in zip(sweep.t.tolist(), sweep.temperature.tolist(),
                                f_raw.tolist(), f_comp.tolist()):
         lines.append(f"{t!r},{temp!r},{fr!r},{fc!r}")
-    (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(out_dir / "ablation.csv", lines)
     r2 = comp.r_squared
     print(f"baseline fit R^2 per channel: min {min(r2):.5f}, max {max(r2):.5f}")
     print(f"no-load |F| error over {args.temp_start:.1f}..{args.temp_end:.1f} degC: "
@@ -215,18 +223,13 @@ def cmd_fly(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=args.seed)
     else:
         cfg = flight.default_config(args.scenario, seed=args.seed)
-    if args.bypass_sensor:
-        stack = flight.SensingStack(params=params, model=None, bypass=True)
-    else:
-        if args.model is None:
-            raise CalibrationError("sensor-in-the-loop flight requires --model")
-        model, _ = calibration.load_model(args.model)
-        stack = flight.SensingStack(params=params, model=model, bypass=False)
+    if args.model is None and not args.bypass_sensor:
+        raise CalibrationError("sensor-in-the-loop flight requires --model")
+    model = None if args.bypass_sensor else calibration.load_model(args.model)[0]
+    stack = flight.SensingStack(params=params, model=model, bypass=args.bypass_sensor)
     rows, summary = flight.run_mission(cfg, stack)
     out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.csv").write_text(
-        "\n".join(flight.rows_to_csv_lines(rows)) + "\n", newline="\n")
+    _write_lines(out_dir / "trace.csv", flight.rows_to_csv_lines(rows))
     if cfg.scenario == "track_sine":
         print(f"hold {summary.hold_time:.1f}s, force tracking rms "
               f"{summary.rms_error:.3f} N, saturated={summary.saturated}")
@@ -234,8 +237,7 @@ def cmd_fly(args: argparse.Namespace) -> int:
         res = ", ".join(f"{r:.3f}" for r in summary.residuals)
         print(f"residuals [{res}] N, presses {len(summary.press_peaks)}, "
               f"payload_attached={summary.payload_attached}, success={summary.success}")
-    payload = {"scenario": cfg.scenario, **asdict(summary)}
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "summary.json", {"scenario": cfg.scenario, **asdict(summary)})
     return 0
 
 

@@ -85,12 +85,12 @@ def select_gains(state: MachineState, gains: GainSet) -> tuple[np.ndarray, np.nd
 
 
 def desired_force(e_p: Vec3, e_v: Vec3, gains: GainSet, mass: float,
-                  state: MachineState, gravity: Vec3 = GRAVITY) -> Vec3:
+                  state: MachineState) -> Vec3:
     """World-frame force request from the PD position law plus gravity offload."""
     kp, kv = select_gains(state, gains)
     ep = np.asarray(e_p.as_tuple())
     ev = np.asarray(e_v.as_tuple())
-    f = -kp @ ep - kv @ ev - mass * np.asarray(gravity.as_tuple())
+    f = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY.as_tuple())
     return Vec3(float(f[0]), float(f[1]), float(f[2]))
 
 

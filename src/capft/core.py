@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 EPS_PARALLEL = 1e-8
-GRAVITY_Z = -9.81
+GRAVITY_MAG = 9.81  # m/s^2; GRAVITY points down the world z axis
 MNM_TO_NM = 1e-3  # moment fields carry mN*m; convert only where mechanics needs SI
 
 
@@ -151,14 +151,15 @@ class Vec3:
     def normalized(self) -> "Vec3":
         n = self.norm()
         if n <= EPS_PARALLEL:
-            raise DegenerateOrientationError("cannot normalize near-zero vector")
+            raise DegenerateOrientationError(
+                f"cannot normalize near-zero vector: norm {n!r} below {EPS_PARALLEL}")
         return self.scaled(1.0 / n)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-GRAVITY = Vec3(0.0, 0.0, GRAVITY_Z)
+GRAVITY = Vec3(0.0, 0.0, -GRAVITY_MAG)
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 
 
@@ -281,11 +282,7 @@ def quat_to_basis(q: UnitQuaternion) -> tuple[Vec3, Vec3, Vec3]:
 
 def cross_normalize(a: Vec3, b: Vec3) -> Vec3:
     """Unit vector along a x b; rejects near-parallel inputs."""
-    c = a.cross(b)
-    n = c.norm()
-    if n <= EPS_PARALLEL:
-        raise DegenerateOrientationError(f"cross product norm {n!r} below {EPS_PARALLEL}")
-    return c.scaled(1.0 / n)
+    return a.cross(b).normalized()
 
 
 def slerp(qa: UnitQuaternion, qb: UnitQuaternion, alpha: float) -> UnitQuaternion:

@@ -2,7 +2,8 @@
 
 A trial is a fixed-rate sequence of reference wrenches alongside the
 simulated sensor counts they produced, held as columns: one array per
-quantity, one row per sample.  Logs are CSV with an exact header
+quantity, one row per sample.  Logs are UTF-8 CSV with LF line ends and
+an exact header
 
     t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz
 
@@ -40,6 +41,7 @@ _NUM_COLUMNS = 20
 _ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,)),
                        ("wrench", "f8", (6,))])
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_ABSOLUTE_ZERO_C = -273.15
 
 
 class LogFormatError(ValueError):
@@ -93,6 +95,11 @@ class Scenario:
         for lo, hi in self.ranges():
             if hi < lo:
                 raise ScenarioRangeError(f"axis range ({lo}, {hi}) is inverted")
+        for name in ("temp_start", "temp_end"):
+            value = getattr(self, name)
+            if value < _ABSOLUTE_ZERO_C:
+                raise ScenarioRangeError(f"Scenario.{name} {value!r} degC is below "
+                                         f"absolute zero ({_ABSOLUTE_ZERO_C} degC)")
 
     def ranges(self) -> tuple[tuple[float, float], ...]:
         return (self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
@@ -246,7 +253,7 @@ def write_log(trial: Trial, path: str | Path) -> None:
         (f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",
          LOG_HEADER),
         map(",".join, zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _parse_metadata(lines: list[str]) -> tuple[dict, int]:
@@ -323,8 +330,8 @@ def _reject_first_bad_row(path, rows: list[str], first_lineno: int) -> NoReturn:
 def load_log(path: str | Path) -> Trial:
     """Parse a trial log, reporting the first offending line on error."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise LogFormatError(f"cannot read log {path}: {exc}") from exc
     # text mode already turned \r\n and \r line ends into \n
     lines = raw.split("\n")

@@ -29,6 +29,7 @@ from .controller import (
     SetpointSequence,
     ThrustMachine,
     ThrustMachineParams,
+    ZeroDesiredForceError,
     commanded_orientation,
     desired_force,
     desired_normalized_thrust,
@@ -36,11 +37,11 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import (GRAVITY, UnitQuaternion, Vec3, Wrench, ZERO3, check_finite,
-                   check_finite_fields, from_plain, slerp_quat, snap_unit_quat)
+from .core import (GRAVITY, GRAVITY_MAG, DegenerateOrientationError, UnitQuaternion, Vec3,
+                   Wrench, ZERO3, check_finite, check_finite_fields, from_plain, slerp_quat,
+                   snap_unit_quat)
 from .sensor_model import SaturationError, SensorParams, sample
 
-G_MAG = 9.81
 # Simulated seconds a phase may run past its deadline without a controller tick.
 _STEP_BUDGET_S = 10.0
 
@@ -86,7 +87,7 @@ class ContactEnv:
 
     @property
     def payload_weight(self) -> float:
-        return self.payload_mass * G_MAG
+        return self.payload_mass * GRAVITY_MAG
 
 
 class FlightState(NamedTuple):
@@ -382,7 +383,7 @@ class _Engine:
         self.ks = 0
         self.kc = 0
         self.f_raw = 0.0
-        hover = cfg.plant.k_f * cfg.plant.mass * G_MAG
+        hover = cfg.plant.k_f * cfg.plant.mass * GRAVITY_MAG
         self.cmd = Command(f_cmd_hat=hover, q_cmd=UnitQuaternion.identity())
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
@@ -419,7 +420,11 @@ class _Engine:
                     return
                 if t > deadline:
                     raise SimulationFault(f"{what} still running at t={t:.1f}s deadline")
-                cmd, f_dc, label = control(t)
+                try:
+                    cmd, f_dc, label = control(t)
+                except (DegenerateOrientationError, ZeroDesiredForceError) as exc:
+                    raise SimulationFault(
+                        f"{what} at t={t:.1f}s: no commanded attitude: {exc}") from exc
                 self.cmd = cmd
                 self.rows.append(TraceRow(
                     t=t, p=self.state.p, v=self.state.v, q=self.state.q,
@@ -437,14 +442,14 @@ class _Engine:
             self.peak_contact = max(self.peak_contact, peak)
             self.k = k + n
 
-    def _position_command(self, p_des: Vec3, v_des: Vec3) -> Command:
+    def _outer_loop(self, p_des: Vec3, v_des: Vec3, q_des: UnitQuaternion,
+                    gain_state: MachineState) -> tuple[UnitQuaternion, float]:
+        """Commanded attitude and unclamped normalized thrust toward a setpoint."""
         cfg = self.cfg
         e_p, e_v = tracking_errors(self.state.p, self.state.v, p_des, v_des)
-        f_des = desired_force(e_p, e_v, cfg.gains, cfg.plant.mass, MachineState.FREE)
-        q_cmd = commanded_orientation(f_des, UnitQuaternion.identity())
-        f_hat = desired_normalized_thrust(f_des, self.state.q, cfg.plant.k_f)
-        f_hat = min(max(f_hat, 0.0), cfg.plant.max_thrust_hat)
-        return Command(f_cmd_hat=f_hat, q_cmd=q_cmd)
+        f_des = desired_force(e_p, e_v, cfg.gains, cfg.plant.mass, gain_state)
+        return (commanded_orientation(f_des, q_des),
+                desired_normalized_thrust(f_des, self.state.q, cfg.plant.k_f))
 
     def hover(self, z_target: float, duration: float, collect_after: float | None = None
               ) -> float:
@@ -454,11 +459,14 @@ class _Engine:
         samples: list[float] = []
         lat = cfg.seq.lateral
         p_des = Vec3(lat[0], lat[1], z_target)
+        level = UnitQuaternion.identity()
 
         def control(t: float) -> tuple[Command, float, str]:
             if collect_after is not None and t - t0 >= collect_after:
                 samples.append(self.f_raw)
-            return self._position_command(p_des, ZERO3), 0.0, MachineState.FREE.value
+            q_cmd, f_hat = self._outer_loop(p_des, ZERO3, level, MachineState.FREE)
+            f_hat = min(max(f_hat, 0.0), cfg.plant.max_thrust_hat)
+            return Command(f_cmd_hat=f_hat, q_cmd=q_cmd), 0.0, MachineState.FREE.value
 
         self.run(control, lambda: self.t - t0 >= duration, t0 + duration + 1.0, "hover")
         return float(np.mean(samples)) if samples else 0.0
@@ -476,11 +484,7 @@ class _Engine:
             nonlocal saturated
             rel = t - t0
             p_des, v_des, q_des = search_trajectory(rel, cfg.seq, machine)
-            kp_state = machine.state
-            e_p, e_v = tracking_errors(self.state.p, self.state.v, p_des, v_des)
-            f_des = desired_force(e_p, e_v, cfg.gains, cfg.plant.mass, kp_state)
-            q_cmd = commanded_orientation(f_des, q_des)
-            f_des_hat = desired_normalized_thrust(f_des, self.state.q, cfg.plant.k_f)
+            q_cmd, f_des_hat = self._outer_loop(p_des, v_des, q_des, machine.state)
             f_adj = max(0.0, self.f_raw - residual_baseline)
             hold_time = rel - machine.t_hold_start \
                 if machine.state is MachineState.HOLD else 0.0
@@ -548,7 +552,7 @@ def run_mission(cfg: SimConfig, stack: SensingStack):
     return simulate_deploy(cfg, stack)
 
 
-def default_config(scenario: str, bypass: bool = True, seed: int = 0) -> SimConfig:
+def default_config(scenario: str, seed: int = 0) -> SimConfig:
     """Baseline mission setups; all values are illustrative tuning, not
     measurements of any physical vehicle."""
     if scenario == "track_sine":

@@ -43,12 +43,17 @@ def corrupt_model(fitted, tmp_path, field, value):
     return path
 
 
-def run_cli_guarded(args, seconds=30.0):
-    """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard."""
+def run_cli_guarded(args, seconds=30.0, **env):
+    """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard;
+    env adds to or overrides this process's environment."""
     path = [str(Path(capft.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, "-m", "capft.cli", *args], capture_output=True,
                           text=True, timeout=seconds,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env))
+
+
+# an ASCII locale that Python neither coerces to C.UTF-8 nor overrides with UTF-8 mode
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 NON_FINITE_MODEL = [("matrix", float("nan")), ("baseline", float("inf"))]
@@ -198,6 +203,36 @@ class TestGenerate:
                    "--out", str(tmp_path / "out")])
         assert rc == 5
         assert "count range" in capsys.readouterr().err
+
+    def test_below_absolute_zero_is_data_error(self, tmp_path, capsys):
+        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        scenario["temp_end"] = -300.0
+        sc_path = tmp_path / "cold.json"
+        sc_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        rc = main(["generate", "--scenario-file", str(sc_path), "--trials", "1",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "Scenario.temp_end -300.0 degC is below absolute zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_ascii_name_under_ascii_locale(self, tmp_path):
+        # logs are UTF-8 whatever the locale: a child under an ASCII locale
+        # writes the bytes this process writes
+        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=0.5))
+        scenario["name"] = "caf\u00e9"
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
+        args = ["generate", "--scenario-file", str(sc_path), "--trials", "1", "--seed", "3"]
+        utf8, ascii_ = tmp_path / "utf8", tmp_path / "ascii"
+        assert main(args + ["--out", str(utf8)]) == 0
+        proc = run_cli_guarded(args + ["--out", str(ascii_)], **ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in utf8.iterdir())
+        assert names == sorted(p.name for p in ascii_.iterdir())
+        for name in names:
+            assert (ascii_ / name).read_bytes() == (utf8 / name).read_bytes(), name
+        assert (utf8 / "trial_00.csv").read_bytes().startswith("# name=caf\u00e9_00\n".encode())
 
     def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch):
         # a stand-in pool records its size and runs the jobs in this process
@@ -358,6 +393,15 @@ class TestEvaluate:
                    "--model", str(fitted / "model.json")])
         assert rc == 3
 
+    def test_undecodable_log_is_data_error(self, fitted, noisy_dir, tmp_path, capsys):
+        lines = (noisy_dir / "trial_00.csv").read_bytes().split(b"\n")
+        lines[0] = b"# name=\xff"  # not UTF-8
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"\n".join(lines))
+        rc = main(["evaluate", str(log), "--model", str(fitted / "model.json")])
+        assert rc == 3
+        assert f"cannot read log {log}: " in capsys.readouterr().err
+
 
 class TestTempSweep:
     def test_default_drift_compensation(self, tmp_path, capsys):
@@ -402,6 +446,15 @@ class TestTempSweep:
         assert rc == 0
         _, comp = calibration.load_model(tmp_path / "model_with_comp.json")
         assert min(comp.r_squared) > 0.999
+
+    @pytest.mark.parametrize("flag", ["--temp-start", "--temp-end"])
+    def test_below_absolute_zero_is_data_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        rc = main(["temp-sweep", flag, "-300", "--out", str(out)])
+        assert rc == 3
+        field = flag[2:].replace("-", "_")
+        assert f"Scenario.{field} -300.0 degC is below absolute zero" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ablation_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -517,6 +570,18 @@ class TestFly:
                    "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f".{key} must be finite" in capsys.readouterr().err
+
+    def test_degenerate_command_is_simulation_fault(self, tmp_path, capsys):
+        # a retreat far below the start asks for a force with no upward part,
+        # after the engagement has run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine", "retreat_z": -5.0}))
+        out = tmp_path / "out"
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 5
+        assert "hover at t=18.2s: no commanded attitude: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_scenario_mismatch(self, tmp_path):
         cfg = flight.config_to_dict(flight.default_config("deploy_package"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -397,7 +398,7 @@ class TestLogRoundtrip:
 class TestLogErrors:
     def write_lines(self, tmp_path, rows):
         p = tmp_path / "log.csv"
-        p.write_text("\n".join(rows) + "\n")
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
         return p
 
     def good_row(self, t):
@@ -478,6 +479,12 @@ class TestLogErrors:
         p = self.write_lines(tmp_path, [LOG_HEADER, self.good_row(0.0), row,
                                         self.good_row(0.2)])
         with pytest.raises(LogFormatError, match=f"line 3: .*{cell!r}.* Z2 "):
+            load_log(p)
+
+    def test_undecodable_bytes_named(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_bytes(b"# name=\xff\n" + f"{LOG_HEADER}\n{self.good_row(0.0)}\n".encode())
+        with pytest.raises(LogFormatError, match=f"cannot read log {re.escape(str(p))}: "):
             load_log(p)
 
     def test_float_with_underscore_named(self, tmp_path):
@@ -582,6 +589,13 @@ class TestScenarioSerialization:
     @pytest.mark.parametrize("field", ["components", "temp_steps"])
     def test_one_per_sample_accepted(self, field):
         assert getattr(Scenario(name="x", duration=1.0, seed=0, **{field: 360}), field) == 360
+
+    @pytest.mark.parametrize("field", ["temp_start", "temp_end"])
+    def test_below_absolute_zero_rejected(self, field):
+        with pytest.raises(ScenarioRangeError, match=f"Scenario.{field} .* absolute zero"):
+            Scenario(name="x", duration=1.0, seed=0, **{field: -273.16})
+        assert getattr(Scenario(name="x", duration=1.0, seed=0, **{field: -273.15}),
+                       field) == -273.15
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioRangeError):
