@@ -140,7 +140,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         calibration.save_model(model, out_path)
         test_metrics = calibration.evaluate(model, test.counts, test.wrench)
         print(f"fitted mode={model.mode} ridge={model.ridge:.3e} "
-              f"on {len(counts)} samples, test trial {test.name!r}:")
+              f"on {len(counts)} samples, test trial {test.name!a}:")
         for line in test_metrics.summary_lines():
             print("  " + line)
         report["modes"][mode] = {
@@ -220,9 +220,10 @@ def cmd_fly(args: argparse.Namespace) -> int:
         if cfg.scenario != args.scenario:
             raise ValueError(f"config scenario {cfg.scenario!r} does not match "
                              f"requested {args.scenario!r}")
-        cfg = replace(cfg, seed=args.seed)
     else:
-        cfg = flight.default_config(args.scenario, seed=args.seed)
+        cfg = flight.default_config(args.scenario)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     if args.model is None and not args.bypass_sensor:
         raise CalibrationError("sensor-in-the-loop flight requires --model")
     model = None if args.bypass_sensor else calibration.load_model(args.model)[0]
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="calibration model for sensor-in-the-loop flight")
     p.add_argument("--config", help="JSON simulation config")
     p.add_argument("--sensor-params")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="overrides the config's seed (default: the config's, else 0)")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
     p.set_defaults(func=cmd_fly)
 

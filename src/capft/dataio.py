@@ -200,16 +200,14 @@ def check_mechanical_range(scenario: Scenario, params: SensorParams) -> None:
             ) from exc
 
 
-def generate_trial(scenario: Scenario, params: SensorParams,
-                   seed_override: int | None = None) -> Trial:
+def generate_trial(scenario: Scenario, params: SensorParams) -> Trial:
     """Simulate one trial: wrench trajectory in, counts out.
 
     Deterministic for a given (scenario, params, seed); the trajectory and
     the CDC noise share one seeded generator.
     """
     check_mechanical_range(scenario, params)
-    seed = scenario.seed if seed_override is None else seed_override
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
     t = np.arange(scenario.sample_count) / scenario.sample_rate
     axes = [_axis_signal(rng, t, lo, hi, scenario.band_hz, scenario.components)
             for lo, hi in scenario.ranges()]
@@ -224,7 +222,7 @@ def generate_trial(scenario: Scenario, params: SensorParams,
         wrench_arr = np.array(lag_rows(wrench_arr.tolist(), params.cdc.lag_corner_hz,
                                        1.0 / scenario.sample_rate))
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
-    return Trial(name=scenario.name, seed=seed, params_hash=params.hash(),
+    return Trial(name=scenario.name, seed=scenario.seed, params_hash=params.hash(),
                  t=t, temperature=temps, counts=counts, wrench=wrench_arr)
 
 

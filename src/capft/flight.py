@@ -99,10 +99,11 @@ class FlightState(NamedTuple):
     constructor), before the constructor snaps them to unit norm.  So q
     rebuilds the attitude bit for bit, where the snapped components would
     not: snapping them again changes the last bits of some quaternions.
-    The plant steps on the floats; p, v and q build objects for the
-    controller and the trace.  Under a held command the attitude reaches a
-    bit-exact fixed point (a level hover does on its first step), after
-    which step_plant keeps qw..qz as they are without slerping again.
+    The plant steps on the floats and the trace renders them; p, v and q
+    build objects for the controller.  Under a held command the attitude
+    reaches a bit-exact fixed point (a level hover does on its first step),
+    after which step_plant keeps qw..qz as they are without slerping again.
+    The state keeps no time: the engine's step index is the clock.
     """
 
     px: float
@@ -116,7 +117,6 @@ class FlightState(NamedTuple):
     qy: float
     qz: float
     payload_attached: bool
-    t: float
 
     @property
     def p(self) -> Vec3:
@@ -145,11 +145,6 @@ def press_force(pz: float, vz: float, env: ContactEnv) -> float:
         return 0.0
     closing = max(0.0, vz)  # damping resists approach only
     return max(0.0, env.contact_stiffness * penetration + env.contact_damping * closing)
-
-
-def contact_force(state: FlightState, env: ContactEnv) -> float:
-    """Press force between tip and surface, newtons, zero when separated."""
-    return press_force(state.pz, state.vz, env)
 
 
 _quat_bits = struct.Struct("4d").pack
@@ -190,7 +185,7 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
     adhesion = env.adhesion_threshold
     gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, attached, t = state
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, attached = state
     memo_key, memo = _settled
     hit = settled = _settle_key(qw, qx, qy, qz, *q_cmd, alpha) == memo_key
     if hit:
@@ -226,13 +221,12 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
         px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
         if not math.isfinite(px + py + pz + vx + vy + vz):
             check_finite("Vec3", px, py, pz, vx, vy, vz)  # what building p, then v, would raise
-        t += dt
         f_c = press_force(pz, vz, env)
         if f_c > peak:
             peak = f_c
     if settled and not hit:
         _settled = _settle_key(*q_new, *q_cmd, alpha), (q_new, bx, by, bz)
-    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached, t), peak, f_c
+    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached), peak, f_c
 
 
 @dataclass
@@ -252,8 +246,8 @@ def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack
           rng) -> float:
     """Magnitude of the force the sensor reports at its mounting point.
 
-    press is the state's press force, contact_force(state, env), which
-    step_plant returns with the state.  The true load is the press force
+    press is the state's press force, press_force(state.pz, state.vz, env),
+    which step_plant returns with the state.  The true load is the press force
     plus the weight of an attached payload, both compressing the sensor
     along its normal axis.
     """
@@ -270,19 +264,20 @@ def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack
     return abs(est.fz)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One controller-tick snapshot appended to the flight log."""
+class TraceRow(NamedTuple):
+    """One controller-tick snapshot appended to the flight log: the tick's
+    time and the state it saw, with what the controller read and issued."""
 
     t: float
-    p: Vec3
-    v: Vec3
-    q: UnitQuaternion
+    state: FlightState
     f_oc: float  # raw sensed force magnitude, N
     f_dc: float  # desired contact force, N (0 outside engagements)
     f_cmd_hat: float
     machine_state: str
-    payload_attached: bool
+
+    @property
+    def payload_attached(self) -> bool:
+        return self.state.payload_attached
 
 
 TRACE_COLUMNS = ("t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,"
@@ -377,8 +372,8 @@ class _Engine:
         lat = cfg.seq.lateral
         self.state = FlightState(  # at rest and level
             lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
-            payload_attached=cfg.env.payload_mass > 0.0, t=0.0)
-        self.press = contact_force(self.state, cfg.env)  # kept current with self.state
+            payload_attached=cfg.env.payload_mass > 0.0)
+        self.press = press_force(self.state.pz, self.state.vz, cfg.env)  # kept current with state
         self.k = 0
         self.ks = 0
         self.kc = 0
@@ -426,10 +421,7 @@ class _Engine:
                     raise SimulationFault(
                         f"{what} at t={t:.1f}s: no commanded attitude: {exc}") from exc
                 self.cmd = cmd
-                self.rows.append(TraceRow(
-                    t=t, p=self.state.p, v=self.state.v, q=self.state.q,
-                    f_oc=self.f_raw, f_dc=f_dc, f_cmd_hat=cmd.f_cmd_hat,
-                    machine_state=label, payload_attached=self.state.payload_attached))
+                self.rows.append(TraceRow(t, self.state, self.f_raw, f_dc, cmd.f_cmd_hat, label))
                 self.kc += 1
                 # one control tick per step: the next one is due from step k + 1
                 next_control = _due_step(self.kc, cfg.control_hz, dt, k + 1, stop)
@@ -556,17 +548,11 @@ def default_config(scenario: str, seed: int = 0) -> SimConfig:
     """Baseline mission setups; all values are illustrative tuning, not
     measurements of any physical vehicle."""
     if scenario == "track_sine":
-        return SimConfig(
-            scenario=scenario, seed=seed,
-            env=ContactEnv(payload_mass=0.0),
-            machine=ThrustMachineParams(hold_duration=12.0),
-            profile=ForceProfile(2.0, 0.8, 0.5))
+        return SimConfig(scenario=scenario, seed=seed,
+                         machine=ThrustMachineParams(hold_duration=12.0))
     if scenario == "deploy_package":
-        return SimConfig(
-            scenario=scenario, seed=seed,
-            env=ContactEnv(payload_mass=0.095),
-            machine=ThrustMachineParams(hold_duration=3.0),
-            profile=ForceProfile(0.7))
+        return SimConfig(scenario=scenario, seed=seed, env=ContactEnv(payload_mass=0.095),
+                         profile=ForceProfile(0.7))
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -588,12 +574,9 @@ def config_from_dict(data: dict) -> SimConfig:
 def rows_to_csv_lines(rows: Sequence[TraceRow]) -> list[str]:
     """Render trace rows with full-precision floats, header included."""
     lines = [TRACE_COLUMNS]
-    for r in rows:
-        cells = [repr(r.t)]
-        cells += [repr(v) for v in r.p.as_tuple()]
-        cells += [repr(v) for v in r.v.as_tuple()]
-        cells += [repr(r.q.w), repr(r.q.x), repr(r.q.y), repr(r.q.z)]
-        cells += [repr(r.f_oc), repr(r.f_dc), repr(r.f_cmd_hat)]
-        cells += [r.machine_state, "1" if r.payload_attached else "0"]
+    for t, s, f_oc, f_dc, f_cmd_hat, machine_state in rows:
+        # the attitude's cells are the components s.q holds
+        cells = [repr(v) for v in (t, *s[:6], *snap_unit_quat(*s[6:10]), f_oc, f_dc, f_cmd_hat)]
+        cells += [machine_state, "1" if s.payload_attached else "0"]
         lines.append(",".join(cells))
     return lines

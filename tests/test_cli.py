@@ -315,6 +315,22 @@ class TestCalibrate:
         assert r2[0] > 0.9999 and r2[1] > 0.9999
         assert min(r2) > 0.995
 
+    def test_non_ascii_name_under_ascii_locale(self, tmp_path):
+        # the held-out trial's name is printed escaped, so an ASCII stdout takes it
+        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=0.5))
+        scenario["name"] = "caf\u00e9"
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
+        logs = tmp_path / "logs"
+        assert main(["generate", "--scenario-file", str(sc_path), "--trials", "2",
+                     "--seed", "3", "--out", str(logs)]) == 0
+        model_path = tmp_path / "m.json"
+        proc = run_cli_guarded(["calibrate", str(logs), "--model", str(model_path)],
+                               **ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert "test trial 'caf\\xe9_01':" in proc.stdout
+        assert model_path.exists()
+
     def test_missing_dir_no_partial_model(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         rc = main(["calibrate", str(tmp_path / "nope"), "--model", str(model_path)])
@@ -590,6 +606,26 @@ class TestFly:
         rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
                    "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_seed_from_config_unless_given(self, fitted, tmp_path):
+        # sensed flight draws sensor noise from the seed; bypass flight draws none
+        short = {"scenario": "track_sine", "settle_time": 0.3, "measure_time": 0.6,
+                 "machine": {"hold_duration": 0.5}}
+        plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+        plain.write_text(json.dumps(short))
+        seeded.write_text(json.dumps({**short, "seed": 5}))
+
+        def trace(config, *seed):
+            out = tmp_path / f"{config.stem}{''.join(seed)}"
+            assert main(["fly", "--scenario", "track_sine", "--model",
+                         str(fitted / "model.json"), "--config", str(config), *seed,
+                         "--out", str(out)]) == 0
+            return (out / "trace.csv").read_bytes()
+
+        from_config = trace(seeded)
+        assert from_config == trace(plain, "--seed", "5")
+        assert from_config != trace(plain)  # seed 0
+        assert trace(seeded, "--seed", "7") == trace(plain, "--seed", "7") != from_config
 
     def test_zero_duration_gives_header_only_trace(self, tmp_path):
         cfg = {"scenario": "deploy_package", "settle_time": 0.0,

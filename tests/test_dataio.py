@@ -199,13 +199,6 @@ class TestGenerateTrial:
         b = generate_trial(full_range_scenario(duration=1.0, seed=12), params)
         assert a != b
 
-    def test_seed_override(self, params):
-        scen = full_range_scenario(duration=1.0, seed=11)
-        a = generate_trial(scen, params, seed_override=99)
-        b = generate_trial(full_range_scenario(duration=1.0, seed=99), params)
-        assert a.seed == 99
-        assert list(a.iter_frames()) == list(b.iter_frames())
-
     def test_metadata_recorded(self, params, short_trial):
         assert short_trial.name == "full_range"
         assert short_trial.seed == 7

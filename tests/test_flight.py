@@ -26,10 +26,10 @@ from capft.flight import (
     SimConfig,
     SimulationFault,
     TRACE_COLUMNS,
+    TraceRow,
     _due_step,
     config_from_dict,
     config_to_dict,
-    contact_force,
     default_config,
     press_force,
     rows_to_csv_lines,
@@ -63,7 +63,7 @@ def quick_model(sensor_params):
 
 def at_rest(z, v=0.0, attached=False):
     return FlightState(0.0, 0.0, z, 0.0, 0.0, v, *UnitQuaternion.identity().as_tuple(),
-                       payload_attached=attached, t=0.0)
+                       payload_attached=attached)
 
 
 def hover_command(plant):
@@ -87,14 +87,13 @@ def step_plant_reference(state, cmd, params, env, dt):
     p_new = state.p + v_new.scaled(dt)
     # the objects themselves: a FlightState holds a quaternion's components
     # from before the constructor snapped them, which q_new no longer has
-    return SimpleNamespace(p=p_new, v=v_new, q=q_new, payload_attached=attached,
-                           t=state.t + dt)
+    return SimpleNamespace(p=p_new, v=v_new, q=q_new, payload_attached=attached)
 
 
 def state_bits(s):
     """Every float of a state as hex, so -0.0 and 0.0 differ."""
     q = s.q
-    floats = (*s.p.as_tuple(), *s.v.as_tuple(), q.w, q.x, q.y, q.z, s.t)
+    floats = (*s.p.as_tuple(), *s.v.as_tuple(), q.w, q.x, q.y, q.z)
     return tuple(v.hex() for v in floats), s.payload_attached
 
 
@@ -154,7 +153,7 @@ def interleaved_chains(chains, dt, splits):
     env = ContactEnv()
     runs = []
     for q, cmd, tau in chains:
-        state = FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, *q, payload_attached=False, t=0.0)
+        state = FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, *q, payload_attached=False)
         runs.append([state, state, Command(f_cmd_hat=0.35, q_cmd=UnitQuaternion.normalized(
             *cmd)), PlantParams(tau_att=tau)])
     for n in splits:
@@ -166,6 +165,30 @@ def interleaved_chains(chains, dt, splits):
             assert state_bits(state) == state_bits(ref)
             run[:2] = state, ref
     return [run[0] for run in runs]
+
+
+FINITE = SIGNED_ZERO | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trace_rows(draw):
+    """A TraceRow of any state: attitude components as normalize_quat returns
+    them, signed zeros among position and velocity, either payload flag."""
+    q = normalize_quat(draw(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)),
+                       draw(COMPONENT), draw(COMPONENT), draw(COMPONENT))
+    state = FlightState(*(draw(FINITE) for _ in range(6)), *q, draw(st.booleans()))
+    return TraceRow(draw(st.floats(0.0, 100.0)), state, draw(FINITE), draw(FINITE),
+                    draw(FINITE), draw(st.sampled_from([m.value for m in MachineState])))
+
+
+def object_rendering(row):
+    """A trace line from the state's objects: the repr of p, v and the
+    components UnitQuaternion holds."""
+    s = row.state
+    q = s.q
+    cells = [repr(v) for v in (row.t, *s.p.as_tuple(), *s.v.as_tuple(), q.w, q.x, q.y, q.z,
+                               row.f_oc, row.f_dc, row.f_cmd_hat)]
+    return ",".join(cells + [row.machine_state, "1" if row.payload_attached else "0"])
 
 
 LEVEL = (1.0, 0.0, 0.0, 0.0)
@@ -190,21 +213,21 @@ class TestContactForce:
 
     def test_separated(self):
         s = at_rest(self.env.surface_z - self.env.tip_offset - 0.01, v=2.0)
-        assert contact_force(s, self.env) == 0.0
+        assert press_force(s.pz, s.vz, self.env) == 0.0
 
     def test_static_spring_hand_value(self):
         s = at_rest(self.env.surface_z - self.env.tip_offset + 0.004)
-        assert contact_force(s, self.env) == pytest.approx(
+        assert press_force(s.pz, s.vz, self.env) == pytest.approx(
             self.env.contact_stiffness * 0.004, rel=1e-12)
 
     def test_approach_damping_added(self):
         s = at_rest(self.env.surface_z - self.env.tip_offset + 0.004, v=0.1)
         expect = self.env.contact_stiffness * 0.004 + self.env.contact_damping * 0.1
-        assert contact_force(s, self.env) == pytest.approx(expect, rel=1e-12)
+        assert press_force(s.pz, s.vz, self.env) == pytest.approx(expect, rel=1e-12)
 
     def test_recede_has_no_damping(self):
         s = at_rest(self.env.surface_z - self.env.tip_offset + 0.004, v=-3.0)
-        assert contact_force(s, self.env) == pytest.approx(
+        assert press_force(s.pz, s.vz, self.env) == pytest.approx(
             self.env.contact_stiffness * 0.004, rel=1e-12)
 
     def test_first_contact_is_continuous(self):
@@ -216,7 +239,7 @@ class TestContactForce:
         prev = 0.0
         for _ in range(20):
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
-            f = contact_force(s, env)
+            f = press_force(s.pz, s.vz, env)
             if f > 0.0:
                 bound = env.contact_stiffness * s.v.z * 0.001 \
                     + env.contact_damping * s.v.z
@@ -316,8 +339,7 @@ class TestPlant:
             q = rng.normal(size=4) * (rng.random(4) < 0.7)
             q[0] += 0.1
             state = FlightState(*rng.normal(size=2), z, *vel, *normalize_quat(*q),
-                                payload_attached=bool(rng.random() < 0.5),
-                                t=float(rng.uniform(0.0, 100.0)))
+                                payload_attached=bool(rng.random() < 0.5))
             q_cmd = state.q if rng.random() < 0.2 \
                 else UnitQuaternion.normalized(*rng.normal(size=4))
             cmd = Command(f_cmd_hat=float(rng.uniform(-0.5, 1.5)), q_cmd=q_cmd)
@@ -325,7 +347,7 @@ class TestPlant:
             got, _, _ = step_plant(state, cmd, plant, env, dt)
             assert state_bits(got) == state_bits(
                 step_plant_reference(state, cmd, plant, env, dt))
-            f_c = contact_force(state, env)
+            f_c = press_force(state.pz, state.vz, env)
             seen["separated"] += f_c == 0.0
             seen["approaching"] += f_c > 0.0 and state.v.z > 0.0
             seen["receding"] += f_c > 0.0 and state.v.z <= 0.0
@@ -342,12 +364,12 @@ class TestPlant:
         s = state
         for _ in range(n):
             s, peak, press = step_plant(s, cmd, plant, env, dt)
-            assert peak == press == contact_force(s, env)
+            assert peak == press == press_force(s.pz, s.vz, env)
             chained.append(s)
         got, peak, press = step_plant(state, cmd, plant, env, dt, steps=n)
         assert state_bits(got) == state_bits(chained[-1])
-        assert press.hex() == contact_force(got, env).hex()
-        assert peak.hex() == max(contact_force(c, env) for c in chained).hex()
+        assert press.hex() == press_force(got.pz, got.vz, env).hex()
+        assert peak.hex() == max(press_force(c.pz, c.vz, env) for c in chained).hex()
         return chained
 
     @settings(max_examples=150, deadline=None)
@@ -362,7 +384,7 @@ class TestPlant:
         plant = PlantParams()
         env = ContactEnv(payload_mass=0.095)
         state = FlightState(0.3, -0.2, env.surface_z - env.tip_offset + dz, *vel,
-                            *normalize_quat(*q), payload_attached=attached, t=7.0)
+                            *normalize_quat(*q), payload_attached=attached)
         cmd = Command(f_cmd_hat=f_cmd_hat, q_cmd=state.q if q_cmd is None
                       else UnitQuaternion.normalized(*q_cmd))
         self.assert_steps_match_chain(state, cmd, plant, env, dt, n)
@@ -386,11 +408,11 @@ class TestPlant:
                               Command(f_cmd_hat=1.4, q_cmd=tilt)),
         }[case]
         chained = self.assert_steps_match_chain(state, cmd, plant, env, 0.001, 40)
-        forces = [contact_force(s, env) for s in chained]
+        forces = [press_force(s.pz, s.vz, env) for s in chained]
         if case == "detach":
             assert not chained[0].payload_attached
         if case == "separation":
-            assert contact_force(state, env) > 0.0 and forces[-1] == 0.0
+            assert press_force(state.pz, state.vz, env) > 0.0 and forces[-1] == 0.0
         if case == "thrust_at_max":
             assert max(forces) > env.adhesion_threshold and not chained[-1].payload_attached
 
@@ -527,14 +549,14 @@ class TestSense:
             z = env.surface_z - env.tip_offset + float(rng.uniform(-0.01, 0.01))
             attached = bool(rng.integers(0, 2))
             s = at_rest(z, v=float(rng.uniform(-1, 1)), attached=attached)
-            expect = contact_force(s, env) + (env.payload_weight if attached else 0.0)
-            assert sense(s, contact_force(s, env), env, stack, rng) == expect
+            expect = press_force(s.pz, s.vz, env) + (env.payload_weight if attached else 0.0)
+            assert sense(s, press_force(s.pz, s.vz, env), env, stack, rng) == expect
 
     def test_payload_weight_hand_value(self):
         env = ContactEnv(payload_mass=0.095)
         stack = SensingStack(params=default_sensor_params(), bypass=True)
         s = at_rest(1.0, attached=True)
-        assert sense(s, contact_force(s, env), env, stack, np.random.default_rng(0)) \
+        assert sense(s, press_force(s.pz, s.vz, env), env, stack, np.random.default_rng(0)) \
             == pytest.approx(0.095 * G, rel=1e-12)
 
     def test_stack_requires_model(self, sensor_params):
@@ -546,7 +568,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=quick_model)
         s = at_rest(1.0)
         rng = np.random.default_rng(3)
-        vals = [sense(s, contact_force(s, env), env, stack, rng) for _ in range(20)]
+        vals = [sense(s, press_force(s.pz, s.vz, env), env, stack, rng) for _ in range(20)]
         assert max(vals) < 0.3
         assert np.mean(vals) < 0.12
 
@@ -555,7 +577,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=quick_model)
         s = at_rest(env.surface_z - env.tip_offset + 5.0 / env.contact_stiffness)
         rng = np.random.default_rng(4)
-        vals = [sense(s, contact_force(s, env), env, stack, rng) for _ in range(20)]
+        vals = [sense(s, press_force(s.pz, s.vz, env), env, stack, rng) for _ in range(20)]
         errs = [abs(v - 5.0) for v in vals]
         assert max(errs) < 0.5
         assert np.mean(errs) < 0.2
@@ -568,7 +590,7 @@ class TestSense:
         stack = SensingStack(params=sensor_params, model=dummy)
         s = at_rest(env.surface_z - env.tip_offset + 1.2)  # ~600 N press
         with pytest.raises(SensedRangeFault):
-            sense(s, contact_force(s, env), env, stack, np.random.default_rng(0))
+            sense(s, press_force(s.pz, s.vz, env), env, stack, np.random.default_rng(0))
 
 
 def due_step_scan(j, hz, dt, k, stop):
@@ -737,3 +759,9 @@ class TestConfigSerialization:
         lines = rows_to_csv_lines(rows[:3])
         assert lines[0] == TRACE_COLUMNS
         assert all(len(line.split(",")) == 16 for line in lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=trace_rows())
+    def test_trace_line_equals_object_rendering(self, row):
+        # tilted attitudes too, which the pinned bypass digests never reach
+        assert rows_to_csv_lines([row]) == [TRACE_COLUMNS, object_rendering(row)]
