@@ -21,14 +21,17 @@ import numpy as np
 from .core import (
     DegenerateOrientationError,
     GRAVITY,
-    UnitQuaternion,
     Vec3,
+    body_z,
     check_finite_fields,
     cross_normalize,
-    quat_to_basis,
+    quat_from_columns,
 )
 
 MIN_DESIRED_FORCE = 0.1  # N, below this the commanded attitude is undefined
+# the level heading's x and z axes, which every commanded attitude is built against
+X_LEVEL = Vec3(1.0, 0.0, 0.0)
+Z_LEVEL = Vec3(0.0, 0.0, 1.0)
 
 
 class ZeroDesiredForceError(ValueError):
@@ -94,34 +97,33 @@ def desired_force(e_p: Vec3, e_v: Vec3, gains: GainSet, mass: float,
     return Vec3(float(f[0]), float(f[1]), float(f[2]))
 
 
-def commanded_orientation(f_des: Vec3, q_des: UnitQuaternion) -> UnitQuaternion:
-    """Attitude whose body z points along the desired force.
+def commanded_orientation(f_des: Vec3) -> tuple[float, float, float, float]:
+    """Attitude, as (w, x, y, z), whose body z points along the desired force.
 
-    The commanded y axis is built from the desired x axis crossed into the
-    thrust direction; the x axis follows from the desired z axis and is then
+    The commanded y axis is the thrust direction crossed into the level x
+    axis; the x axis follows from the level z axis and is then
     re-orthonormalized against the other two so the result is a proper
-    rotation even when the desired and commanded z axes disagree.
+    rotation even when the level and commanded z axes disagree.
     """
     n = f_des.norm()
     if n <= MIN_DESIRED_FORCE:
         raise ZeroDesiredForceError(f"desired force norm {n:.3e} N too small")
     z_cmd = f_des.scaled(1.0 / n)
-    x_des, _, z_des = quat_to_basis(q_des)
-    y_cmd = cross_normalize(z_cmd, x_des)
-    x_raw = y_cmd.cross(z_des)
+    y_cmd = cross_normalize(z_cmd, X_LEVEL)
+    x_raw = y_cmd.cross(Z_LEVEL)
     x_ortho = x_raw - z_cmd.scaled(x_raw.dot(z_cmd)) - y_cmd.scaled(x_raw.dot(y_cmd))
     handed = x_raw.dot(y_cmd.cross(z_cmd))
     if x_ortho.norm() <= 1e-8 or handed <= 0.0:
         raise DegenerateOrientationError("commanded frame collapsed or left-handed")
-    return UnitQuaternion.from_rotation_columns(x_ortho.normalized(), y_cmd, z_cmd)
+    return quat_from_columns(x_ortho.normalized(), y_cmd, z_cmd)
 
 
-def desired_normalized_thrust(f_des: Vec3, q_obs: UnitQuaternion, k_f: float) -> float:
+def desired_normalized_thrust(f_des: Vec3, q_obs: tuple[float, float, float, float],
+                              k_f: float) -> float:
     """Project the force request onto the current body z and normalize."""
     if k_f <= 0.0:
         raise ValueError("thrust constant k_f must be positive")
-    _, _, z_obs = quat_to_basis(q_obs)
-    return k_f * f_des.dot(z_obs)
+    return k_f * f_des.dot(Vec3(*body_z(*q_obs)))
 
 
 @dataclass(frozen=True)
@@ -265,8 +267,9 @@ class SetpointSequence:
 
 
 def search_trajectory(t: float, seq: SetpointSequence,
-                      machine: ThrustMachine) -> tuple[Vec3, Vec3, UnitQuaternion]:
-    """Setpoints for the engagement: ramp up until contact, freeze on HOLD.
+                      machine: ThrustMachine) -> tuple[Vec3, Vec3]:
+    """Position and velocity setpoints for the engagement: ramp up until
+    contact, freeze on HOLD.
 
     t is time since the engagement started.  While FREE or SEARCH the
     vertical setpoint ramps from z_low toward z_high; on HOLD entry it
@@ -283,4 +286,4 @@ def search_trajectory(t: float, seq: SetpointSequence,
     climbing = machine.state is not MachineState.HOLD and t_eff < ramp_time
     v = Vec3(0.0, 0.0, seq.search_speed if climbing else 0.0)
     p = Vec3(seq.lateral[0], seq.lateral[1], z)
-    return p, v, UnitQuaternion.identity()
+    return p, v

@@ -195,115 +195,21 @@ class Wrench:
         return cls(fx, fy, fz, mx, my, mz)
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Scalar-first unit quaternion.
-
-    Construction accepts components whose norm deviates from 1 by at most
-    1e-6 and snaps them to exact unit norm; anything farther off is
-    rejected as a usage error rather than silently renormalized.
-    """
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip("wxyz", snap_unit_quat(self.w, self.x, self.y, self.z)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def normalized(cls, w: float, x: float, y: float, z: float) -> "UnitQuaternion":
-        """Build from arbitrary nonzero components, dividing out the norm."""
-        return cls(*normalize_quat(w, x, y, z))
-
-    @classmethod
-    def from_axis_angle(cls, axis: Vec3, angle: float) -> "UnitQuaternion":
-        u = axis.normalized()
-        half = 0.5 * angle
-        s = math.sin(half)
-        return cls(math.cos(half), u.x * s, u.y * s, u.z * s)
-
-    @classmethod
-    def from_rotation_columns(cls, x_col: Vec3, y_col: Vec3, z_col: Vec3) -> "UnitQuaternion":
-        """Quaternion for the rotation whose matrix columns are the given axes."""
-        m00, m01, m02 = x_col.x, y_col.x, z_col.x
-        m10, m11, m12 = x_col.y, y_col.y, z_col.y
-        m20, m21, m22 = x_col.z, y_col.z, z_col.z
-        tr = m00 + m11 + m22
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m21 - m12) / s
-            y = (m02 - m20) / s
-            z = (m10 - m01) / s
-        elif m00 >= m11 and m00 >= m22:
-            s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-            w = (m21 - m12) / s
-            x = 0.25 * s
-            y = (m01 + m10) / s
-            z = (m02 + m20) / s
-        elif m11 > m22:
-            s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-            w = (m02 - m20) / s
-            x = (m01 + m10) / s
-            y = 0.25 * s
-            z = (m12 + m21) / s
-        else:
-            s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-            w = (m10 - m01) / s
-            x = (m02 + m20) / s
-            y = (m12 + m21) / s
-            z = 0.25 * s
-        if w < 0.0:  # keep w >= 0 so equal rotations compare equal
-            w, x, y, z = -w, -x, -y, -z
-        return cls.normalized(w, x, y, z)
-
-    def dot(self, other: "UnitQuaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
-
-
-def quat_to_basis(q: UnitQuaternion) -> tuple[Vec3, Vec3, Vec3]:
-    """Columns of the rotation matrix: body axes expressed in the world frame."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    x_col = Vec3(1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y + w * z), 2.0 * (x * z - w * y))
-    y_col = Vec3(2.0 * (x * y - w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z + w * x))
-    z_col = Vec3(2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y))
-    return x_col, y_col, z_col
-
-
 def cross_normalize(a: Vec3, b: Vec3) -> Vec3:
     """Unit vector along a x b; rejects near-parallel inputs."""
     return a.cross(b).normalized()
 
 
-def slerp(qa: UnitQuaternion, qb: UnitQuaternion, alpha: float) -> UnitQuaternion:
-    """Shortest-path spherical interpolation, alpha in [0, 1]."""
-    return UnitQuaternion(*slerp_quat(qa.as_tuple(), qb.as_tuple(), alpha))
-
-
-# The quaternion arithmetic on plain (w, x, y, z) floats.  UnitQuaternion and
-# slerp are built on these, and a hot loop that keeps its attitude as floats
-# calls them directly, so both get the same bits.
-
 def snap_unit_quat(w: float, x: float, y: float, z: float
                    ) -> tuple[float, float, float, float]:
-    """The components UnitQuaternion(w, x, y, z) holds.
+    """(w, x, y, z) as a unit quaternion: the one form an attitude takes.
 
     Rejects non-finite components and a norm more than 1e-6 from 1, and
     divides out a norm that is not exactly 1.
     """
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if not math.isfinite(n):  # a NaN or inf component makes n NaN or inf
-        check_finite("UnitQuaternion", w, x, y, z)
+        check_finite("quaternion", w, x, y, z)
     if abs(n - 1.0) > 1e-6:
         raise ValueError(f"quaternion norm {n!r} deviates from 1 by more than 1e-6")
     if n != 1.0:
@@ -313,8 +219,8 @@ def snap_unit_quat(w: float, x: float, y: float, z: float
 
 def normalize_quat(w: float, x: float, y: float, z: float
                    ) -> tuple[float, float, float, float]:
-    """Arbitrary nonzero components divided by their norm: what
-    UnitQuaternion.normalized passes to the constructor."""
+    """Arbitrary nonzero components divided by their norm, before
+    snap_unit_quat makes them a unit quaternion."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n <= EPS_PARALLEL:
         raise ValueError("cannot normalize near-zero quaternion")
@@ -324,8 +230,8 @@ def normalize_quat(w: float, x: float, y: float, z: float
 def slerp_quat(a: tuple[float, float, float, float], b: tuple[float, float, float, float],
                alpha: float) -> tuple[float, float, float, float]:
     """Shortest-path spherical interpolation between unit components a and b,
-    alpha in [0, 1]; returns the normalized components slerp builds its
-    quaternion from."""
+    alpha in [0, 1]; returns normalized components, which snap_unit_quat
+    makes the interpolated attitude."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha!r} outside [0, 1]")
     aw, ax, ay, az = a
@@ -343,3 +249,47 @@ def slerp_quat(a: tuple[float, float, float, float], b: tuple[float, float, floa
     kb = math.sin(alpha * theta) / s
     return normalize_quat(ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by,
                           ka * az + kb * bz)
+
+
+LEVEL_QUAT = (1.0, 0.0, 0.0, 0.0)  # the identity rotation: body axes along the world's
+
+
+def quat_from_columns(x_col: Vec3, y_col: Vec3, z_col: Vec3
+                      ) -> tuple[float, float, float, float]:
+    """Unit quaternion for the rotation whose matrix columns are the given axes."""
+    m00, m01, m02 = x_col.x, y_col.x, z_col.x
+    m10, m11, m12 = x_col.y, y_col.y, z_col.y
+    m20, m21, m22 = x_col.z, y_col.z, z_col.z
+    tr = m00 + m11 + m22
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        w = 0.25 * s
+        x = (m21 - m12) / s
+        y = (m02 - m20) / s
+        z = (m10 - m01) / s
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        w = (m21 - m12) / s
+        x = 0.25 * s
+        y = (m01 + m10) / s
+        z = (m02 + m20) / s
+    elif m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        w = (m02 - m20) / s
+        x = (m01 + m10) / s
+        y = 0.25 * s
+        z = (m12 + m21) / s
+    else:
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        w = (m10 - m01) / s
+        x = (m02 + m20) / s
+        y = (m12 + m21) / s
+        z = 0.25 * s
+    if w < 0.0:  # keep w >= 0 so equal rotations compare equal
+        w, x, y, z = -w, -x, -y, -z
+    return snap_unit_quat(*normalize_quat(w, x, y, z))
+
+
+def body_z(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The body z axis in the world frame: the rotation matrix's third column."""
+    return 2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)

@@ -37,8 +37,8 @@ from .controller import (
     thrust_step,
     tracking_errors,
 )
-from .core import (GRAVITY, GRAVITY_MAG, DegenerateOrientationError, UnitQuaternion, Vec3,
-                   Wrench, ZERO3, check_finite, check_finite_fields, from_plain, slerp_quat,
+from .core import (GRAVITY, GRAVITY_MAG, LEVEL_QUAT, DegenerateOrientationError, Vec3, Wrench,
+                   ZERO3, body_z, check_finite, check_finite_fields, from_plain, slerp_quat,
                    snap_unit_quat)
 from .sensor_model import SaturationError, SensorParams, sample
 
@@ -94,16 +94,16 @@ class FlightState(NamedTuple):
     """Vehicle state between plant steps, as floats.
 
     px..pz is the position (m) and vx..vz the velocity (m/s), world frame.
-    qw..qz are the attitude's components as core.normalize_quat returns
-    them (what UnitQuaternion.normalized and slerp pass to the
-    constructor), before the constructor snaps them to unit norm.  So q
-    rebuilds the attitude bit for bit, where the snapped components would
-    not: snapping them again changes the last bits of some quaternions.
-    The plant steps on the floats and the trace renders them; p, v and q
-    build objects for the controller.  Under a held command the attitude
-    reaches a bit-exact fixed point (a level hover does on its first step),
-    after which step_plant keeps qw..qz as they are without slerping again.
-    The state keeps no time: the engine's step index is the clock.
+    qw..qz are the attitude's components as core.slerp_quat returns them,
+    before core.snap_unit_quat makes them a unit quaternion.  So q, which
+    snaps them, gives the attitude bit for bit, where keeping the snapped
+    components would not: snapping them again changes the last bits of some
+    quaternions.  The plant steps on the floats; p and v build Vec3s for
+    the controller, and q is the (w, x, y, z) tuple that the controller and
+    the trace read.  Under a held command the attitude reaches a bit-exact
+    fixed point (a level hover does on its first step), after which
+    step_plant keeps qw..qz as they are without slerping again.  The state
+    keeps no time: the engine's step index is the clock.
     """
 
     px: float
@@ -127,14 +127,14 @@ class FlightState(NamedTuple):
         return Vec3(self.vx, self.vy, self.vz)
 
     @property
-    def q(self) -> UnitQuaternion:
-        return UnitQuaternion(self.qw, self.qx, self.qy, self.qz)
+    def q(self) -> tuple[float, float, float, float]:
+        return snap_unit_quat(self.qw, self.qx, self.qy, self.qz)
 
 
 @dataclass(frozen=True)
 class Command:
     f_cmd_hat: float
-    q_cmd: UnitQuaternion
+    q_cmd: tuple[float, float, float, float]  # unit (w, x, y, z), as snap_unit_quat returns it
 
 
 def press_force(pz: float, vz: float, env: ContactEnv) -> float:
@@ -181,7 +181,7 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     if steps < 1:
         raise ValueError(f"plant steps {steps!r} must be at least 1")
     alpha = 1.0 - math.exp(-dt / params.tau_att)
-    q_cmd = cmd.q_cmd.as_tuple()
+    q_cmd = cmd.q_cmd
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
     adhesion = env.adhesion_threshold
     gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
@@ -199,14 +199,11 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     for _ in range(steps):
         if not settled:
             q_new = slerp_quat(snapped, q_cmd, alpha)
-            # the components of slerp's quaternion, which the next step starts from
-            q = w, x, y, z = snap_unit_quat(*q_new)
+            # the snapped attitude, which the next step starts from
+            q = snap_unit_quat(*q_new)
             settled = _quat_bits(*q) == _quat_bits(*snapped)
             snapped = q
-            # body z (third column of quat_to_basis)
-            bx = 2.0 * (x * z + w * y)
-            by = 2.0 * (y * z - w * x)
-            bz = 1.0 - 2.0 * (x * x + y * y)
+            bx, by, bz = body_z(*q)
         # thrust along body z, gravity, and the surface reaction, whose normal
         # (0, 0, -1) pushes the vehicle down; the sums keep the order of the
         # Vec3 reference step in the tests, bit for bit
@@ -313,7 +310,10 @@ class SimConfig:
         if self.scenario not in ("track_sine", "deploy_package"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not 0.0 < self.plant_dt <= 0.01:
-            raise ValueError("plant_dt must lie in (0, 0.01]")
+            raise ValueError(f"SimConfig.plant_dt must lie in (0, 0.01], got {self.plant_dt!r}")
+        if 1.0 / self.plant_dt == math.inf:  # subnormal: no step count or rate fits
+            raise ValueError(f"SimConfig.plant_dt {self.plant_dt!r} is too small: "
+                             f"1/plant_dt overflows")
         if self.control_hz <= 0.0 or self.sensor_hz <= 0.0:
             raise ValueError("rates must be positive")
         # the engine takes at most one sensing and one control tick per plant step
@@ -327,6 +327,9 @@ class SimConfig:
         if self.max_engage_time <= 0.0:
             raise ValueError(f"SimConfig.max_engage_time must be positive, "
                              f"got {self.max_engage_time!r}")
+        for i, press in enumerate(self.press_forces):
+            if press <= 0.0:
+                raise ValueError(f"SimConfig.press_forces[{i}] must be positive, got {press!r}")
 
 
 @dataclass(frozen=True)
@@ -371,7 +374,7 @@ class _Engine:
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EB5)))
         lat = cfg.seq.lateral
         self.state = FlightState(  # at rest and level
-            lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+            lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, *LEVEL_QUAT,
             payload_attached=cfg.env.payload_mass > 0.0)
         self.press = press_force(self.state.pz, self.state.vz, cfg.env)  # kept current with state
         self.k = 0
@@ -379,7 +382,7 @@ class _Engine:
         self.kc = 0
         self.f_raw = 0.0
         hover = cfg.plant.k_f * cfg.plant.mass * GRAVITY_MAG
-        self.cmd = Command(f_cmd_hat=hover, q_cmd=UnitQuaternion.identity())
+        self.cmd = Command(f_cmd_hat=hover, q_cmd=LEVEL_QUAT)
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
 
@@ -394,13 +397,18 @@ class _Engine:
         Controller ticks check done() and the deadline.  The plant steps are
         budgeted too, to _STEP_BUDGET_S past the deadline: a run whose
         controller ticks too rarely to see the deadline faults there, and one
-        ticking at least that often reaches its deadline tick first.  Each
-        tick's step is computed once, when the tick before it fires, and the
-        plant runs in one step_plant call up to the next due tick.
+        ticking at least that often reaches its deadline tick first.  A
+        deadline too far off to count in plant steps faults before any step.
+        Each tick's step is computed once, when the tick before it fires, and
+        the plant runs in one step_plant call up to the next due tick.
         """
         cfg = self.cfg
         env, dt = cfg.env, cfg.plant_dt
-        stop = math.ceil((deadline + _STEP_BUDGET_S) / dt) + 2  # the first step past the budget
+        budget = (deadline + _STEP_BUDGET_S) / dt
+        if budget == math.inf:
+            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far to count "
+                                  f"in plant steps of {dt!r}s")
+        stop = math.ceil(budget) + 2  # the first step past the budget
         next_sense = _due_step(self.ks, cfg.sensor_hz, dt, self.k, stop)
         next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
         while True:
@@ -434,13 +442,13 @@ class _Engine:
             self.peak_contact = max(self.peak_contact, peak)
             self.k = k + n
 
-    def _outer_loop(self, p_des: Vec3, v_des: Vec3, q_des: UnitQuaternion,
-                    gain_state: MachineState) -> tuple[UnitQuaternion, float]:
+    def _outer_loop(self, p_des: Vec3, v_des: Vec3, gain_state: MachineState
+                    ) -> tuple[tuple[float, float, float, float], float]:
         """Commanded attitude and unclamped normalized thrust toward a setpoint."""
         cfg = self.cfg
         e_p, e_v = tracking_errors(self.state.p, self.state.v, p_des, v_des)
         f_des = desired_force(e_p, e_v, cfg.gains, cfg.plant.mass, gain_state)
-        return (commanded_orientation(f_des, q_des),
+        return (commanded_orientation(f_des),
                 desired_normalized_thrust(f_des, self.state.q, cfg.plant.k_f))
 
     def hover(self, z_target: float, duration: float, collect_after: float | None = None
@@ -451,12 +459,11 @@ class _Engine:
         samples: list[float] = []
         lat = cfg.seq.lateral
         p_des = Vec3(lat[0], lat[1], z_target)
-        level = UnitQuaternion.identity()
 
         def control(t: float) -> tuple[Command, float, str]:
             if collect_after is not None and t - t0 >= collect_after:
                 samples.append(self.f_raw)
-            q_cmd, f_hat = self._outer_loop(p_des, ZERO3, level, MachineState.FREE)
+            q_cmd, f_hat = self._outer_loop(p_des, ZERO3, MachineState.FREE)
             f_hat = min(max(f_hat, 0.0), cfg.plant.max_thrust_hat)
             return Command(f_cmd_hat=f_hat, q_cmd=q_cmd), 0.0, MachineState.FREE.value
 
@@ -475,8 +482,8 @@ class _Engine:
         def control(t: float) -> tuple[Command, float, str]:
             nonlocal saturated
             rel = t - t0
-            p_des, v_des, q_des = search_trajectory(rel, cfg.seq, machine)
-            q_cmd, f_des_hat = self._outer_loop(p_des, v_des, q_des, machine.state)
+            p_des, v_des = search_trajectory(rel, cfg.seq, machine)
+            q_cmd, f_des_hat = self._outer_loop(p_des, v_des, machine.state)
             f_adj = max(0.0, self.f_raw - residual_baseline)
             hold_time = rel - machine.t_hold_start \
                 if machine.state is MachineState.HOLD else 0.0
@@ -575,8 +582,7 @@ def rows_to_csv_lines(rows: Sequence[TraceRow]) -> list[str]:
     """Render trace rows with full-precision floats, header included."""
     lines = [TRACE_COLUMNS]
     for t, s, f_oc, f_dc, f_cmd_hat, machine_state in rows:
-        # the attitude's cells are the components s.q holds
-        cells = [repr(v) for v in (t, *s[:6], *snap_unit_quat(*s[6:10]), f_oc, f_dc, f_cmd_hat)]
+        cells = [repr(v) for v in (t, *s[:6], *s.q, f_oc, f_dc, f_cmd_hat)]
         cells += [machine_state, "1" if s.payload_attached else "0"]
         lines.append(",".join(cells))
     return lines

@@ -657,6 +657,36 @@ class TestFly:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, code, message", [
+        # 1 / 5e-324 is inf, so no step count or rate fits the step
+        ({"plant_dt": 5e-324}, 2, "SimConfig.plant_dt 5e-324 is too small"),
+        # deadlines whose plant step count overflows a float
+        ({"max_engage_time": 1e308}, 5, "engagement deadline t=1e+308s is too far"),
+        ({"settle_time": 1e308}, 5, "hover deadline t=1e+308s is too far"),
+    ], ids=["plant_dt", "max_engage_time", "settle_time"])
+    def test_step_count_overflow_is_reported(self, tmp_path, capsys, config, code, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine", **config}))
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("forces, message", [
+        ([-1.0], "SimConfig.press_forces[0] must be positive, got -1.0"),
+        ([0.7, 0.0], "SimConfig.press_forces[1] must be positive, got 0.0"),
+    ], ids=["negative", "zero"])
+    def test_non_positive_press_force_is_usage_error(self, tmp_path, capsys, forces, message):
+        # rejected before flight, not after the first hover phases
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "deploy_package", "press_forces": forces}))
+        rc = main(["fly", "--scenario", "deploy_package", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # Bypass flight draws no random numbers and calls no BLAS routine, so
     # these bytes hold for every seed and numpy build.  Sensed flight is not
     # pinned: predict's gemv sums in the BLAS kernel's order.

@@ -1,11 +1,12 @@
 """Outer-loop force/attitude law and the engagement thrust machine."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from capft.core import GRAVITY, UnitQuaternion, Vec3, quat_to_basis
+from capft.core import LEVEL_QUAT, DegenerateOrientationError, Vec3
 from capft.controller import (
     ForceProfile,
     GainSet,
@@ -29,9 +30,15 @@ def unit_gains():
     return GainSet.from_diagonals([1.0] * 3, [1.0] * 3, [2.0] * 3, [2.0] * 3)
 
 
-def random_quaternion(rng):
-    w, x, y, z = rng.normal(size=4)
-    return UnitQuaternion.normalized(w, x, y, z)
+def basis(q):
+    """Rotation matrix of q, whose columns are the body axes in the world
+    frame: an explicit formula independent of the package's."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 class TestOuterLoop:
@@ -78,24 +85,21 @@ class TestOuterLoop:
 
 class TestCommandedOrientation:
     def test_identity_when_thrust_is_up(self):
-        q = commanded_orientation(Vec3(0, 0, 5.0), UnitQuaternion.identity())
-        x, y, z = quat_to_basis(q)
-        assert x.as_tuple() == pytest.approx((1, 0, 0), abs=1e-12)
-        assert z.as_tuple() == pytest.approx((0, 0, 1), abs=1e-12)
+        q = commanded_orientation(Vec3(0, 0, 5.0))
+        assert q == LEVEL_QUAT
 
     def test_hand_worked_tilt(self):
         # thrust 45 degrees over in xz: z_cmd = (1,0,1)/sqrt(2),
         # y stays (0,1,0), x re-orthonormalizes to (1,0,-1)/sqrt(2)
-        q = commanded_orientation(Vec3(1.0, 0.0, 1.0), UnitQuaternion.identity())
-        x, y, z = quat_to_basis(q)
+        x, y, z = basis(commanded_orientation(Vec3(1.0, 0.0, 1.0))).T
         s = 1.0 / math.sqrt(2.0)
-        assert z.as_tuple() == pytest.approx((s, 0.0, s), abs=1e-12)
-        assert y.as_tuple() == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-        assert x.as_tuple() == pytest.approx((s, 0.0, -s), abs=1e-12)
+        assert tuple(z) == pytest.approx((s, 0.0, s), abs=1e-12)
+        assert tuple(y) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+        assert tuple(x) == pytest.approx((s, 0.0, -s), abs=1e-12)
 
     def test_zero_force_rejected(self):
         with pytest.raises(ZeroDesiredForceError):
-            commanded_orientation(Vec3(0.0, 0.0, 0.05), UnitQuaternion.identity())
+            commanded_orientation(Vec3(0.0, 0.0, 0.05))
 
     def test_random_property_orthonormal(self):
         rng = np.random.default_rng(0)
@@ -104,14 +108,12 @@ class TestCommandedOrientation:
             f = Vec3(*rng.normal(scale=5.0, size=3))
             if f.norm() <= 0.5:
                 continue
-            q_des = random_quaternion(rng)
             try:
-                q = commanded_orientation(f, q_des)
-            except Exception:
+                q = commanded_orientation(f)
+            except DegenerateOrientationError:
                 continue
             kept += 1
-            x, y, z = quat_to_basis(q)
-            m = np.column_stack([x.as_tuple(), y.as_tuple(), z.as_tuple()])
+            m = basis(q)
             assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-9
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-9)
             # body z carries the thrust direction
@@ -119,19 +121,36 @@ class TestCommandedOrientation:
             assert np.allclose(m[:, 2], fn, atol=1e-9)
 
     def test_thrust_projection_hand_value(self):
-        val = desired_normalized_thrust(Vec3(0, 0, 9.81),
-                                        UnitQuaternion.identity(), 0.05)
+        val = desired_normalized_thrust(Vec3(0, 0, 9.81), LEVEL_QUAT, 0.05)
         assert val == pytest.approx(0.4905, rel=1e-12)
 
     def test_tilted_projection_shrinks(self):
-        q_tilt = commanded_orientation(Vec3(1.0, 0.0, 1.0), UnitQuaternion.identity())
+        q_tilt = commanded_orientation(Vec3(1.0, 0.0, 1.0))
         up = Vec3(0, 0, 10.0)
         assert desired_normalized_thrust(up, q_tilt, 0.05) \
-            < desired_normalized_thrust(up, UnitQuaternion.identity(), 0.05)
+            < desired_normalized_thrust(up, LEVEL_QUAT, 0.05)
 
     def test_bad_thrust_constant(self):
         with pytest.raises(ValueError):
-            desired_normalized_thrust(Vec3(0, 0, 1), UnitQuaternion.identity(), 0.0)
+            desired_normalized_thrust(Vec3(0, 0, 1), LEVEL_QUAT, 0.0)
+
+    def test_commanded_attitude_pinned(self):
+        # tilted attitudes bit for bit, which the level flights' pinned digests
+        # never reach; float arithmetic only, no BLAS.  A force with no upward
+        # part has no commanded attitude, and its exception name is hashed.
+        h = hashlib.sha256()
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            f = Vec3(*rng.normal(scale=5.0, size=3).tolist())
+            try:
+                q = commanded_orientation(f)
+            except (ZeroDesiredForceError, DegenerateOrientationError) as exc:
+                h.update(f"{type(exc).__name__}\n".encode())
+                continue
+            cells = (*q, desired_normalized_thrust(f, q, 0.05))
+            h.update((" ".join(v.hex() for v in cells) + "\n").encode())
+        assert h.hexdigest() == \
+            "695497f6623f9fae722309a2fcf29ccdd7cb21624cbe8b81370d4472f91e0815"
 
 
 def transcript_params():
@@ -337,17 +356,17 @@ class TestSearchTrajectory:
     def test_ramp_from_z_low(self):
         seq = SetpointSequence(z_low=1.2, z_high=1.6, search_speed=0.08)
         m = ThrustMachine()
-        p, v, q = search_trajectory(0.0, seq, m)
+        p, v = search_trajectory(0.0, seq, m)
         assert p.as_tuple() == pytest.approx((0.0, 0.0, 1.2))
         assert v.z == pytest.approx(0.08)
-        p, v, _ = search_trajectory(2.5, seq, m)
+        p, v = search_trajectory(2.5, seq, m)
         assert p.z == pytest.approx(1.2 + 0.08 * 2.5)
 
     def test_tops_out_then_raises(self):
         seq = SetpointSequence(z_low=1.2, z_high=1.6, search_speed=0.08, grace=2.0)
         m = ThrustMachine()
         ramp_time = 0.4 / 0.08
-        p, v, _ = search_trajectory(ramp_time + 1.0, seq, m)
+        p, v = search_trajectory(ramp_time + 1.0, seq, m)
         assert p.z == pytest.approx(1.6)
         assert v.z == 0.0
         with pytest.raises(SurfaceNotFoundError):
@@ -361,8 +380,8 @@ class TestSearchTrajectory:
     def test_hold_freezes_setpoint(self):
         seq = SetpointSequence(z_low=1.2, z_high=1.6, search_speed=0.08)
         m = ThrustMachine(state=MachineState.HOLD, t_hold_start=2.0)
-        p1, v1, _ = search_trajectory(2.0, seq, m)
-        p2, v2, _ = search_trajectory(4.0, seq, m)
+        p1, v1 = search_trajectory(2.0, seq, m)
+        p2, v2 = search_trajectory(4.0, seq, m)
         assert p1.z == p2.z == pytest.approx(1.2 + 0.08 * 2.0)
         assert v1.z == v2.z == 0.0
 

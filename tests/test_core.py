@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 from capft.core import (
+    LEVEL_QUAT,
     DegenerateOrientationError,
-    UnitQuaternion,
     Vec3,
     Wrench,
+    body_z,
     cross_normalize,
-    quat_to_basis,
-    slerp,
+    quat_from_columns,
+    slerp_quat,
+    snap_unit_quat,
 )
 
 
 def rotation_matrix(q):
     """Independent oracle: explicit quaternion-to-matrix formula."""
-    w, x, y, z = q.w, q.x, q.y, q.z
+    w, x, y, z = q
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -29,7 +31,17 @@ def rotation_matrix(q):
 def random_unit_quaternion(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return UnitQuaternion(*v)
+    return snap_unit_quat(*v.tolist())
+
+
+def axis_angle(axis, angle):
+    """Unit quaternion turning angle radians about the unit axis."""
+    s = math.sin(0.5 * angle)
+    return snap_unit_quat(math.cos(0.5 * angle), axis[0] * s, axis[1] * s, axis[2] * s)
+
+
+def quat_dot(a, b):
+    return sum(u * v for u, v in zip(a, b))
 
 
 class TestVec3:
@@ -86,46 +98,34 @@ class TestWrench:
 
 class TestUnitQuaternion:
     def test_identity_basis(self):
-        x, y, z = quat_to_basis(UnitQuaternion.identity())
-        assert x.as_tuple() == (1.0, 0.0, 0.0)
-        assert y.as_tuple() == (0.0, 1.0, 0.0)
-        assert z.as_tuple() == (0.0, 0.0, 1.0)
+        assert body_z(*LEVEL_QUAT) == (0.0, 0.0, 1.0)
+        assert quat_from_columns(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)) == LEVEL_QUAT
 
     def test_z_rotation_90deg(self):
-        q = UnitQuaternion.from_axis_angle(Vec3(0, 0, 1), math.pi / 2)
-        x, y, z = quat_to_basis(q)
-        assert abs(x.x) < 1e-12 and abs(x.y - 1.0) < 1e-12
-        assert z.as_tuple() == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+        q = axis_angle((0.0, 0.0, 1.0), math.pi / 2)
+        assert body_z(*q) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+        # the body x axis turns onto the world y axis
+        x_col = rotation_matrix(q)[:, 0]
+        assert abs(x_col[0]) < 1e-12 and abs(x_col[1] - 1.0) < 1e-12
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            UnitQuaternion(1.0, 1.0, 0.0, 0.0)
+            snap_unit_quat(1.0, 1.0, 0.0, 0.0)
 
     def test_basis_matches_matrix_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             q = random_unit_quaternion(rng)
-            x, y, z = quat_to_basis(q)
-            got = np.column_stack([x.as_tuple(), y.as_tuple(), z.as_tuple()])
-            np.testing.assert_allclose(got, rotation_matrix(q), atol=1e-12)
-
-    def test_basis_orthonormal_right_handed(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            q = random_unit_quaternion(rng)
-            x, y, z = quat_to_basis(q)
-            r = np.column_stack([x.as_tuple(), y.as_tuple(), z.as_tuple()])
-            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
+            np.testing.assert_allclose(body_z(*q), rotation_matrix(q)[:, 2], atol=1e-12)
 
     def test_from_rotation_columns_roundtrip(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             q = random_unit_quaternion(rng)
-            x, y, z = quat_to_basis(q)
-            q2 = UnitQuaternion.from_rotation_columns(x, y, z)
+            x, y, z = (Vec3(*col) for col in rotation_matrix(q).T.tolist())
+            q2 = quat_from_columns(x, y, z)
             # q and -q encode the same rotation
-            assert abs(abs(q.dot(q2)) - 1.0) < 1e-9
+            assert abs(abs(quat_dot(q, q2)) - 1.0) < 1e-9
 
 
 class TestCrossNormalize:
@@ -159,22 +159,22 @@ class TestCrossNormalize:
 
 class TestSlerp:
     def test_endpoints(self):
-        qa = UnitQuaternion.identity()
-        qb = UnitQuaternion.from_axis_angle(Vec3(0, 1, 0), 1.0)
-        assert slerp(qa, qb, 0.0).dot(qa) == pytest.approx(1.0, abs=1e-12)
-        assert abs(slerp(qa, qb, 1.0).dot(qb)) == pytest.approx(1.0, abs=1e-12)
+        qa = LEVEL_QUAT
+        qb = axis_angle((0.0, 1.0, 0.0), 1.0)
+        assert quat_dot(slerp_quat(qa, qb, 0.0), qa) == pytest.approx(1.0, abs=1e-12)
+        assert abs(quat_dot(slerp_quat(qa, qb, 1.0), qb)) == pytest.approx(1.0, abs=1e-12)
 
     def test_halfway_angle(self):
-        qa = UnitQuaternion.identity()
-        qb = UnitQuaternion.from_axis_angle(Vec3(1, 0, 0), 0.8)
-        qm = slerp(qa, qb, 0.5)
-        qh = UnitQuaternion.from_axis_angle(Vec3(1, 0, 0), 0.4)
-        assert abs(qm.dot(qh)) == pytest.approx(1.0, abs=1e-12)
+        qa = LEVEL_QUAT
+        qb = axis_angle((1.0, 0.0, 0.0), 0.8)
+        qm = slerp_quat(qa, qb, 0.5)
+        qh = axis_angle((1.0, 0.0, 0.0), 0.4)
+        assert abs(quat_dot(qm, qh)) == pytest.approx(1.0, abs=1e-12)
 
     def test_shortest_path(self):
-        qa = UnitQuaternion.identity()
-        qb = UnitQuaternion.from_axis_angle(Vec3(0, 0, 1), 0.6)
-        neg = UnitQuaternion(-qb.w, -qb.x, -qb.y, -qb.z)
-        qm1 = slerp(qa, qb, 0.25)
-        qm2 = slerp(qa, neg, 0.25)
-        assert abs(qm1.dot(qm2)) == pytest.approx(1.0, abs=1e-12)
+        qa = LEVEL_QUAT
+        qb = axis_angle((0.0, 0.0, 1.0), 0.6)
+        neg = tuple(-v for v in qb)
+        qm1 = slerp_quat(qa, qb, 0.25)
+        qm2 = slerp_quat(qa, neg, 0.25)
+        assert abs(quat_dot(qm1, qm2)) == pytest.approx(1.0, abs=1e-12)
