@@ -48,6 +48,14 @@ class ModelFormatError(CalibrationError):
     """Serialized model file is malformed."""
 
 
+class NonFiniteEstimateError(CalibrationError):
+    """The model's estimate of a reading is not finite: the model is too
+    large for the counts it reads."""
+
+
+_NON_FINITE_ESTIMATE = "model estimate is not finite: the model is too large for these counts"
+
+
 def tare(counts: np.ndarray) -> np.ndarray:
     """Per-channel mean of (N, 12) no-load counts, the baseline for feature expansion."""
     if len(counts) == 0:
@@ -137,6 +145,13 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
                             train_rmse=rmse, normal_eq_residual=grad_ratio)
 
 
+def _estimates(model: CalibrationModel, counts, baseline: np.ndarray | None) -> np.ndarray:
+    """predict_counts before its finiteness check."""
+    if baseline is None:
+        return model.matrix @ _features(counts, model.baseline, model.mode)
+    return model.matrix @ expand_features(counts, baseline, model.mode)
+
+
 def predict_counts(model: CalibrationModel, counts,
                    baseline: np.ndarray | None = None) -> np.ndarray:
     """Wrench estimates, (6,) for one (12,) reading or (6, N) for (N, 12)
@@ -147,11 +162,13 @@ def predict_counts(model: CalibrationModel, counts,
     and temp-sweep's traces come from this batch path; evaluate --predictions
     and flight use predict.  The model's own baseline and mode were checked
     when it was built, so only an explicit baseline goes through
-    expand_features' checks.
+    expand_features' checks.  An estimate that is not finite raises
+    NonFiniteEstimateError.
     """
-    if baseline is None:
-        return model.matrix @ _features(counts, model.baseline, model.mode)
-    return model.matrix @ expand_features(counts, baseline, model.mode)
+    est = _estimates(model, counts, baseline)
+    if not np.isfinite(est).all():
+        raise NonFiniteEstimateError(_NON_FINITE_ESTIMATE)
+    return est
 
 
 def predict(model: CalibrationModel, frame: CapacitanceFrame,
@@ -159,9 +176,15 @@ def predict(model: CalibrationModel, frame: CapacitanceFrame,
     """Wrench estimate for one frame; baseline defaults to the fit-time tare.
 
     One matrix-vector product (gemv), which can differ in the last bits from
-    the same row of a batch predict_counts (gemm); see predict_counts.
+    the same row of a batch predict_counts (gemm); see predict_counts.  An
+    estimate that is not finite raises NonFiniteEstimateError, found by the
+    Wrench's own check.
     """
-    return Wrench(*predict_counts(model, frame.counts, baseline).tolist())
+    est = _estimates(model, frame.counts, baseline).tolist()
+    try:
+        return Wrench(*est)
+    except ValueError as exc:
+        raise NonFiniteEstimateError(f"{_NON_FINITE_ESTIMATE} ({exc})") from exc
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,15 @@ press force exceeds the adhesion threshold.
 
 Rates are decoupled: the plant integrates at 1 kHz, the sensor samples at
 360 Hz and the controller runs at 20 Hz, with zero-order holds between.
+
+A reading only replaces the force the controller reads at its next tick, so
+the engine senses only the read ticks: the last sensing tick at or before
+each control tick.  The unread ticks between are drawn, not sensed: a sensed
+run draws their read noise in one call once it has checked that none of
+them could have saturated the sensor, left the count range or overflowed
+the model's estimate, and senses them in full where one could.  Traces,
+summaries, the random stream and every fault equal those of sensing every
+tick.
 """
 
 from __future__ import annotations
@@ -40,10 +49,17 @@ from .controller import (
 from .core import (GRAVITY, GRAVITY_MAG, LEVEL_QUAT, DegenerateOrientationError, Vec3, Wrench,
                    ZERO3, body_z, check_finite, check_finite_fields, from_plain, slerp_quat,
                    snap_unit_quat)
-from .sensor_model import SaturationError, SensorParams, sample
+from .sensor_model import (NUM_CHANNELS, SaturationError, SensorParams, SensorRangeError,
+                           capacitances, count_at_reference, sample)
 
 # Simulated seconds a phase may run past its deadline without a controller tick.
 _STEP_BUDGET_S = 10.0
+# The smallest plant step a mission takes, s: a minute of flight is then six
+# million steps, where a much smaller step would run a mission for hours.
+MIN_PLANT_DT = 1e-5
+# The most sensing readings one plant stretch skips, which bounds the noise a
+# stretch draws at once when the controller ticks rarely.
+_MAX_UNREAD = 1024
 
 
 class SimulationFault(RuntimeError):
@@ -173,7 +189,9 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     Once a step's snapped attitude has the bits of the one it started from,
     every later step under the same command and alpha repeats it, so the
     remaining steps reuse its attitude and body z instead of slerping.  The
-    fixed point carries over to the next call through a one-slot memo.
+    fixed point carries over to the next call through a one-slot memo,
+    which serves every plant call of the shipped missions after a process's
+    first.
     """
     global _settled
     if not 0.0 < dt <= 0.01:
@@ -239,16 +257,22 @@ class SensingStack:
             raise SimulationFault("sensor-in-the-loop mode requires a calibration model")
 
 
+def sensor_load(state: FlightState, press: float, env: ContactEnv) -> float:
+    """The true load on the sensor, newtons: the press force plus the weight
+    of an attached payload, both compressing it along its normal axis."""
+    return press + env.payload_weight if state.payload_attached else press
+
+
 def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack,
           rng) -> float:
     """Magnitude of the force the sensor reports at its mounting point.
 
     press is the state's press force, press_force(state.pz, state.vz, env),
-    which step_plant returns with the state.  The true load is the press force
-    plus the weight of an attached payload, both compressing the sensor
-    along its normal axis.
+    which step_plant returns with the state.  A sensed reading draws
+    NUM_CHANNELS normals from rng; a bypassed one draws none.  The engine
+    calls this only for the readings it must compute (see _Engine.run).
     """
-    true_force = press + env.payload_weight if state.payload_attached else press
+    true_force = sensor_load(state, press, env)
     if stack.bypass:
         return true_force
     w = Wrench(0.0, 0.0, true_force, 0.0, 0.0, 0.0)
@@ -311,9 +335,9 @@ class SimConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not 0.0 < self.plant_dt <= 0.01:
             raise ValueError(f"SimConfig.plant_dt must lie in (0, 0.01], got {self.plant_dt!r}")
-        if 1.0 / self.plant_dt == math.inf:  # subnormal: no step count or rate fits
+        if self.plant_dt < MIN_PLANT_DT:
             raise ValueError(f"SimConfig.plant_dt {self.plant_dt!r} is too small: "
-                             f"1/plant_dt overflows")
+                             f"a mission steps at least {MIN_PLANT_DT:g} s at a time")
         if self.control_hz <= 0.0 or self.sensor_hz <= 0.0:
             raise ValueError("rates must be positive")
         # the engine takes at most one sensing and one control tick per plant step
@@ -365,6 +389,17 @@ def _due_step(j: int, hz: float, dt: float, k: int, stop: int) -> int:
     return n
 
 
+def _last_due(j_max: int, hz: float, dt: float, n: int) -> int:
+    """The last tick of a hz clock due at plant step n, up to tick j_max:
+    the largest j <= j_max with j / hz <= n * dt + 1e-12."""
+    limit = n * dt + 1e-12
+    # the floor's rounding error is far below one tick, so it never falls short
+    j = j_max if not limit * hz < j_max else math.floor(limit * hz) + 1
+    while not j / hz <= limit:
+        j -= 1
+    return j
+
+
 class _Engine:
     """Shared plant/sensor/controller scheduling for mission phases."""
 
@@ -385,6 +420,16 @@ class _Engine:
         self.cmd = Command(f_cmd_hat=hover, q_cmd=LEVEL_QUAT)
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
+        # What a skipped sensed reading must stay below (see run): the largest
+        # load a full reading has succeeded on, the largest channel
+        # capacitance just above it, and the model's largest absolute row sum
+        # and baseline entry, which bound its estimate.
+        self.f_ok = -math.inf
+        self.cap_ok = math.inf
+        if not stack.bypass:
+            model = stack.model
+            self.row_sum = max(sum(map(abs, row)) for row in model.matrix.tolist())
+            self.baseline_max = max(map(abs, model.baseline.tolist()))
 
     @property
     def t(self) -> float:
@@ -399,25 +444,38 @@ class _Engine:
         controller ticks too rarely to see the deadline faults there, and one
         ticking at least that often reaches its deadline tick first.  A
         deadline too far off to count in plant steps faults before any step.
-        Each tick's step is computed once, when the tick before it fires, and
-        the plant runs in one step_plant call up to the next due tick.
+        Each tick's step is computed once, when the tick before it fires.
+
+        A reading only sets f_raw, which the controller reads at its ticks,
+        so a sensing tick is read when the next sensing tick falls after the
+        next control tick, and unread otherwise.  From each stop the plant
+        runs in one step_plant call to the next read tick (or control tick,
+        or the step budget), where the reading is sensed in full; the unread
+        ticks on the way, at most _MAX_UNREAD, are skipped together.
+        Bypassed, an unread reading draws nothing and cannot fault, so
+        skipping it is free.  Sensed, _skip draws the unread readings' noise
+        in one call, which leaves the generator where their draws would, and
+        checks that none of them could have faulted.  Where one could, the
+        engine re-runs the plant to the next sensing tick and senses that
+        in full.  Every output, the generator's state and every fault (type,
+        message and tick) equal those of sensing every tick.
         """
         cfg = self.cfg
-        env, dt = cfg.env, cfg.plant_dt
+        hz, dt = cfg.sensor_hz, cfg.plant_dt
         budget = (deadline + _STEP_BUDGET_S) / dt
         if budget == math.inf:
             raise SimulationFault(f"{what} deadline t={deadline:g}s is too far to count "
                                   f"in plant steps of {dt!r}s")
         stop = math.ceil(budget) + 2  # the first step past the budget
-        next_sense = _due_step(self.ks, cfg.sensor_hz, dt, self.k, stop)
+        next_sense = _due_step(self.ks, hz, dt, self.k, stop)
         next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
         while True:
             k = self.k
             t = k * dt
             while next_sense == k:  # more than one sensing tick may fall on a step
-                self.f_raw = sense(self.state, self.press, env, self.stack, self.rng)
+                self._read()
                 self.ks += 1
-                next_sense = _due_step(self.ks, cfg.sensor_hz, dt, k, stop)
+                next_sense = _due_step(self.ks, hz, dt, k, stop)
             if next_control == k:
                 if done():
                     return
@@ -436,11 +494,75 @@ class _Engine:
             if k >= stop:
                 raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
                                       f"tick since the {deadline:.1f}s deadline")
-            n = min(next_sense, next_control, stop) - k
-            self.state, peak, self.press = step_plant(self.state, self.cmd, cfg.plant, env,
-                                                      dt, n)
+            end = min(next_control, stop)
+            n, unread = end - k, 0
+            if next_sense <= end:
+                # sensed in full: the last sensing tick by end, which the
+                # control tick at end reads
+                last = _last_due(self.ks + _MAX_UNREAD, hz, dt, end)
+                unread = last - self.ks
+                n = _due_step(last, hz, dt, next_sense, stop) - k
+            plant = self._skip(n, unread) if unread else None
+            if plant is not None:
+                self.ks += unread
+                next_sense = k + n
+            else:
+                if unread:  # one could fault: sense the next tick in full
+                    n = next_sense - k
+                plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, dt, n)
+            self.state, peak, self.press = plant
             self.peak_contact = max(self.peak_contact, peak)
             self.k = k + n
+
+    def _read(self) -> None:
+        """Sense this tick in full; a sensed reading's load raises f_ok."""
+        self.f_raw = sense(self.state, self.press, self.cfg.env, self.stack, self.rng)
+        if self.stack.bypass:
+            return
+        load = sensor_load(self.state, self.press, self.cfg.env)
+        if not load > self.f_ok:
+            return
+        # pure normal loads: every channel's capacitance rises with the load,
+        # and the margin covers the last bits of the compression solve
+        above = Wrench(0.0, 0.0, load + 1e-6 * max(1.0, load), 0.0, 0.0, 0.0)
+        try:
+            caps = capacitances(above, self.stack.params)
+        except SensorRangeError:
+            return
+        self.f_ok, self.cap_ok = load, float(caps.max())
+
+    def _skip(self, n: int, unread: int) -> tuple[FlightState, float, float] | None:
+        """step_plant's n steps to a read tick past unread sensing ticks, or
+        None where an unread reading could have faulted.
+
+        Sensed, the unread readings' noise is drawn.  Their loads are at
+        most the stretch's peak (plus the payload if attached at its start),
+        and a load at most f_ok neither saturates nor gives capacitances
+        above cap_ok, so the drawn noise bounds their counts and the model's
+        row sums their estimates.  None leaves the generator as it was.
+        """
+        cfg = self.cfg
+        if self.stack.bypass:
+            return step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
+        try:
+            plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
+        except ValueError:  # a non-finite state; a reading on the way may fault first
+            return None
+        if not sensor_load(self.state, plant[1], cfg.env) <= self.f_ok:
+            return None
+        saved = self.rng.bit_generator.state
+        noise = self.rng.normal(size=NUM_CHANNELS * unread)
+        try:
+            top = count_at_reference(self.cap_ok, float(noise.max()), self.stack.params.cdc)
+        except SensorRangeError:
+            top = math.inf
+        # bounds every tared count, and each feature is a tared count or its
+        # square; twice the bound covers the product's rounding
+        tared = top + self.baseline_max
+        if math.isfinite(2.0 * self.row_sum * max(tared, tared * tared)):
+            return plant
+        self.rng.bit_generator.state = saved
+        return None
 
     def _outer_loop(self, p_des: Vec3, v_des: Vec3, gain_state: MachineState
                     ) -> tuple[tuple[float, float, float, float], float]:

@@ -17,6 +17,7 @@ from capft.calibration import (
     ChannelMismatchError,
     IllConditionedError,
     ModelFormatError,
+    NonFiniteEstimateError,
     compensate,
     evaluate,
     expand_features,
@@ -24,6 +25,7 @@ from capft.calibration import (
     fit_temp_baseline,
     load_model,
     predict,
+    predict_counts,
     save_model,
     tare,
 )
@@ -191,6 +193,20 @@ class TestPredict:
         w1 = np.array(predict(model, f).as_tuple())
         w2 = np.array(predict(doubled, f).as_tuple())
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                                "ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_non_finite_estimate_is_a_model_error(self):
+        rng = np.random.default_rng(7)
+        _, baseline, counts, wrenches = synthetic_dataset(200, rng)
+        model = fit(counts, wrenches, baseline, ridge=0.0)
+        huge = dataclasses.replace(model, matrix=np.full_like(model.matrix, 1e307))
+        with pytest.raises(NonFiniteEstimateError, match="model estimate is not finite"):
+            predict(huge, make_frame(counts[0]))
+        with pytest.raises(NonFiniteEstimateError, match="model estimate is not finite"):
+            predict_counts(huge, counts)
+        with pytest.raises(NonFiniteEstimateError, match="model estimate is not finite"):
+            evaluate(huge, counts, wrenches)
 
     def test_tare_consistency(self):
         # shifting counts and baseline together leaves the prediction bitwise

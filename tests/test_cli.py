@@ -43,6 +43,16 @@ def corrupt_model(fitted, tmp_path, field, value):
     return path
 
 
+def overflowing_model(fitted, tmp_path):
+    """Copy of the fitted model with every matrix entry 1e307: finite, but
+    its estimates overflow."""
+    payload = json.loads((fitted / "model.json").read_text())
+    payload["matrix"] = [[1e307] * len(row) for row in payload["matrix"]]
+    path = tmp_path / "huge_model.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
 def run_cli_guarded(args, seconds=30.0, **env):
     """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard;
     env adds to or overrides this process's environment."""
@@ -404,6 +414,18 @@ class TestEvaluate:
         assert rc == 4
         assert f"non-finite {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("predictions", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_non_finite_estimate_is_model_error(self, fitted, noisy_dir, tmp_path, capsys,
+                                                predictions):
+        out = tmp_path / "preds.csv"
+        rc = main(["evaluate", str(noisy_dir / "trial_00.csv"),
+                   "--model", str(overflowing_model(fitted, tmp_path)),
+                   *(["--predictions", str(out)] if predictions else [])])
+        assert rc == 4
+        assert "model estimate is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_log_is_data_error(self, fitted, tmp_path):
         rc = main(["evaluate", str(tmp_path / "absent.csv"),
                    "--model", str(fitted / "model.json")])
@@ -535,6 +557,15 @@ class TestFly:
                    "--out", str(tmp_path / "out")])
         assert rc == 4
         assert f"non-finite {field}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_non_finite_estimate_is_model_error(self, fitted, tmp_path, capsys):
+        rc = main(["fly", "--scenario", "track_sine",
+                   "--model", str(overflowing_model(fitted, tmp_path)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert "model estimate is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_surface_is_simulation_fault(self, tmp_path, capsys):
         cfg = flight.config_to_dict(flight.default_config("track_sine"))
@@ -671,6 +702,18 @@ class TestFly:
                    "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == code
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plant_dt", [1e-300, 9e-6])
+    def test_tiny_plant_dt_is_usage_error(self, tmp_path, plant_dt):
+        # rejected before flight: such a step would run a mission for hours
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine", "plant_dt": plant_dt}))
+        proc = run_cli_guarded(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                                "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                               seconds=10.0)
+        assert proc.returncode == 2
+        assert f"SimConfig.plant_dt {plant_dt!r} is too small" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("forces, message", [

@@ -5,6 +5,7 @@ import math
 import struct
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 from capft import dataio, flight
 from capft.calibration import CalibrationModel, fit, tare
-from capft.controller import ForceProfile, MachineState, ThrustMachineParams
-from capft.core import (GRAVITY, LEVEL_QUAT, Vec3, body_z, normalize_quat, slerp_quat,
-                        snap_unit_quat)
+from capft.controller import (ForceProfile, MachineState, ThrustMachineParams,
+                              ZeroDesiredForceError)
+from capft.core import (GRAVITY, LEVEL_QUAT, DegenerateOrientationError, Vec3, body_z,
+                        normalize_quat, slerp_quat, snap_unit_quat)
 from capft.flight import (
     Command,
     ContactEnv,
@@ -596,6 +598,76 @@ class TestSense:
             sense(s, press_force(s.pz, s.vz, env), env, stack, np.random.default_rng(0))
 
 
+def recording_engine(engine_cls, engines):
+    """engine_cls, appending each engine it builds to engines."""
+    class Recorded(engine_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+    return Recorded
+
+
+class SenseEveryTickEngine(flight._Engine):
+    """The reference engine: the same missions, sensing every tick in full.
+
+    This is the engine's loop as it was before it skipped unread readings;
+    the plant runs from one sensing or control tick to the next.
+    """
+
+    def run(self, control, done, deadline, what):
+        cfg = self.cfg
+        env, dt = cfg.env, cfg.plant_dt
+        budget = (deadline + flight._STEP_BUDGET_S) / dt
+        if budget == math.inf:
+            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far to count "
+                                  f"in plant steps of {dt!r}s")
+        stop = math.ceil(budget) + 2
+        next_sense = _due_step(self.ks, cfg.sensor_hz, dt, self.k, stop)
+        next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
+        while True:
+            k = self.k
+            t = k * dt
+            while next_sense == k:
+                self.f_raw = flight.sense(self.state, self.press, env, self.stack, self.rng)
+                self.ks += 1
+                next_sense = _due_step(self.ks, cfg.sensor_hz, dt, k, stop)
+            if next_control == k:
+                if done():
+                    return
+                if t > deadline:
+                    raise SimulationFault(f"{what} still running at t={t:.1f}s deadline")
+                try:
+                    cmd, f_dc, label = control(t)
+                except (DegenerateOrientationError, ZeroDesiredForceError) as exc:
+                    raise SimulationFault(
+                        f"{what} at t={t:.1f}s: no commanded attitude: {exc}") from exc
+                self.cmd = cmd
+                self.rows.append(TraceRow(t, self.state, self.f_raw, f_dc, cmd.f_cmd_hat, label))
+                self.kc += 1
+                next_control = _due_step(self.kc, cfg.control_hz, dt, k + 1, stop)
+            if k >= stop:
+                raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
+                                      f"tick since the {deadline:.1f}s deadline")
+            n = min(next_sense, next_control, stop) - k
+            self.state, peak, self.press = flight.step_plant(self.state, self.cmd, cfg.plant,
+                                                             env, dt, n)
+            self.peak_contact = max(self.peak_contact, peak)
+            self.k = k + n
+
+
+def fly_on(engine_cls, cfg, stack):
+    """run_mission on engine_cls: its trace lines, its summary or raised
+    exception, and the generator's state at the end."""
+    engines = []
+    with mock.patch.object(flight, "_Engine", recording_engine(engine_cls, engines)):
+        try:
+            outcome = repr(run_mission(cfg, stack)[1])
+        except Exception as exc:  # whatever either engine raises is compared
+            outcome = (type(exc), str(exc))
+    (eng,) = engines
+    return rows_to_csv_lines(eng.rows), outcome, eng.rng.bit_generator.state
+
+
 def due_step_scan(j, hz, dt, k, stop):
     """The engine's per-step tick test, tried at every step from k to stop."""
     for n in range(k, stop + 1):
@@ -679,12 +751,89 @@ class TestSchedule:
 
         monkeypatch.setattr(flight, "step_plant", counting_step)
         monkeypatch.setattr(flight, "sense", recording_sense)
+        engines = []
+        monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
         rows, _ = run_mission(cfg, SensingStack(params=default_sensor_params(), bypass=True))
+        (eng,) = engines
         controlled = [round(r.t / plant_dt) for r in rows]
         assert [r.t for r in rows] == [k * plant_dt for k in controlled]
         # control fires at most once per step, sensing may repeat at one
         assert controlled == scan_schedule(len(rows), control_hz, plant_dt, gap=1)
-        assert sensed == scan_schedule(len(sensed), sensor_hz, plant_dt, gap=0)
+        # every sensing tick due by the last step passed, but only the last one
+        # at or before each control step (the final done() tick at eng.k too)
+        # was sensed
+        ticks = scan_schedule(eng.ks + 1, sensor_hz, plant_dt, gap=0)
+        assert ticks[-2] <= eng.k < ticks[-1]
+        read = {max(j for j, s in enumerate(ticks) if s <= c) for c in controlled + [eng.k]}
+        assert sensed == [ticks[j] for j in sorted(read)]
+
+
+@st.composite
+def read_tick_cases(draw):
+    """(scenario, seed, plant_dt, sensor_hz, control_hz, noise sigma, pillar
+    modulus factor, model scale, bypass): rates, read noise up to the count
+    range, pillars soft enough to saturate and models scaled toward overflow."""
+    plant_dt = draw(st.sampled_from([0.001, 0.0007, 0.002]))
+    return (draw(st.sampled_from(["track_sine", "deploy_package"])),
+            draw(st.integers(0, 2**32 - 1)), plant_dt,
+            draw(st.floats(10.0, 1.0 / plant_dt)), draw(st.floats(5.0, 100.0)),
+            draw(st.one_of(st.just(2.0), st.floats(15.0, 18.4).map(lambda e: 10.0**e))),
+            draw(st.one_of(st.just(1.0), st.floats(0.01, 0.12))),
+            draw(st.sampled_from([1.0, 1e280, 1e290, 1e300])), draw(st.booleans()))
+
+
+class TestReadTicks:
+    """The engine senses only read ticks; its outputs equal sensing every tick."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=read_tick_cases())
+    # a fault at an unread tick, each kind: counts past the int64 range,
+    # saturation, a non-finite estimate
+    @example(case=("deploy_package", 3, 0.001, 360.0, 20.0, 2.2e18, 1.0, 1.0, False))
+    @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 2.0, 0.05, 1.0, False))
+    @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 1e16, 1.0, 1e280, False))
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                                "ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_outputs_equal_sensing_every_tick(self, sensor_params, quick_model, case):
+        scenario, seed, plant_dt, sensor_hz, control_hz, sigma, modulus, scale, bypass = case
+        base = default_config(scenario, seed=seed)
+        cfg = dataclasses.replace(
+            base, plant_dt=plant_dt, sensor_hz=sensor_hz, control_hz=control_hz,
+            settle_time=0.2, measure_time=0.6,
+            machine=dataclasses.replace(base.machine, hold_duration=0.5))
+        pillars = sensor_params.pillars
+        params = dataclasses.replace(
+            sensor_params,
+            cdc=dataclasses.replace(sensor_params.cdc, noise_sigma_counts=sigma),
+            pillars=dataclasses.replace(pillars, youngs_modulus=modulus * pillars.youngs_modulus))
+        model = dataclasses.replace(quick_model, matrix=quick_model.matrix * scale)
+        stack = SensingStack(params=params, model=model, bypass=bypass)
+        assert fly_on(flight._Engine, cfg, stack) == fly_on(SenseEveryTickEngine, cfg, stack)
+
+    def test_plant_fault_in_a_stretch_keeps_an_earlier_reading_fault(
+            self, monkeypatch, sensor_params, quick_model):
+        # the plant faults 0.5 mm above the height where readings fault, a
+        # few sensing ticks later in the climb but inside one stretch
+        real_step, real_sense = flight.step_plant, flight.sense
+
+        def step_to_a_ceiling(state, cmd, params, env, dt, steps=1):
+            result = real_step(state, cmd, params, env, dt, steps)
+            if result[0].pz > 1.3005:
+                raise ValueError("Vec3: non-finite component inf")
+            return result
+
+        def sense_below_a_ceiling(state, *args):
+            if state.pz > 1.3:
+                raise SensedRangeFault(f"sensor saturated at z={state.pz!r}")
+            return real_sense(state, *args)
+
+        monkeypatch.setattr(flight, "step_plant", step_to_a_ceiling)
+        monkeypatch.setattr(flight, "sense", sense_below_a_ceiling)
+        cfg = default_config("track_sine", seed=4)
+        stack = SensingStack(params=sensor_params, model=quick_model)
+        ours = fly_on(flight._Engine, cfg, stack)
+        assert ours[1][0] is SensedRangeFault
+        assert ours == fly_on(SenseEveryTickEngine, cfg, stack)
 
 
 class TestMissions:
@@ -754,6 +903,12 @@ class TestConfigSerialization:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             config_from_dict({"scenario": "nope"})
+
+    def test_plant_dt_floor(self):
+        assert SimConfig("track_sine", plant_dt=flight.MIN_PLANT_DT).plant_dt == 1e-5
+        for tiny in (math.nextafter(1e-5, 0.0), 5e-324):
+            with pytest.raises(ValueError, match=f"SimConfig.plant_dt {tiny!r} is too small"):
+                SimConfig("track_sine", plant_dt=tiny)
 
     def test_trace_csv_shape(self):
         cfg = default_config("track_sine")
