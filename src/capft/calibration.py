@@ -146,10 +146,11 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
 
 
 def _estimates(model: CalibrationModel, counts, baseline: np.ndarray | None) -> np.ndarray:
-    """predict_counts before its finiteness check."""
-    if baseline is None:
-        return model.matrix @ _features(counts, model.baseline, model.mode)
-    return model.matrix @ expand_features(counts, baseline, model.mode)
+    """predict_counts before its finiteness check, which overflow reaches unwarned."""
+    features = (_features(counts, model.baseline, model.mode) if baseline is None
+                else expand_features(counts, baseline, model.mode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.matrix @ features
 
 
 def predict_counts(model: CalibrationModel, counts,

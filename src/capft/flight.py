@@ -16,7 +16,9 @@ the engine senses only the read ticks: the last sensing tick at or before
 each control tick.  The unread ticks between are drawn, not sensed: a sensed
 run draws their read noise in one call once it has checked that none of
 them could have saturated the sensor, left the count range or overflowed
-the model's estimate, and senses them in full where one could.  Traces,
+the model's estimate, and senses them in full where one could.  A
+noise-free solve at twice a stretch's load bounds its saturation, so on
+seed 11 both sensed missions sense only their 951 read ticks.  Traces,
 summaries, the random stream and every fault equal those of sensing every
 tick.
 """
@@ -420,12 +422,11 @@ class _Engine:
         self.cmd = Command(f_cmd_hat=hover, q_cmd=LEVEL_QUAT)
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
-        # What a skipped sensed reading must stay below (see run): the largest
-        # load a full reading has succeeded on, the largest channel
-        # capacitance just above it, and the model's largest absolute row sum
-        # and baseline entry, which bound its estimate.
-        self.f_ok = -math.inf
-        self.cap_ok = math.inf
+        # What a skipped sensed reading must stay below (see _skip): a load
+        # just under one whose noise-free solve succeeded, that solve's
+        # largest channel capacitance, and the model's largest absolute row
+        # sum and baseline entry, which bound its estimate.
+        self.f_ok, self.cap_ok = -math.inf, math.inf
         if not stack.bypass:
             model = stack.model
             self.row_sum = max(sum(map(abs, row)) for row in model.matrix.tolist())
@@ -458,7 +459,9 @@ class _Engine:
         checks that none of them could have faulted.  Where one could, the
         engine re-runs the plant to the next sensing tick and senses that
         in full.  Every output, the generator's state and every fault (type,
-        message and tick) equal those of sensing every tick.
+        message and tick) equal those of sensing every tick.  On seed 11 no
+        stretch falls back: both sensed missions make 951 readings in 949
+        plant calls, against 17,084 and 17,082 sensing every tick.
         """
         cfg = self.cfg
         hz, dt = cfg.sensor_hz, cfg.plant_dt
@@ -473,7 +476,7 @@ class _Engine:
             k = self.k
             t = k * dt
             while next_sense == k:  # more than one sensing tick may fall on a step
-                self._read()
+                self.f_raw = sense(self.state, self.press, cfg.env, self.stack, self.rng)
                 self.ks += 1
                 next_sense = _due_step(self.ks, hz, dt, k, stop)
             if next_control == k:
@@ -514,32 +517,20 @@ class _Engine:
             self.peak_contact = max(self.peak_contact, peak)
             self.k = k + n
 
-    def _read(self) -> None:
-        """Sense this tick in full; a sensed reading's load raises f_ok."""
-        self.f_raw = sense(self.state, self.press, self.cfg.env, self.stack, self.rng)
-        if self.stack.bypass:
-            return
-        load = sensor_load(self.state, self.press, self.cfg.env)
-        if not load > self.f_ok:
-            return
-        # pure normal loads: every channel's capacitance rises with the load,
-        # and the margin covers the last bits of the compression solve
-        above = Wrench(0.0, 0.0, load + 1e-6 * max(1.0, load), 0.0, 0.0, 0.0)
-        try:
-            caps = capacitances(above, self.stack.params)
-        except SensorRangeError:
-            return
-        self.f_ok, self.cap_ok = load, float(caps.max())
-
     def _skip(self, n: int, unread: int) -> tuple[FlightState, float, float] | None:
         """step_plant's n steps to a read tick past unread sensing ticks, or
         None where an unread reading could have faulted.
 
         Sensed, the unread readings' noise is drawn.  Their loads are at
-        most the stretch's peak (plus the payload if attached at its start),
-        and a load at most f_ok neither saturates nor gives capacitances
-        above cap_ok, so the drawn noise bounds their counts and the model's
-        row sums their estimates.  None leaves the generator as it was.
+        most the stretch's peak (plus the payload if attached at its start).
+        Where that load passes f_ok, one noise-free solve of a pure normal
+        load of twice it, at least 1 N, raises f_ok and cap_ok, or gives
+        None if it fails.  Saturation and every channel's capacitance rise
+        with a pure normal load, so a load at most f_ok neither saturates
+        nor gives capacitances above cap_ok; the drawn noise then bounds
+        their counts and the model's row sums their estimates.  The solve
+        draws nothing and bypasses sample's memo.  None leaves the
+        generator as it was.
         """
         cfg = self.cfg
         if self.stack.bypass:
@@ -548,8 +539,15 @@ class _Engine:
             plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
         except ValueError:  # a non-finite state; a reading on the way may fault first
             return None
-        if not sensor_load(self.state, plant[1], cfg.env) <= self.f_ok:
-            return None
+        load = sensor_load(self.state, plant[1], cfg.env)
+        if not load <= self.f_ok:
+            f = max(2.0 * load, 1.0)
+            try:
+                caps = capacitances(Wrench(0.0, 0.0, f, 0.0, 0.0, 0.0), self.stack.params)
+            except ValueError:  # saturated, or twice the load is not finite
+                return None
+            # the margin covers the last bits of the compression solve
+            self.f_ok, self.cap_ok = f - 1e-6 * f, float(caps.max())
         saved = self.rng.bit_generator.state
         noise = self.rng.normal(size=NUM_CHANNELS * unread)
         try:

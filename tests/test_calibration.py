@@ -194,8 +194,6 @@ class TestPredict:
         w2 = np.array(predict(doubled, f).as_tuple())
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
-                                "ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_non_finite_estimate_is_a_model_error(self):
         rng = np.random.default_rng(7)
         _, baseline, counts, wrenches = synthetic_dataset(200, rng)

@@ -415,7 +415,6 @@ class TestEvaluate:
         assert f"non-finite {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("predictions", [False, True])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_non_finite_estimate_is_model_error(self, fitted, noisy_dir, tmp_path, capsys,
                                                 predictions):
         out = tmp_path / "preds.csv"
@@ -558,7 +557,6 @@ class TestFly:
         assert rc == 4
         assert f"non-finite {field}" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_non_finite_estimate_is_model_error(self, fitted, tmp_path, capsys):
         rc = main(["fly", "--scenario", "track_sine",
                    "--model", str(overflowing_model(fitted, tmp_path)),
@@ -844,6 +842,23 @@ class TestMisc:
         params = json.loads(capsys.readouterr().out)
         loaded = default_sensor_params().from_dict(params)
         assert loaded.hash() == default_sensor_params().hash()
+
+    @pytest.mark.parametrize("command", ["fly", "evaluate", "evaluate --predictions",
+                                         "temp-sweep"])
+    def test_overflowing_model_exits_4_with_warnings_as_errors(self, fitted, noisy_dir,
+                                                                tmp_path, command):
+        # PYTHONWARNINGS=error is python -W error: an overflow warning would
+        # be raised as an exception and end the run with exit 1
+        out, log = str(tmp_path / "out"), str(noisy_dir / "trial_00.csv")
+        argv = {"fly": ["fly", "--scenario", "track_sine", "--out", out],
+                "evaluate": ["evaluate", log],
+                "evaluate --predictions": ["evaluate", log, "--predictions", out],
+                "temp-sweep": ["temp-sweep", "--out", out]}[command]
+        proc = run_cli_guarded(argv + ["--model", str(overflowing_model(fitted, tmp_path))],
+                               PYTHONWARNINGS="error")
+        assert proc.returncode == 4, proc.stderr
+        assert "model estimate is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("capft")

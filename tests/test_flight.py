@@ -41,7 +41,7 @@ from capft.flight import (
     simulate_track_sine,
     step_plant,
 )
-from capft.sensor_model import default_sensor_params
+from capft.sensor_model import SensorRangeError, default_sensor_params
 
 G = 9.81
 
@@ -782,6 +782,55 @@ def read_tick_cases(draw):
             draw(st.sampled_from([1.0, 1e280, 1e290, 1e300])), draw(st.booleans()))
 
 
+# One read-tick case per outcome of the engine's saturation bound on a
+# stretch: the solve at twice its load succeeds; that solve saturates but
+# the load does not (pillars soft enough to saturate between the press force
+# and twice it); the load saturates too, and the flight faults.
+BOUND_CASES = {
+    "solved": ("deploy_package", 11, 0.001, 360.0, 20.0, 2.0, 1.0, 1.0, False),
+    "bound saturates": ("track_sine", 11, 0.001, 360.0, 20.0, 2.0, 0.06, 1.0, False),
+    "load saturates": ("track_sine", 11, 0.001, 360.0, 20.0, 2.0, 0.04, 1.0, False),
+}
+
+
+def fly_both(case, sensor_params, quick_model):
+    """fly_on for a read_tick_cases case on the engine and on the reference,
+    with a Counter of the engine's bound solves by outcome (BOUND_CASES'
+    keys).  The bound is flight.capacitances' only caller."""
+    scenario, seed, plant_dt, sensor_hz, control_hz, sigma, modulus, scale, bypass = case
+    base = default_config(scenario, seed=seed)
+    cfg = dataclasses.replace(
+        base, plant_dt=plant_dt, sensor_hz=sensor_hz, control_hz=control_hz,
+        settle_time=0.2, measure_time=0.6,
+        machine=dataclasses.replace(base.machine, hold_duration=0.5))
+    pillars = sensor_params.pillars
+    params = dataclasses.replace(
+        sensor_params,
+        cdc=dataclasses.replace(sensor_params.cdc, noise_sigma_counts=sigma),
+        pillars=dataclasses.replace(pillars, youngs_modulus=modulus * pillars.youngs_modulus))
+    model = dataclasses.replace(quick_model, matrix=quick_model.matrix * scale)
+    stack = SensingStack(params=params, model=model, bypass=bypass)
+    outcomes = Counter()
+    real = flight.capacitances
+
+    def counting_capacitances(w, p):
+        try:
+            caps = real(w, p)
+        except SensorRangeError:
+            try:  # the stretch's load is half the force, or less where that is 1 N
+                real(dataclasses.replace(w, fz=w.fz / 2.0), p)
+                outcomes["bound saturates"] += 1
+            except SensorRangeError:
+                outcomes["load saturates"] += 1
+            raise
+        outcomes["solved"] += 1
+        return caps
+
+    with mock.patch.object(flight, "capacitances", counting_capacitances):
+        ours = fly_on(flight._Engine, cfg, stack)
+    return ours, fly_on(SenseEveryTickEngine, cfg, stack), outcomes
+
+
 class TestReadTicks:
     """The engine senses only read ticks; its outputs equal sensing every tick."""
 
@@ -792,23 +841,46 @@ class TestReadTicks:
     @example(case=("deploy_package", 3, 0.001, 360.0, 20.0, 2.2e18, 1.0, 1.0, False))
     @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 2.0, 0.05, 1.0, False))
     @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 1e16, 1.0, 1e280, False))
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
-                                "ignore:invalid value encountered in matmul:RuntimeWarning")
+    # each outcome of the saturation bound
+    @example(case=BOUND_CASES["solved"])
+    @example(case=BOUND_CASES["bound saturates"])
+    @example(case=BOUND_CASES["load saturates"])
     def test_outputs_equal_sensing_every_tick(self, sensor_params, quick_model, case):
-        scenario, seed, plant_dt, sensor_hz, control_hz, sigma, modulus, scale, bypass = case
-        base = default_config(scenario, seed=seed)
-        cfg = dataclasses.replace(
-            base, plant_dt=plant_dt, sensor_hz=sensor_hz, control_hz=control_hz,
-            settle_time=0.2, measure_time=0.6,
-            machine=dataclasses.replace(base.machine, hold_duration=0.5))
-        pillars = sensor_params.pillars
-        params = dataclasses.replace(
-            sensor_params,
-            cdc=dataclasses.replace(sensor_params.cdc, noise_sigma_counts=sigma),
-            pillars=dataclasses.replace(pillars, youngs_modulus=modulus * pillars.youngs_modulus))
-        model = dataclasses.replace(quick_model, matrix=quick_model.matrix * scale)
-        stack = SensingStack(params=params, model=model, bypass=bypass)
-        assert fly_on(flight._Engine, cfg, stack) == fly_on(SenseEveryTickEngine, cfg, stack)
+        ours, reference, _ = fly_both(case, sensor_params, quick_model)
+        assert ours == reference
+
+    @pytest.mark.parametrize("outcome", list(BOUND_CASES))
+    def test_each_bound_outcome_is_reached(self, sensor_params, quick_model, outcome):
+        ours, reference, outcomes = fly_both(BOUND_CASES[outcome], sensor_params, quick_model)
+        assert outcomes[outcome] > 0
+        assert ours == reference
+
+    @pytest.mark.parametrize("scenario", ["track_sine", "deploy_package"])
+    def test_shipped_missions_never_fall_back(self, monkeypatch, sensor_params, quick_model,
+                                              scenario):
+        skips, sensed = [], [0]
+        real_skip, real_sense = flight._Engine._skip, flight.sense
+
+        def recording_skip(self, n, unread):
+            skips.append(real_skip(self, n, unread))
+            return skips[-1]
+
+        def counting_sense(*args):
+            sensed[0] += 1
+            return real_sense(*args)
+
+        monkeypatch.setattr(flight._Engine, "_skip", recording_skip)
+        monkeypatch.setattr(flight, "sense", counting_sense)
+        engines = []
+        monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
+        cfg = default_config(scenario, seed=11)
+        rows, _ = run_mission(cfg, SensingStack(params=sensor_params, model=quick_model))
+        (eng,) = engines
+        assert skips
+        assert sum(plant is None for plant in skips) == 0
+        # at the default rates a sensing tick falls on every control step, so
+        # the read ticks are the control steps, the final done() tick's too
+        assert sensed[0] == len({round(r.t / cfg.plant_dt) for r in rows} | {eng.k})
 
     def test_plant_fault_in_a_stretch_keeps_an_earlier_reading_fault(
             self, monkeypatch, sensor_params, quick_model):
