@@ -324,7 +324,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except (LogFormatError, ScenarioRangeError, InputFileError, FileNotFoundError) as exc:
+    except (LogFormatError, ScenarioRangeError, InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CalibrationError as exc:

@@ -112,16 +112,11 @@ class FlightState(NamedTuple):
     """Vehicle state between plant steps, as floats.
 
     px..pz is the position (m) and vx..vz the velocity (m/s), world frame.
-    qw..qz are the attitude's components as core.slerp_quat returns them,
-    before core.snap_unit_quat makes them a unit quaternion.  So q, which
-    snaps them, gives the attitude bit for bit, where keeping the snapped
-    components would not: snapping them again changes the last bits of some
-    quaternions.  The plant steps on the floats; p and v build Vec3s for
-    the controller, and q is the (w, x, y, z) tuple that the controller and
-    the trace read.  Under a held command the attitude reaches a bit-exact
-    fixed point (a level hover does on its first step), after which
-    step_plant keeps qw..qz as they are without slerping again.  The state
-    keeps no time: the engine's step index is the clock.
+    q is the attitude, a unit (w, x, y, z) quaternion as core.snap_unit_quat
+    returns it: the engine builds only such states, and no input file sets
+    an attitude.  step_plant steps from q unchanged, and the controller and
+    the trace read it as it is.  p and v build Vec3s for the controller.
+    The state keeps no time: the engine's step index is the clock.
     """
 
     px: float
@@ -130,10 +125,7 @@ class FlightState(NamedTuple):
     vx: float
     vy: float
     vz: float
-    qw: float
-    qx: float
-    qy: float
-    qz: float
+    q: tuple[float, float, float, float]
     payload_attached: bool
 
     @property
@@ -143,10 +135,6 @@ class FlightState(NamedTuple):
     @property
     def v(self) -> Vec3:
         return Vec3(self.vx, self.vy, self.vz)
-
-    @property
-    def q(self) -> tuple[float, float, float, float]:
-        return snap_unit_quat(self.qw, self.qx, self.qy, self.qz)
 
 
 @dataclass(frozen=True)
@@ -168,12 +156,10 @@ def press_force(pz: float, vz: float, env: ContactEnv) -> float:
 _quat_bits = struct.Struct("4d").pack
 _settle_key = struct.Struct("9d").pack  # a state's q, the command's q and alpha
 
-# The attitude of the last step_plant call that ended at a fixed point of its
-# command, as (key, (q_new, bx, by, bz)): from a state whose q, command and
-# alpha have the key's bits, every step gives q_new and the body-z factors
-# bx, by, bz again.  Keyed by packed bits, so -0.0 and 0.0 differ.  One
-# tuple, so a reader never sees a key with another attitude's values.
-_settled: tuple = (None, ())
+# The key of the last step_plant call that ended at a fixed point of its
+# command: from a state whose q, command and alpha have these bits, every
+# step gives q again.  Packed bits, so -0.0 and 0.0 differ.
+_settled: bytes | None = None
 
 
 def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: ContactEnv,
@@ -188,12 +174,14 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     the last state's press force; n calls of one step give the same states
     bit for bit.
 
-    Once a step's snapped attitude has the bits of the one it started from,
-    every later step under the same command and alpha repeats it, so the
-    remaining steps reuse its attitude and body z instead of slerping.  The
-    fixed point carries over to the next call through a one-slot memo,
-    which serves every plant call of the shipped missions after a process's
-    first.
+    state.q must be a unit quaternion as core.snap_unit_quat returns it
+    (see FlightState); each step snaps slerp's result, so every state this
+    returns holds one.  Once a step's attitude has the bits of the one it
+    started from, every later step under the same command and alpha
+    repeats it, so the remaining steps keep it and its body z instead of
+    slerping.  The fixed point carries over to the next call through the
+    one-key memo _settled, which serves every plant call of the shipped
+    missions after a process's first.
     """
     global _settled
     if not 0.0 < dt <= 0.01:
@@ -205,24 +193,19 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
     adhesion = env.adhesion_threshold
     gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, attached = state
-    memo_key, memo = _settled
-    hit = settled = _settle_key(qw, qx, qy, qz, *q_cmd, alpha) == memo_key
+    px, py, pz, vx, vy, vz, q, attached = state
+    hit = settled = _settle_key(*q, *q_cmd, alpha) == _settled
     if hit:
-        q_new, bx, by, bz = memo
-    else:
-        snapped = snap_unit_quat(qw, qx, qy, qz)
+        bx, by, bz = body_z(*q)
     f_c = press_force(pz, vz, env)
     mass = params.mass + (env.payload_mass if attached else 0.0)
     s = thrust / mass
     peak = 0.0  # press forces are never negative
     for _ in range(steps):
         if not settled:
-            q_new = slerp_quat(snapped, q_cmd, alpha)
-            # the snapped attitude, which the next step starts from
-            q = snap_unit_quat(*q_new)
-            settled = _quat_bits(*q) == _quat_bits(*snapped)
-            snapped = q
+            start = _quat_bits(*q)
+            q = snap_unit_quat(*slerp_quat(q, q_cmd, alpha))
+            settled = _quat_bits(*q) == start
             bx, by, bz = body_z(*q)
         # thrust along body z, gravity, and the surface reaction, whose normal
         # (0, 0, -1) pushes the vehicle down; the sums keep the order of the
@@ -242,8 +225,8 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
         if f_c > peak:
             peak = f_c
     if settled and not hit:
-        _settled = _settle_key(*q_new, *q_cmd, alpha), (q_new, bx, by, bz)
-    return FlightState(px, py, pz, vx, vy, vz, *q_new, attached), peak, f_c
+        _settled = _settle_key(*q, *q_cmd, alpha)
+    return FlightState(px, py, pz, vx, vy, vz, q, attached), peak, f_c
 
 
 @dataclass
@@ -353,6 +336,13 @@ class SimConfig:
         if self.max_engage_time <= 0.0:
             raise ValueError(f"SimConfig.max_engage_time must be positive, "
                              f"got {self.max_engage_time!r}")
+        # the longest hold an engagement evaluates the profile at: HOLD ends
+        # at the first control tick hold_duration in, and control ticks are
+        # less than two periods apart (one period plus a plant step)
+        hold = min(self.max_engage_time, self.machine.hold_duration + 2.0 / self.control_hz)
+        if not math.isfinite(2.0 * math.pi * self.profile.frequency_hz * hold):
+            raise ValueError(f"SimConfig.profile.frequency_hz {self.profile.frequency_hz!r} "
+                             f"overflows the profile's phase within a {hold:g} s hold")
         for i, press in enumerate(self.press_forces):
             if press <= 0.0:
                 raise ValueError(f"SimConfig.press_forces[{i}] must be positive, got {press!r}")
@@ -411,7 +401,7 @@ class _Engine:
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EB5)))
         lat = cfg.seq.lateral
         self.state = FlightState(  # at rest and level
-            lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, *LEVEL_QUAT,
+            lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, LEVEL_QUAT,
             payload_attached=cfg.env.payload_mass > 0.0)
         self.press = press_force(self.state.pz, self.state.vz, cfg.env)  # kept current with state
         self.k = 0

@@ -714,6 +714,18 @@ class TestFly:
         assert f"SimConfig.plant_dt {plant_dt!r} is too small" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("frequency_hz", [1e308, 2e307])
+    def test_overflowing_profile_phase_is_usage_error(self, tmp_path, capsys, frequency_hz):
+        # rejected before flight, not as a fault in the engagement's setpoint
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine",
+                                        "profile": {"frequency_hz": frequency_hz}}))
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SimConfig.profile.frequency_hz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("forces, message", [
         ([-1.0], "SimConfig.press_forces[0] must be positive, got -1.0"),
         ([0.7, 0.0], "SimConfig.press_forces[1] must be positive, got 0.0"),
@@ -859,6 +871,32 @@ class TestMisc:
         assert proc.returncode == 4, proc.stderr
         assert "model estimate is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["generate --out", "temp-sweep --out", "fly --out",
+                                         "calibrate --model", "calibrate --report",
+                                         "evaluate --predictions"])
+    def test_unwritable_output_path_is_data_error(self, fitted, noisy_dir, tmp_path, capsys,
+                                                  command):
+        # --out names an existing file; the other flags name a directory
+        taken_file, taken_dir = tmp_path / "taken.txt", tmp_path / "taken"
+        taken_file.write_text("")
+        taken_dir.mkdir()
+        model, log = str(fitted / "model.json"), str(noisy_dir / "trial_00.csv")
+        argv = {
+            "generate --out": ["generate", "--trials", "1", "--duration", "1.0",
+                               "--out", str(taken_file)],
+            "temp-sweep --out": ["temp-sweep", "--model", model, "--out", str(taken_file)],
+            "fly --out": ["fly", "--scenario", "track_sine", "--bypass-sensor",
+                          "--out", str(taken_file)],
+            "calibrate --model": ["calibrate", str(noisy_dir), "--model", str(taken_dir)],
+            "calibrate --report": ["calibrate", str(noisy_dir), "--model",
+                                   str(tmp_path / "m.json"), "--report", str(taken_dir)],
+            "evaluate --predictions": ["evaluate", log, "--model", model,
+                                       "--predictions", str(taken_dir)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "taken" in err[0]
 
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("capft")

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import struct
 from collections import Counter
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -64,7 +63,7 @@ def quick_model(sensor_params):
 
 
 def at_rest(z, v=0.0, attached=False):
-    return FlightState(0.0, 0.0, z, 0.0, 0.0, v, *LEVEL_QUAT, payload_attached=attached)
+    return FlightState(0.0, 0.0, z, 0.0, 0.0, v, LEVEL_QUAT, payload_attached=attached)
 
 
 def unit_quat(w, x, y, z):
@@ -90,9 +89,7 @@ def step_plant_reference(state, cmd, params, env, dt):
         attached = False
     v_new = state.v + accel.scaled(dt)
     p_new = state.p + v_new.scaled(dt)
-    # the snapped attitude itself: a FlightState holds slerp_quat's components
-    # from before they were snapped, which q_new no longer has
-    return SimpleNamespace(p=p_new, v=v_new, q=q_new, payload_attached=attached)
+    return FlightState(*p_new.as_tuple(), *v_new.as_tuple(), q_new, attached)
 
 
 def state_bits(s):
@@ -108,18 +105,17 @@ def flip_zeros(q):
 
 def settled_attitude(q_cmd, alpha):
     """A bit-exact fixed point of the held command q_cmd, reached from q_cmd:
-    slerp's components once snapping them gives back the attitude the step
-    started from.  The last bits of a small component can creep toward it
+    the snapped attitude once a step gives back the one it started from.
+    The last bits of a small component can creep toward it
     for thousands of steps (about 2,500 at alpha 2e-4), and at alpha 0,
     where nothing pulls them, a tiny component keeps shrinking by an ulp a
     step; then the attitude after 10,000 steps, still creeping, stands in."""
-    snapped = q_cmd
+    q = q_cmd
     for _ in range(10_000):
-        q_new = slerp_quat(snapped, q_cmd, alpha)
-        q = snap_unit_quat(*q_new)
-        if struct.pack("4d", *q) == struct.pack("4d", *snapped):
+        q_new = snap_unit_quat(*slerp_quat(q, q_cmd, alpha))
+        if struct.pack("4d", *q_new) == struct.pack("4d", *q):
             break
-        snapped = q
+        q = q_new
     return q_new
 
 
@@ -140,15 +136,16 @@ def held_attitudes(draw):
     if kind == "level":
         q = (1.0, draw(SIGNED_ZERO), draw(SIGNED_ZERO), draw(SIGNED_ZERO))
     elif kind == "tilted":
-        q = normalize_quat(draw(st.floats(0.1, 1.0)), draw(COMPONENT), draw(COMPONENT),
-                           draw(COMPONENT))
+        q = unit_quat(draw(st.floats(0.1, 1.0)), draw(COMPONENT), draw(COMPONENT),
+                      draw(COMPONENT))
     else:
         q = list(settled_attitude(unit_quat(*cmd), 1.0 - math.exp(-dt / tau)))
-        if kind == "near":  # a few ulps off one component
+        if kind == "near":  # a few ulps off one component, then snapped
             i, ulps = draw(st.integers(0, 3)), draw(st.integers(1, 8))
             toward = draw(st.sampled_from([-math.inf, math.inf]))
             for _ in range(ulps):
                 q[i] = math.nextafter(q[i], toward)
+            q = snap_unit_quat(*q)
     return tuple(q), cmd, tau, dt
 
 
@@ -160,7 +157,7 @@ def interleaved_chains(chains, dt, splits):
     env = ContactEnv()
     runs = []
     for q, cmd, tau in chains:
-        state = FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, *q, payload_attached=False)
+        state = FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, q, payload_attached=False)
         runs.append([state, state, Command(f_cmd_hat=0.35, q_cmd=unit_quat(*cmd)),
                      PlantParams(tau_att=tau)])
     for n in splits:
@@ -179,11 +176,11 @@ FINITE = SIGNED_ZERO | st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def trace_rows(draw):
-    """A TraceRow of any state: attitude components as normalize_quat returns
-    them, signed zeros among position and velocity, either payload flag."""
-    q = normalize_quat(draw(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)),
-                       draw(COMPONENT), draw(COMPONENT), draw(COMPONENT))
-    state = FlightState(*(draw(FINITE) for _ in range(6)), *q, draw(st.booleans()))
+    """A TraceRow of any state: any unit attitude, signed zeros among
+    position and velocity, either payload flag."""
+    q = unit_quat(draw(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)),
+                  draw(COMPONENT), draw(COMPONENT), draw(COMPONENT))
+    state = FlightState(*(draw(FINITE) for _ in range(6)), q, draw(st.booleans()))
     return TraceRow(draw(st.floats(0.0, 100.0)), state, draw(FINITE), draw(FINITE),
                     draw(FINITE), draw(st.sampled_from([m.value for m in MachineState])))
 
@@ -344,7 +341,7 @@ class TestPlant:
             vel[rng.random(3) < 0.1] = -0.0
             q = rng.normal(size=4) * (rng.random(4) < 0.7)
             q[0] += 0.1
-            state = FlightState(*rng.normal(size=2), z, *vel, *normalize_quat(*q),
+            state = FlightState(*rng.normal(size=2), z, *vel, unit_quat(*q),
                                 payload_attached=bool(rng.random() < 0.5))
             q_cmd = state.q if rng.random() < 0.2 \
                 else unit_quat(*rng.normal(size=4))
@@ -390,7 +387,7 @@ class TestPlant:
         plant = PlantParams()
         env = ContactEnv(payload_mass=0.095)
         state = FlightState(0.3, -0.2, env.surface_z - env.tip_offset + dz, *vel,
-                            *normalize_quat(*q), payload_attached=attached)
+                            unit_quat(*q), payload_attached=attached)
         cmd = Command(f_cmd_hat=f_cmd_hat, q_cmd=state.q if q_cmd is None
                       else unit_quat(*q_cmd))
         self.assert_steps_match_chain(state, cmd, plant, env, dt, n)
@@ -508,7 +505,7 @@ class TestSettledAttitude:
         monkeypatch.setattr(flight, "slerp_quat", counting_slerp)
         s2, _, _ = step_plant(s, cmd, plant, env, 0.001, steps=500)
         assert calls[0] == 0
-        assert (s2.qw, s2.qx, s2.qy, s2.qz) == (s.qw, s.qx, s.qy, s.qz)
+        assert s2.q == s.q
 
 
 class TestPayload:
@@ -995,3 +992,21 @@ class TestConfigSerialization:
     def test_trace_line_equals_object_rendering(self, row):
         # tilted attitudes too, which the pinned bypass digests never reach
         assert rows_to_csv_lines([row]) == [TRACE_COLUMNS, object_rendering(row)]
+
+    def test_reading_an_attitude_snaps_nothing(self, monkeypatch):
+        # a state stores the snapped attitude, so reading it is no arithmetic
+        stack = SensingStack(params=default_sensor_params(), bypass=True)
+        rows, _ = simulate_deploy(default_config("deploy_package"), stack)
+        calls = [0]
+        real_snap = flight.snap_unit_quat
+
+        def counting_snap(*q):
+            calls[0] += 1
+            return real_snap(*q)
+
+        monkeypatch.setattr(flight, "snap_unit_quat", counting_snap)
+        assert len(rows_to_csv_lines(rows)) == len(rows) + 1 > 1
+        assert calls[0] == 0
+        q = unit_quat(*TILT)
+        assert FlightState(0.3, -0.2, 1.0, 0.0, 0.0, 0.0, q, False).q is q
+        assert calls[0] == 0
