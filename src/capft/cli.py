@@ -65,6 +65,27 @@ def _resolve_out(args: argparse.Namespace) -> Path:
     return Path(out)
 
 
+def _seed(text: str) -> int:
+    """--seed's type: a non-negative integer, so a bad seed is a usage error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _check_output_files(*paths: Path) -> None:
+    """Raise OSError naming the first path that is a directory or whose parent
+    directory does not exist, so a command fails before it writes anything."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"parent directory of output path {path} does not exist")
+
+
 def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
     """A CLI text output: UTF-8, each line ended by LF."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -125,19 +146,21 @@ def _training_set(tare_trial: dataio.Trial, train: Sequence[dataio.Trial]) -> tu
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
+    model_path = Path(args.model)
+    out_paths = dict(zip(modes, (model_path, model_path.with_name(
+        model_path.stem + "_shear_only" + model_path.suffix))))
+    _check_output_files(*out_paths.values(),
+                        *([Path(args.report)] if args.report is not None else []))
     trials, tare_trial = _load_trial_dir(Path(args.data))
     if len(trials) < 2:
         raise CalibrationError("need at least two trials (train + held-out test)")
     train, test = dataio.split(trials)
     counts, wrenches, baseline = _training_set(tare_trial, train)
-    modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
     report = {"axes": list(calibration.AXIS_NAMES), "test_trial": test.name, "modes": {}}
     for mode in modes:
         model = calibration.fit(counts, wrenches, baseline, mode=mode, ridge=args.ridge)
-        out_path = Path(args.model)
-        if args.mode == "both" and mode == "shear_only":
-            out_path = out_path.with_name(out_path.stem + "_shear_only" + out_path.suffix)
-        calibration.save_model(model, out_path)
+        calibration.save_model(model, out_paths[mode])
         test_metrics = calibration.evaluate(model, test.counts, test.wrench)
         print(f"fitted mode={model.mode} ridge={model.ridge:.3e} "
               f"on {len(counts)} samples, test trial {test.name!a}:")
@@ -268,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-file", help="JSON scenario overriding --scenario")
     p.add_argument("--trials", type=int, default=11)
     p.add_argument("--duration", type=float, default=35.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sensor-params", help="JSON sensor parameter file")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
@@ -293,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor-params")
     p.add_argument("--temp-start", type=float, default=20.0)
     p.add_argument("--temp-end", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
     p.set_defaults(func=cmd_temp_sweep)
 
@@ -304,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="calibration model for sensor-in-the-loop flight")
     p.add_argument("--config", help="JSON simulation config")
     p.add_argument("--sensor-params")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    help="overrides the config's seed (default: the config's, else 0)")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
     p.set_defaults(func=cmd_fly)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,14 +25,11 @@ from .core import (
     Vec3,
     body_z,
     check_finite_fields,
-    cross_normalize,
     quat_from_columns,
+    unit3,
 )
 
 MIN_DESIRED_FORCE = 0.1  # N, below this the commanded attitude is undefined
-# the level heading's x and z axes, which every commanded attitude is built against
-X_LEVEL = Vec3(1.0, 0.0, 0.0)
-Z_LEVEL = Vec3(0.0, 0.0, 1.0)
 
 
 class ZeroDesiredForceError(ValueError):
@@ -74,6 +72,12 @@ class GainSet:
         return cls(*(np.diag(np.asarray(d, dtype=float)) for d in
                      (kp_free, kv_free, kp_contact, kv_contact)))
 
+    @cached_property
+    def rows(self) -> dict:
+        """select_gains' (kp, kv) for each state, each matrix as three rows of floats."""
+        return {s: tuple(tuple(map(tuple, m.tolist())) for m in select_gains(s, self))
+                for s in MachineState}
+
 
 def tracking_errors(p_obs: Vec3, v_obs: Vec3, p_des: Vec3, v_des: Vec3) -> tuple[Vec3, Vec3]:
     """Position and velocity errors, observed minus desired."""
@@ -89,12 +93,17 @@ def select_gains(state: MachineState, gains: GainSet) -> tuple[np.ndarray, np.nd
 
 def desired_force(e_p: Vec3, e_v: Vec3, gains: GainSet, mass: float,
                   state: MachineState) -> Vec3:
-    """World-frame force request from the PD position law plus gravity offload."""
-    kp, kv = select_gains(state, gains)
-    ep = np.asarray(e_p.as_tuple())
-    ev = np.asarray(e_v.as_tuple())
-    f = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY.as_tuple())
-    return Vec3(float(f[0]), float(f[1]), float(f[2]))
+    """World-frame force request from the PD position law plus gravity offload.
+
+    Each component is -kp @ e_p - kv @ e_v - mass * GRAVITY summed as BLAS's
+    gemv sums it: left to right, each row's sum started from +0.0, so a zero
+    result has the sign numpy gives it.
+    """
+    kp, kv = gains.rows[state]
+    ex, ey, ez = e_p.x, e_p.y, e_p.z
+    vx, vy, vz = e_v.x, e_v.y, e_v.z
+    return Vec3(*[(0.0 + (-a * ex + -b * ey + -c * ez)) - (0.0 + (d * vx + e * vy + h * vz))
+                  - mass * g for (a, b, c), (d, e, h), g in zip(kp, kv, GRAVITY.as_tuple())])
 
 
 def commanded_orientation(f_des: Vec3) -> tuple[float, float, float, float]:
@@ -105,17 +114,23 @@ def commanded_orientation(f_des: Vec3) -> tuple[float, float, float, float]:
     re-orthonormalized against the other two so the result is a proper
     rotation even when the level and commanded z axes disagree.
     """
-    n = f_des.norm()
+    fx, fy, fz = f_des.x, f_des.y, f_des.z
+    n = math.sqrt(fx * fx + fy * fy + fz * fz)
     if n <= MIN_DESIRED_FORCE:
         raise ZeroDesiredForceError(f"desired force norm {n:.3e} N too small")
-    z_cmd = f_des.scaled(1.0 / n)
-    y_cmd = cross_normalize(z_cmd, X_LEVEL)
-    x_raw = y_cmd.cross(Z_LEVEL)
-    x_ortho = x_raw - z_cmd.scaled(x_raw.dot(z_cmd)) - y_cmd.scaled(x_raw.dot(y_cmd))
-    handed = x_raw.dot(y_cmd.cross(z_cmd))
-    if x_ortho.norm() <= 1e-8 or handed <= 0.0:
+    s = 1.0 / n
+    zx, zy, zz = fx * s, fy * s, fz * s
+    # z x (1, 0, 0), then y x (0, 0, 1): the products by 0.0 stay, as they
+    # set the sign of a zero component
+    yx, yy, yz = unit3(zy * 0.0 - zz * 0.0, zz - zx * 0.0, zx * 0.0 - zy)
+    rx, ry, rz = yy - yz * 0.0, yz * 0.0 - yx, yx * 0.0 - yy * 0.0
+    dz = rx * zx + ry * zy + rz * zz
+    dy = rx * yx + ry * yy + rz * yz
+    ox, oy, oz = rx - zx * dz - yx * dy, ry - zy * dz - yy * dy, rz - zz * dz - yz * dy
+    handed = rx * (yy * zz - yz * zy) + ry * (yz * zx - yx * zz) + rz * (yx * zy - yy * zx)
+    if math.sqrt(ox * ox + oy * oy + oz * oz) <= 1e-8 or handed <= 0.0:
         raise DegenerateOrientationError("commanded frame collapsed or left-handed")
-    return quat_from_columns(x_ortho.normalized(), y_cmd, z_cmd)
+    return quat_from_columns(unit3(ox, oy, oz), (yx, yy, yz), (zx, zy, zz))
 
 
 def desired_normalized_thrust(f_des: Vec3, q_obs: tuple[float, float, float, float],
@@ -123,7 +138,8 @@ def desired_normalized_thrust(f_des: Vec3, q_obs: tuple[float, float, float, flo
     """Project the force request onto the current body z and normalize."""
     if k_f <= 0.0:
         raise ValueError("thrust constant k_f must be positive")
-    return k_f * f_des.dot(Vec3(*body_z(*q_obs)))
+    bx, by, bz = body_z(*q_obs)
+    return k_f * (f_des.x * bx + f_des.y * by + f_des.z * bz)
 
 
 @dataclass(frozen=True)

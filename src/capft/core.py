@@ -149,11 +149,7 @@ class Vec3:
         return math.sqrt(self.dot(self))
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n <= EPS_PARALLEL:
-            raise DegenerateOrientationError(
-                f"cannot normalize near-zero vector: norm {n!r} below {EPS_PARALLEL}")
-        return self.scaled(1.0 / n)
+        return Vec3(*unit3(self.x, self.y, self.z))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -195,9 +191,14 @@ class Wrench:
         return cls(fx, fy, fz, mx, my, mz)
 
 
-def cross_normalize(a: Vec3, b: Vec3) -> Vec3:
-    """Unit vector along a x b; rejects near-parallel inputs."""
-    return a.cross(b).normalized()
+def unit3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) divided by its norm; rejects a norm at or below EPS_PARALLEL."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n <= EPS_PARALLEL:
+        raise DegenerateOrientationError(
+            f"cannot normalize near-zero vector: norm {n!r} below {EPS_PARALLEL}")
+    s = 1.0 / n
+    return x * s, y * s, z * s
 
 
 def snap_unit_quat(w: float, x: float, y: float, z: float
@@ -254,12 +255,11 @@ def slerp_quat(a: tuple[float, float, float, float], b: tuple[float, float, floa
 LEVEL_QUAT = (1.0, 0.0, 0.0, 0.0)  # the identity rotation: body axes along the world's
 
 
-def quat_from_columns(x_col: Vec3, y_col: Vec3, z_col: Vec3
-                      ) -> tuple[float, float, float, float]:
-    """Unit quaternion for the rotation whose matrix columns are the given axes."""
-    m00, m01, m02 = x_col.x, y_col.x, z_col.x
-    m10, m11, m12 = x_col.y, y_col.y, z_col.y
-    m20, m21, m22 = x_col.z, y_col.z, z_col.z
+def quat_from_columns(x_col: tuple[float, float, float], y_col: tuple[float, float, float],
+                      z_col: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    """Unit quaternion for the rotation whose matrix columns are the given
+    (x, y, z) axes."""
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = x_col, y_col, z_col
     tr = m00 + m11 + m22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0

@@ -333,6 +333,8 @@ class SimConfig:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"SimConfig.{name} must not be negative, "
                                  f"got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"SimConfig.seed must be non-negative, got {self.seed!r}")
         if self.max_engage_time <= 0.0:
             raise ValueError(f"SimConfig.max_engage_time must be positive, "
                              f"got {self.max_engage_time!r}")

@@ -348,6 +348,30 @@ class TestCalibrate:
         assert not model_path.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["report_dir", "model_dir", "shear_only_dir",
+                                     "report_no_parent", "model_no_parent"])
+    def test_unwritable_output_writes_nothing(self, noisy_dir, tmp_path, capsys, monkeypatch,
+                                              bad):
+        # every output path is checked before the first fit, so no model,
+        # report or metrics table is left behind
+        monkeypatch.setattr(calibration, "fit", lambda *a, **k: pytest.fail(
+            "fit ran before the output paths were checked"))
+        paths = {"--model": tmp_path / "m.json", "--report": tmp_path / "r.json"}
+        flag = "--report" if bad.startswith("report") else "--model"
+        if bad.endswith("no_parent"):
+            paths[flag] = named = tmp_path / "absent" / paths[flag].name
+        else:
+            named = tmp_path / ("m_shear_only.json" if bad == "shear_only_dir" else "taken")
+            named.mkdir()
+            paths[flag] = paths[flag] if bad == "shear_only_dir" else named
+        before = sorted(tmp_path.iterdir())
+        rc = main(["calibrate", str(noisy_dir), "--mode", "both",
+                   "--model", str(paths["--model"]), "--report", str(paths["--report"])])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert str(named) in captured.err and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_single_trial_rejected(self, tmp_path, capsys):
         rc = main(["generate", "--trials", "1", "--duration", "1.0",
                    "--seed", "3", "--out", str(tmp_path)])
@@ -686,6 +710,15 @@ class TestFly:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_config_seed_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "track_sine", "seed": -4}))
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SimConfig.seed must be non-negative, got -4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, code, message", [
         # 1 / 5e-324 is inf, so no step count or rate fits the step
         ({"plant_dt": 5e-324}, 2, "SimConfig.plant_dt 5e-324 is too small"),
@@ -740,9 +773,11 @@ class TestFly:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # Bypass flight draws no random numbers and calls no BLAS routine, so
-    # these bytes hold for every seed and numpy build.  Sensed flight is not
-    # pinned: predict's gemv sums in the BLAS kernel's order.
+    # Bypass flight draws no random numbers and calls no BLAS routine: the
+    # controller sums its gain products on Python floats in one fixed order.
+    # So these bytes hold for every seed, numpy build and BLAS kernel, gains
+    # off the diagonal included.  Sensed flight is not pinned: predict's gemv
+    # sums in the BLAS kernel's order.
     BYPASS_DIGESTS = {
         "track_sine": (
             "2465c12d5a7e8953189e9d22a051b9d3797d13cd5d3a0626848280a032aeb0b1",
@@ -842,6 +877,18 @@ class TestMisc:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--trials", "1", "--duration", "0.05"],
+        ["temp-sweep"],
+        ["fly", "--scenario", "track_sine", "--bypass-sensor"],
+    ], ids=["generate", "temp-sweep", "fly"])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, command):
+        rc = main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_params_describe(self, capsys):
         assert main(["params", "--describe"]) == 0

@@ -5,9 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from capft.core import LEVEL_QUAT, DegenerateOrientationError, Vec3
+from capft.core import (
+    EPS_PARALLEL,
+    GRAVITY,
+    LEVEL_QUAT,
+    DegenerateOrientationError,
+    Vec3,
+    body_z,
+    quat_from_columns,
+)
 from capft.controller import (
+    MIN_DESIRED_FORCE,
     ForceProfile,
     GainSet,
     MachineState,
@@ -151,6 +162,116 @@ class TestCommandedOrientation:
             h.update((" ".join(v.hex() for v in cells) + "\n").encode())
         assert h.hexdigest() == \
             "695497f6623f9fae722309a2fcf29ccdd7cb21624cbe8b81370d4472f91e0815"
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+SUBNORMAL = st.floats(-2.0 ** -1022, 2.0 ** -1022)  # ±0.0 and subnormals included
+ERROR = SIGNED_ZERO | SUBNORMAL | st.floats(-1e3, 1e3) | st.sampled_from([1e-300, -1e-300])
+GAIN = st.floats(1e-3, 1e3)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@st.composite
+def diagonal_gains(draw):
+    return GainSet.from_diagonals(*(draw(st.tuples(GAIN, GAIN, GAIN)) for _ in range(4)))
+
+
+@st.composite
+def tracking_error(draw):
+    """An error vector whose x and y are often exact zeros of either sign."""
+    xy = st.one_of(SIGNED_ZERO, ERROR)
+    return Vec3(draw(xy), draw(xy), draw(ERROR))
+
+
+def commanded_orientation_vec3(f_des):
+    """commanded_orientation as the chain of Vec3 operations it was first
+    written with: the oracle its float arithmetic must match bit for bit."""
+    def normalized(v):
+        n = v.norm()
+        if n <= EPS_PARALLEL:
+            raise DegenerateOrientationError(
+                f"cannot normalize near-zero vector: norm {n!r} below {EPS_PARALLEL}")
+        return v.scaled(1.0 / n)
+
+    n = f_des.norm()
+    if n <= MIN_DESIRED_FORCE:
+        raise ZeroDesiredForceError(f"desired force norm {n:.3e} N too small")
+    z_cmd = f_des.scaled(1.0 / n)
+    y_cmd = normalized(z_cmd.cross(Vec3(1.0, 0.0, 0.0)))
+    x_raw = y_cmd.cross(Vec3(0.0, 0.0, 1.0))
+    x_ortho = x_raw - z_cmd.scaled(x_raw.dot(z_cmd)) - y_cmd.scaled(x_raw.dot(y_cmd))
+    handed = x_raw.dot(y_cmd.cross(z_cmd))
+    if x_ortho.norm() <= 1e-8 or handed <= 0.0:
+        raise DegenerateOrientationError("commanded frame collapsed or left-handed")
+    return quat_from_columns(normalized(x_ortho).as_tuple(), y_cmd.as_tuple(),
+                             z_cmd.as_tuple())
+
+
+def outcome(fn, *args):
+    """The hex of fn's float results, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except (ZeroDesiredForceError, DegenerateOrientationError) as exc:
+        return type(exc).__name__, str(exc)
+    return hexes(result)
+
+
+@st.composite
+def desired_forces(draw):
+    """Forces at the minimum norm give or take an ulp, along x (a collapsed
+    frame), pointing down (left-handed) and with signed-zero components."""
+    kind = draw(st.sampled_from(["any", "threshold", "along_x", "signed_zeros"]))
+    component = SIGNED_ZERO | st.floats(-50.0, 50.0) | st.floats(1.0, 50.0)
+    if kind == "any":
+        return Vec3(draw(component), draw(component), draw(component))
+    if kind == "threshold":
+        axis = draw(st.integers(0, 2))
+        v = [draw(SIGNED_ZERO) for _ in range(3)]
+        v[axis] = draw(st.sampled_from([1.0, -1.0])) * math.nextafter(
+            MIN_DESIRED_FORCE, draw(st.sampled_from([0.0, math.inf, MIN_DESIRED_FORCE])))
+        return Vec3(*v)
+    if kind == "along_x":
+        tiny = SIGNED_ZERO | st.floats(-1e-7, 1e-7)
+        return Vec3(draw(st.floats(0.2, 50.0) | st.floats(-50.0, -0.2)), draw(tiny),
+                    draw(tiny))
+    return Vec3(draw(component), draw(SIGNED_ZERO), draw(component | SIGNED_ZERO))
+
+
+class TestTickBitForBit:
+    """The controller tick's float arithmetic against numpy and against the
+    Vec3 chain it replaced, compared with float.hex so signed zeros count."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(diagonal_gains(), tracking_error(), tracking_error(), st.floats(0.01, 10.0),
+           st.sampled_from(list(MachineState)))
+    @example(unit_gains(), Vec3(-0.0, 0.0, -0.0), Vec3(0.0, -0.0, -0.0), 0.65,
+             MachineState.FREE)
+    @example(unit_gains(), Vec3(1e-300, -1e-300, 0.0), Vec3(-5e-324, 0.0, 5e-324), 1.0,
+             MachineState.HOLD)
+    def test_desired_force_bit_for_bit_with_numpy(self, gains, e_p, e_v, mass, state):
+        kp, kv = select_gains(state, gains)
+        ep, ev = np.asarray(e_p.as_tuple()), np.asarray(e_v.as_tuple())
+        want = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY.as_tuple())
+        got = desired_force(e_p, e_v, gains, mass, state)
+        assert hexes(got.as_tuple()) == hexes(want.tolist())
+
+    @settings(max_examples=600, deadline=None)
+    @given(desired_forces())
+    @example(Vec3(0.0, 0.0, MIN_DESIRED_FORCE))
+    @example(Vec3(0.0, -0.0, math.nextafter(MIN_DESIRED_FORCE, 1.0)))
+    @example(Vec3(3.0, 0.0, 0.0))
+    @example(Vec3(0.0, 0.0, -5.0))
+    @example(Vec3(-0.0, -0.0, 5.0))
+    def test_commanded_orientation_bit_for_bit_with_vec3_chain(self, f):
+        want = outcome(commanded_orientation_vec3, f)
+        assert outcome(commanded_orientation, f) == want
+        if isinstance(want, list):
+            q = commanded_orientation(f)
+            assert desired_normalized_thrust(f, q, 0.05).hex() == \
+                (0.05 * f.dot(Vec3(*body_z(*q)))).hex()
 
 
 def transcript_params():

@@ -11,10 +11,10 @@ from capft.core import (
     Vec3,
     Wrench,
     body_z,
-    cross_normalize,
     quat_from_columns,
     slerp_quat,
     snap_unit_quat,
+    unit3,
 )
 
 
@@ -99,7 +99,7 @@ class TestWrench:
 class TestUnitQuaternion:
     def test_identity_basis(self):
         assert body_z(*LEVEL_QUAT) == (0.0, 0.0, 1.0)
-        assert quat_from_columns(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)) == LEVEL_QUAT
+        assert quat_from_columns((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)) == LEVEL_QUAT
 
     def test_z_rotation_90deg(self):
         q = axis_angle((0.0, 0.0, 1.0), math.pi / 2)
@@ -122,39 +122,20 @@ class TestUnitQuaternion:
         rng = np.random.default_rng(13)
         for _ in range(100):
             q = random_unit_quaternion(rng)
-            x, y, z = (Vec3(*col) for col in rotation_matrix(q).T.tolist())
+            x, y, z = (tuple(col) for col in rotation_matrix(q).T.tolist())
             q2 = quat_from_columns(x, y, z)
             # q and -q encode the same rotation
             assert abs(abs(quat_dot(q, q2)) - 1.0) < 1e-9
 
 
-class TestCrossNormalize:
-    def test_canonical_basis(self):
-        assert cross_normalize(Vec3(0, 0, 1), Vec3(1, 0, 0)).as_tuple() == \
-            pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-
+class TestUnit3:
     def test_hand_value(self):
-        # (1,1,0) x (0,0,2) = (2,-2,0), normalized (1/sqrt2, -1/sqrt2, 0)
-        got = cross_normalize(Vec3(1, 1, 0), Vec3(0, 0, 2))
         s = 1.0 / math.sqrt(2.0)
-        assert got.as_tuple() == pytest.approx((s, -s, 0.0), abs=1e-12)
+        assert unit3(2.0, -2.0, 0.0) == pytest.approx((s, -s, 0.0), abs=1e-12)
 
-    def test_parallel_rejected(self):
-        with pytest.raises(DegenerateOrientationError):
-            cross_normalize(Vec3(0, 0, 1), Vec3(0, 0, 1))
-
-    def test_orthogonal_to_inputs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a = Vec3(*rng.normal(size=3))
-            b = Vec3(*rng.normal(size=3))
-            try:
-                n = cross_normalize(a, b)
-            except DegenerateOrientationError:
-                continue
-            assert abs(n.norm() - 1.0) < 1e-9
-            assert abs(n.dot(a)) < 1e-9 * max(1.0, a.norm())
-            assert abs(n.dot(b)) < 1e-9 * max(1.0, b.norm())
+    def test_near_zero_rejected(self):
+        with pytest.raises(DegenerateOrientationError, match="near-zero vector"):
+            unit3(1e-9, 0.0, 0.0)
 
 
 class TestSlerp:
