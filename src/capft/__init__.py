@@ -1,110 +1,1 @@
 """Capacitive six-axis contact sensing and force-controlled flight toolkit."""
-
-from .core import (
-    DegenerateOrientationError,
-    GRAVITY,
-    Vec3,
-    Wrench,
-)
-from .sensor_model import (
-    CapacitanceFrame,
-    CdcConfig,
-    DriftModel,
-    PillarModel,
-    SaturationError,
-    SensorGeometry,
-    SensorParams,
-    SensorRangeError,
-    default_sensor_params,
-    sample,
-    sample_trajectory,
-    solve_deformation,
-)
-from .calibration import (
-    CalibrationError,
-    CalibrationModel,
-    Metrics,
-    TempCompensator,
-    compensate,
-    evaluate,
-    fit,
-    fit_temp_baseline,
-    load_model,
-    predict,
-    save_model,
-    tare,
-)
-from .dataio import (
-    LogFormatError,
-    Scenario,
-    ScenarioRangeError,
-    Trial,
-    generate_trial,
-    load_log,
-    write_log,
-)
-from .controller import (
-    MachineState,
-    SurfaceNotFoundError,
-    ThrustMachine,
-    ThrustMachineParams,
-    thrust_step,
-)
-from .flight import (
-    SensingStack,
-    SimConfig,
-    SimulationFault,
-    default_config,
-    run_mission,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CalibrationError",
-    "CalibrationModel",
-    "CapacitanceFrame",
-    "CdcConfig",
-    "DegenerateOrientationError",
-    "DriftModel",
-    "GRAVITY",
-    "LogFormatError",
-    "MachineState",
-    "Metrics",
-    "PillarModel",
-    "SaturationError",
-    "Scenario",
-    "ScenarioRangeError",
-    "SensingStack",
-    "SensorGeometry",
-    "SensorParams",
-    "SensorRangeError",
-    "SimConfig",
-    "SimulationFault",
-    "SurfaceNotFoundError",
-    "TempCompensator",
-    "ThrustMachine",
-    "ThrustMachineParams",
-    "Trial",
-    "Vec3",
-    "Wrench",
-    "compensate",
-    "default_config",
-    "default_sensor_params",
-    "evaluate",
-    "fit",
-    "fit_temp_baseline",
-    "generate_trial",
-    "load_log",
-    "load_model",
-    "predict",
-    "run_mission",
-    "sample",
-    "sample_trajectory",
-    "save_model",
-    "solve_deformation",
-    "tare",
-    "thrust_step",
-    "write_log",
-    "__version__",
-]

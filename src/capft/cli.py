@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, replace
 from hashlib import sha256
@@ -57,12 +58,22 @@ def _generate_one(scenario: dataio.Scenario, params: SensorParams,
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
-    """--out, falling back to the CAPFT_OUT environment variable; created if missing."""
+    """--out, falling back to the CAPFT_OUT environment variable; created if missing.
+
+    The outermost directory this creates is kept in args.made_out, which main
+    removes if the command then fails.
+    """
     out = args.out if args.out is not None else os.environ.get("CAPFT_OUT") or None
     if out is None:
         raise ValueError("--out is required (or set CAPFT_OUT)")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    return Path(out)
+    out = Path(out)
+    if not out.exists():
+        made = out
+        while not made.parent.exists():
+            made = made.parent
+        args.made_out = made
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _seed(text: str) -> int:
@@ -345,6 +356,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 2
+    args.made_out = None
+    code = 1  # the exit code of an uncaught exception
+    try:
+        code = _run(args)
+    finally:
+        if code and args.made_out is not None:  # a failed command leaves no output
+            shutil.rmtree(args.made_out, ignore_errors=True)
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit code: each error class maps to its documented code."""
     try:
         return args.func(args)
     except (LogFormatError, ScenarioRangeError, InputFileError, OSError) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -182,9 +182,6 @@ class ThrustMachine:
     t_hold_start: float = 0.0
     done: bool = False
     saturated: bool = False
-
-    def copy(self) -> "ThrustMachine":
-        return replace(self)
 
 
 def thrust_step(machine: ThrustMachine, f_des_hat: float, f_oc: float, f_dc: float,

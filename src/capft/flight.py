@@ -56,6 +56,10 @@ from .sensor_model import (NUM_CHANNELS, SaturationError, SensorParams, SensorRa
 
 # Simulated seconds a phase may run past its deadline without a controller tick.
 _STEP_BUDGET_S = 10.0
+# The most plant steps one phase may plan, budget included: the shipped
+# missions take about 47,300 steps in all, and the Python step loop runs
+# this many in seconds, where a 1e9 s hover would run for days.
+_MAX_PHASE_STEPS = 10_000_000
 # The smallest plant step a mission takes, s: a minute of flight is then six
 # million steps, where a much smaller step would run a mission for hours.
 MIN_PLANT_DT = 1e-5
@@ -436,7 +440,8 @@ class _Engine:
         budgeted too, to _STEP_BUDGET_S past the deadline: a run whose
         controller ticks too rarely to see the deadline faults there, and one
         ticking at least that often reaches its deadline tick first.  A
-        deadline too far off to count in plant steps faults before any step.
+        phase whose budget is more than _MAX_PHASE_STEPS plant steps faults
+        before any step.
         Each tick's step is computed once, when the tick before it fires.
 
         A reading only sets f_raw, which the controller reads at its ticks,
@@ -458,9 +463,9 @@ class _Engine:
         cfg = self.cfg
         hz, dt = cfg.sensor_hz, cfg.plant_dt
         budget = (deadline + _STEP_BUDGET_S) / dt
-        if budget == math.inf:
-            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far to count "
-                                  f"in plant steps of {dt!r}s")
+        if budget - self.k > _MAX_PHASE_STEPS:  # inf too
+            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far: the phase "
+                                  f"would plan over {_MAX_PHASE_STEPS:,} plant steps of {dt!r}s")
         stop = math.ceil(budget) + 2  # the first step past the budget
         next_sense = _due_step(self.ks, hz, dt, self.k, stop)
         next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)

@@ -40,12 +40,13 @@ _SOLVE_CAP_FRACTION = 0.95
 
 CHANNEL_NAMES = ("Z1", "Z2", "Z3", "Z4", "X1", "X2", "X3", "X4", "Y1", "Y2", "Y3", "Y4")
 NUM_CHANNELS = 12
-# Counts are int64.  An extreme temperature can scale a reading past that
-# (or overflow the drift scale to inf or NaN); such a reading is rejected
-# before the int conversion instead of wrapping.
+# Counts are int64.  A large CDC gain or capacitance, or an extreme
+# temperature's drift scale, can put a reading past that (or overflow it to
+# inf or NaN); such a reading is rejected before the int conversion instead
+# of wrapping.
 _COUNT_LIMIT = 2.0 ** 63
-_COUNT_RANGE_ERROR = ("CDC reading beyond the count range: temperature too far from the "
-                      "drift model's reference")
+_COUNT_RANGE_ERROR = ("CDC reading beyond the count range: the CDC gain times the channel "
+                      "capacitance times the drift scale is not below 2**63 counts")
 
 
 class SensorRangeError(ValueError):
@@ -119,6 +120,13 @@ class PillarModel:
             raise SensorRangeError("ring radii and counts must be equal-length, non-empty")
         if any(r <= 0.0 for r in self.ring_radii) or any(n <= 0 for n in self.ring_counts):
             raise SensorRangeError("ring radii and counts must be positive")
+        try:
+            k0 = self.k0
+        except ZeroDivisionError:  # the squat-pillar shape factor overflowed
+            k0 = math.inf
+        if not 0.0 < k0 < math.inf:  # the compression solve divides by it
+            raise SensorRangeError(f"pillar height {self.height!r} and radius {self.radius!r} "
+                                   f"give a stiffness at zero compression of {k0!r} N/m")
 
     @property
     def aspect_ratio(self) -> float:
@@ -131,6 +139,12 @@ class PillarModel:
     @cached_property
     def pillar_area(self) -> float:
         return math.pi * self.radius * self.radius
+
+    @cached_property
+    def k0(self) -> float:
+        """Axial stiffness of the array at zero compression, N/m."""
+        return self.count * effective_modulus(self.youngs_modulus, self.aspect_ratio) \
+            * self.pillar_area / self.height
 
     @cached_property
     def count(self) -> int:
@@ -361,9 +375,9 @@ def _axial_stiffness(pillars: PillarModel, dz):
     return pillars.count * effective_modulus(pillars.youngs_modulus, eta) * area / h_eff
 
 
-def _newton_float(pillars: PillarModel, fz: float, k0: float, cap: float) -> float:
+def _newton_float(pillars: PillarModel, fz: float, cap: float) -> float:
     """Newton steps from the linear guess, bisecting whenever one leaves the bracket."""
-    dz = min(max(fz / k0, 0.0), cap)
+    dz = min(max(fz / pillars.k0, 0.0), cap)
     lo, hi = 0.0, cap
     for _ in range(80):
         resid = _axial_force(pillars, dz) - fz
@@ -378,9 +392,9 @@ def _newton_float(pillars: PillarModel, fz: float, k0: float, cap: float) -> flo
     return dz
 
 
-def _newton_rows(pillars: PillarModel, fz: np.ndarray, k0: float, cap: float) -> np.ndarray:
+def _newton_rows(pillars: PillarModel, fz: np.ndarray, cap: float) -> np.ndarray:
     """_newton_float on every row: converged rows freeze, the rest iterate on."""
-    dz = np.clip(fz / k0, 0.0, cap)
+    dz = np.clip(fz / pillars.k0, 0.0, cap)
     rows, x, f = np.arange(dz.size), dz, fz
     lo, hi = np.zeros_like(dz), np.full_like(dz, cap)
     for _ in range(80):
@@ -405,13 +419,11 @@ def _solve_dz(pillars: PillarModel, fz):
     solve equals the float solve of fz[i] bit for bit.
     """
     cap = _SOLVE_CAP_FRACTION * pillars.height
-    k0 = pillars.count * effective_modulus(pillars.youngs_modulus, pillars.aspect_ratio) \
-        * pillars.pillar_area / pillars.height
     if isinstance(fz, np.ndarray):
-        dz = _newton_rows(pillars, fz, k0, cap)
+        dz = _newton_rows(pillars, fz, cap)
     else:
         fz = float(fz)
-        dz = _newton_float(pillars, fz, k0, cap)
+        dz = _newton_float(pillars, fz, cap)
     if not _holds(abs(_axial_force(pillars, dz) - fz) < 1e-9):  # NaN fails too
         raise SaturationError("no axial equilibrium within stroke (residual >= 1e-9 N)")
     return dz

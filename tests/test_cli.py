@@ -5,11 +5,13 @@ asserted directly; one test shells out to the installed entry point.
 """
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +62,29 @@ def run_cli_guarded(args, seconds=30.0, **env):
     return subprocess.run([sys.executable, "-m", "capft.cli", *args], capture_output=True,
                           text=True, timeout=seconds,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env))
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Fail the test if the block is still running after seconds (wall clock)."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def edited_sensor_params(tmp_path, section, key, value):
+    """A sensor parameter file: the defaults with one field replaced."""
+    params = default_sensor_params().to_dict()
+    params[section][key] = value
+    path = tmp_path / "sensor.json"
+    path.write_text(json.dumps(params))
+    return path
 
 
 # an ASCII locale that Python neither coerces to C.UTF-8 nor overrides with UTF-8 mode
@@ -188,16 +213,18 @@ class TestGenerate:
         ("pillars", "height", float("nan"), "height"),
         ("cdc", "noise_sigma_counts", float("nan"), "noise"),
         ("geometry", "eps_pillar", -50.0, "permittivities"),
+        # a stiffness at zero compression of 0 or inf, which the compression
+        # solve divides by: the pillar area underflows, the squat-pillar
+        # shape factor overflows
+        ("pillars", "radius", 1e-300, "stiffness at zero compression"),
+        ("pillars", "radius", 1e300, "stiffness at zero compression"),
+        ("pillars", "height", 1e-300, "stiffness at zero compression"),
     ])
     def test_bad_sensor_params_is_simulation_error(self, tmp_path, capsys, section, key, value,
                                                    named):
-        params = default_sensor_params().to_dict()
-        params[section][key] = value
-        p_path = tmp_path / "sensor.json"
-        p_path.write_text(json.dumps(params))
         out = tmp_path / "out"
-        rc = main(["generate", "--trials", "1", "--duration", "1.0",
-                   "--sensor-params", str(p_path), "--out", str(out)])
+        rc = main(["generate", "--trials", "1", "--duration", "1.0", "--sensor-params",
+                   str(edited_sensor_params(tmp_path, section, key, value)), "--out", str(out)])
         assert rc == 5
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -213,6 +240,26 @@ class TestGenerate:
                    "--out", str(tmp_path / "out")])
         assert rc == 5
         assert "count range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, code", [
+        ("cdc", "gain_counts_per_farad", 1e300, 5),  # counts past int64
+        ("geometry", "normal_electrode_area", 1e300, 5),
+        ("pillars", "youngs_modulus", 1e-4, 3),  # trial corners beyond the stroke
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_leaves_no_out(self, tmp_path, capsys, section, key, value, code, jobs):
+        # these fail after --out is made: a directory the command made goes,
+        # one that was already there stays
+        args = ["generate", "--trials", "1", "--duration", "2", "--jobs", jobs,
+                "--sensor-params", str(edited_sensor_params(tmp_path, section, key, value))]
+        made = tmp_path / "made"
+        assert main([*args, "--out", str(made / "nested" / "out")]) == code
+        assert not made.exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main([*args, "--out", str(kept)]) == code
+        assert kept.is_dir()
+        assert capsys.readouterr().err.count("error:") == 2
 
     def test_below_absolute_zero_is_data_error(self, tmp_path, capsys):
         scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
@@ -725,12 +772,19 @@ class TestFly:
         # deadlines whose plant step count overflows a float
         ({"max_engage_time": 1e308}, 5, "engagement deadline t=1e+308s is too far"),
         ({"settle_time": 1e308}, 5, "hover deadline t=1e+308s is too far"),
-    ], ids=["plant_dt", "max_engage_time", "settle_time"])
+        # phases of about 1e12 plant steps, over the per-phase ceiling: each
+        # faults before its first step instead of running for days
+        ({"settle_time": 1e9}, 5, "hover deadline t=1e+09s is too far"),
+        ({"measure_time": 1e9}, 5, "hover deadline t=1e+09s is too far"),
+        ({"max_engage_time": 1e9}, 5, "engagement deadline t=1e+09s is too far"),
+    ], ids=["plant_dt", "max_engage_time", "settle_time", "settle_time_1e9",
+            "measure_time_1e9", "max_engage_time_1e9"])
     def test_step_count_overflow_is_reported(self, tmp_path, capsys, config, code, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "track_sine", **config}))
-        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
-                   "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        with within_seconds(1.0):
+            rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                       "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

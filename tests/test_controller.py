@@ -436,14 +436,6 @@ class TestThrustMachineProperties:
             assert out == pytest.approx(expect, abs=1e-12)
             assert m.integral == pytest.approx(integral, abs=1e-12)
 
-    def test_copy_is_independent(self):
-        m = ThrustMachine(params=transcript_params())
-        thrust_step(m, 0.5, 0.25, 1.0, 0.0)
-        c = m.copy()
-        thrust_step(m, 0.5, 0.3, 1.0, 0.1)
-        assert c.state is MachineState.SEARCH
-        assert c.f_cmd != m.f_cmd
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ThrustMachineParams(delta_f=0.0)

@@ -498,6 +498,21 @@ class TestSampling:
         with pytest.raises(SensorRangeError, match="count range"):
             sample_trajectory(w, [temperature], self.params, np.random.default_rng(0))
 
+    def test_count_overflow_through_the_gain_blames_no_temperature(self):
+        # at the drift model's reference the drift scale is 1: the gain alone
+        # puts the counts past int64, and the message must say so
+        params = dataclasses.replace(self.params, cdc=dataclasses.replace(
+            self.params.cdc, gain_counts_per_farad=1e300))
+        reference = params.drift.reference_temp
+        w = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(SensorRangeError, match="count range") as single:
+            sample(Wrench.from_sequence(w[0]), reference, params, np.random.default_rng(0))
+        with pytest.raises(SensorRangeError, match="count range") as batch:
+            sample_trajectory(w, [reference], params, np.random.default_rng(0))
+        for exc in (single, batch):
+            assert "gain" in str(exc.value)
+            assert "temperature" not in str(exc.value)
+
     def test_reading_below_zero_clips_on_both_paths(self):
         # a drift scale that overflows to -inf rounds at zero, like any negative
         # reading, on both paths (round(-inf) on a float would raise OverflowError)
