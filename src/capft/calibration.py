@@ -105,6 +105,11 @@ class CalibrationModel:
                 f"mode {self.mode!r} expects a (6, {expected}) matrix, got {self.matrix.shape}")
         if self.baseline.shape != (NUM_CHANNELS,):
             raise ChannelMismatchError("baseline must cover all 12 channels")
+        for name in ("matrix", "baseline", "ridge"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise CalibrationError(f"non-finite {name}")
+        if self.ridge < 0.0:
+            raise CalibrationError(f"negative ridge {self.ridge!r}")
 
 
 def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
@@ -145,43 +150,32 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
                             train_rmse=rmse, normal_eq_residual=grad_ratio)
 
 
-def _estimates(model: CalibrationModel, counts, baseline: np.ndarray | None) -> np.ndarray:
-    """predict_counts before its finiteness check, which overflow reaches unwarned."""
-    features = (_features(counts, model.baseline, model.mode) if baseline is None
-                else expand_features(counts, baseline, model.mode))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return model.matrix @ features
-
-
-def predict_counts(model: CalibrationModel, counts,
-                   baseline: np.ndarray | None = None) -> np.ndarray:
-    """Wrench estimates, (6,) for one (12,) reading or (6, N) for (N, 12)
-    counts; baseline defaults to the fit-time tare.
+def predict_counts(model: CalibrationModel, counts: np.ndarray) -> np.ndarray:
+    """(6, N) wrench estimates for (N, 12) counts, tared on the model's baseline.
 
     A block of readings is one matrix-matrix product (gemm), and its columns
     can differ from per-row predict (gemv) in the last bits.  evaluate's RMSE
     and temp-sweep's traces come from this batch path; evaluate --predictions
-    and flight use predict.  The model's own baseline and mode were checked
-    when it was built, so only an explicit baseline goes through
-    expand_features' checks.  An estimate that is not finite raises
+    and flight use predict.  An estimate that is not finite raises
     NonFiniteEstimateError.
     """
-    est = _estimates(model, counts, baseline)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = model.matrix @ _features(counts, model.baseline, model.mode)
     if not np.isfinite(est).all():
         raise NonFiniteEstimateError(_NON_FINITE_ESTIMATE)
     return est
 
 
-def predict(model: CalibrationModel, frame: CapacitanceFrame,
-            baseline: np.ndarray | None = None) -> Wrench:
-    """Wrench estimate for one frame; baseline defaults to the fit-time tare.
+def predict(model: CalibrationModel, frame: CapacitanceFrame) -> Wrench:
+    """Wrench estimate for one frame, tared on the model's baseline.
 
     One matrix-vector product (gemv), which can differ in the last bits from
     the same row of a batch predict_counts (gemm); see predict_counts.  An
     estimate that is not finite raises NonFiniteEstimateError, found by the
     Wrench's own check.
     """
-    est = _estimates(model, frame.counts, baseline).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = (model.matrix @ _features(frame.counts, model.baseline, model.mode)).tolist()
     try:
         return Wrench(*est)
     except ValueError as exc:
@@ -232,6 +226,10 @@ class TempCompensator:
         for coeffs in (self.a0, self.a1, self.a2, self.r_squared):
             if len(coeffs) != NUM_CHANNELS:
                 raise CalibrationError("compensator needs one coefficient set per channel")
+        # r_squared may be NaN by design (a flat channel in fit_temp_baseline)
+        for name in ("a0", "a1", "a2", "reference_temp"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise CalibrationError(f"non-finite temp_compensator {name}")
 
 
 def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
@@ -330,15 +328,4 @@ def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | No
         raise
     except (KeyError, TypeError, ValueError, CalibrationError) as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    # r_squared may be NaN by design (a flat channel in fit_temp_baseline)
-    checks = [("matrix", model.matrix), ("baseline", model.baseline), ("ridge", model.ridge)]
-    if comp is not None:
-        checks += [("temp_compensator a0", comp.a0), ("temp_compensator a1", comp.a1),
-                   ("temp_compensator a2", comp.a2),
-                   ("temp_compensator reference_temp", comp.reference_temp)]
-    for name, values in checks:
-        if not np.isfinite(values).all():
-            raise ModelFormatError(f"malformed model file {path}: non-finite {name}")
-    if model.ridge < 0.0:
-        raise ModelFormatError(f"malformed model file {path}: negative ridge {model.ridge!r}")
     return model, comp

@@ -189,6 +189,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.predictions is not None:
+        _check_output_files(Path(args.predictions))
     model, _ = calibration.load_model(args.model)
     trial = dataio.load_log(args.log)
     metrics = calibration.evaluate(model, trial.counts, trial.wrench)

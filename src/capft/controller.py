@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,18 +45,22 @@ class MachineState(enum.Enum):
     HOLD = "HOLD"
 
 
+Row3 = tuple[float, float, float]
+Gain = tuple[Row3, Row3, Row3]  # a 3x3 matrix as three rows of floats
+
+
 @dataclass(frozen=True)
 class GainSet:
     """Position/velocity gain pairs for out-of-contact and in-contact flight."""
 
-    kp_free: np.ndarray  # (3, 3)
-    kv_free: np.ndarray
-    kp_contact: np.ndarray
-    kv_contact: np.ndarray
+    kp_free: Gain
+    kv_free: Gain
+    kp_contact: Gain
+    kv_contact: Gain
 
     def __post_init__(self) -> None:
         for name in ("kp_free", "kv_free", "kp_contact", "kv_contact"):
-            m = getattr(self, name)
+            m = np.array(getattr(self, name), dtype=float)
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3")
             if not np.isfinite(m).all():
@@ -69,14 +72,8 @@ class GainSet:
 
     @classmethod
     def from_diagonals(cls, kp_free, kv_free, kp_contact, kv_contact) -> "GainSet":
-        return cls(*(np.diag(np.asarray(d, dtype=float)) for d in
+        return cls(*(tuple(map(tuple, np.diag(np.asarray(d, dtype=float)).tolist())) for d in
                      (kp_free, kv_free, kp_contact, kv_contact)))
-
-    @cached_property
-    def rows(self) -> dict:
-        """select_gains' (kp, kv) for each state, each matrix as three rows of floats."""
-        return {s: tuple(tuple(map(tuple, m.tolist())) for m in select_gains(s, self))
-                for s in MachineState}
 
 
 def tracking_errors(p_obs: Vec3, v_obs: Vec3, p_des: Vec3, v_des: Vec3) -> tuple[Vec3, Vec3]:
@@ -84,7 +81,7 @@ def tracking_errors(p_obs: Vec3, v_obs: Vec3, p_des: Vec3, v_des: Vec3) -> tuple
     return p_obs - p_des, v_obs - v_des
 
 
-def select_gains(state: MachineState, gains: GainSet) -> tuple[np.ndarray, np.ndarray]:
+def select_gains(state: MachineState, gains: GainSet) -> tuple[Gain, Gain]:
     """Out-of-contact gains in FREE, in-contact gains otherwise."""
     if state is MachineState.FREE:
         return gains.kp_free, gains.kv_free
@@ -99,7 +96,7 @@ def desired_force(e_p: Vec3, e_v: Vec3, gains: GainSet, mass: float,
     gemv sums it: left to right, each row's sum started from +0.0, so a zero
     result has the sign numpy gives it.
     """
-    kp, kv = gains.rows[state]
+    kp, kv = select_gains(state, gains)
     ex, ey, ez = e_p.x, e_p.y, e_p.z
     vx, vy, vz = e_v.x, e_v.y, e_v.z
     return Vec3(*[(0.0 + (-a * ex + -b * ey + -c * ez)) - (0.0 + (d * vx + e * vy + h * vz))

@@ -42,6 +42,7 @@ _ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,
                        ("wrench", "f8", (6,))])
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _ABSOLUTE_ZERO_C = -273.15
+MAX_SAMPLES = 1_000_000  # per trial: 46 min at 360 Hz, and about 1 GB to generate
 
 
 class LogFormatError(ValueError):
@@ -85,6 +86,9 @@ class Scenario:
         if self.duration <= 0.0 or self.sample_rate <= 0.0 \
                 or not math.isfinite(self.duration * self.sample_rate) or self.sample_count < 1:
             raise ScenarioRangeError("duration * sample_rate must give a finite sample count >= 1")
+        if self.sample_count > MAX_SAMPLES:
+            raise ScenarioRangeError(f"duration * sample_rate gives {self.sample_count} samples, "
+                                     f"above the ceiling of {MAX_SAMPLES}")
         if self.band_hz <= 0.0 or self.band_hz > 2.0:
             raise ScenarioRangeError("excitation band must lie in (0, 2] Hz")
         # both size arrays in generate, so more of either than samples is rejected
@@ -404,5 +408,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         return from_plain(Scenario, data)
+    except ScenarioRangeError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioRangeError(f"bad scenario structure: {exc}") from exc

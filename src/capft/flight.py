@@ -681,9 +681,7 @@ def default_config(scenario: str, seed: int = 0) -> SimConfig:
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    data = asdict(cfg)
-    data["gains"] = {name: m.tolist() for name, m in data["gains"].items()}
-    return data
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> SimConfig:

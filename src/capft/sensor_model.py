@@ -267,6 +267,8 @@ class SensorParams:
     def from_dict(cls, data: dict) -> "SensorParams":
         try:
             return from_plain(cls, data)
+        except SensorRangeError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SensorRangeError(f"bad sensor parameter structure: {exc}") from exc
 

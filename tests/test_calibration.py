@@ -18,6 +18,7 @@ from capft.calibration import (
     IllConditionedError,
     ModelFormatError,
     NonFiniteEstimateError,
+    TempCompensator,
     compensate,
     evaluate,
     expand_features,
@@ -214,7 +215,7 @@ class TestPredict:
         f = make_frame(counts[3])
         shifted = make_frame(np.array(f.counts) + 7)
         w_a = predict(model, f)
-        w_b = predict(model, shifted, baseline=baseline + 7.0)
+        w_b = predict(dataclasses.replace(model, baseline=baseline + 7.0), shifted)
         assert w_a.as_tuple() == w_b.as_tuple()
 
     @settings(max_examples=200, deadline=None)
@@ -222,8 +223,8 @@ class TestPredict:
            counts=st.lists(st.integers(0, 2**40), min_size=12, max_size=12),
            seed=st.integers(0, 2**32 - 1))
     def test_one_reading_matches_expand_features_hex(self, mode, counts, seed):
-        # predict skips expand_features' checks for the model's own baseline
-        # and must give the same bits; an explicit baseline is still checked
+        # predict skips expand_features' checks for the model's own baseline,
+        # checked when the model was built, and must give the same bits
         rng = np.random.default_rng(seed)
         n_feat = 24 if mode == "full" else 16
         model = CalibrationModel(
@@ -235,8 +236,6 @@ class TestPredict:
             model.matrix @ expand_features(frame.counts, model.baseline, model.mode))
         got = predict(model, frame)
         assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in expect.as_tuple()]
-        with pytest.raises(CalibrationError):
-            predict(model, frame, baseline=np.zeros(11))
 
     def test_end_to_end_roundtrip(self):
         params = default_sensor_params()
@@ -431,6 +430,45 @@ def edit_model_file(path, keys, value):
         target = target[k]
     target[last] = value
     path.write_text(json.dumps(payload))
+
+
+def nan_quality_model():
+    """A valid model whose fit-quality fields are NaN, which the model allows."""
+    return CalibrationModel(matrix=np.ones((6, 24)), baseline=np.full(12, 1000.0), mode="full",
+                            ridge=0.0, train_rmse=(math.nan,) * 6, normal_eq_residual=math.nan)
+
+
+def nan_quality_compensator():
+    """A valid compensator whose r_squared is NaN, as a flat channel gives."""
+    return TempCompensator(a0=(1000.0,) * 12, a1=(2.0,) * 12, a2=(0.01,) * 12,
+                           reference_temp=25.0, r_squared=(math.nan,) * 12)
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("field, value, named", [
+        ("matrix", np.where(np.arange(144).reshape(6, 24) == 27, math.nan, 1.0),
+         "non-finite matrix"),
+        ("baseline", np.array([1000.0] * 5 + [-math.inf] + [1000.0] * 6), "non-finite baseline"),
+        ("baseline", np.zeros(11), "baseline must cover all 12 channels"),
+        ("ridge", math.inf, "non-finite ridge"),
+        ("ridge", math.nan, "non-finite ridge"),
+        ("ridge", -1.0, "negative ridge -1.0"),
+    ])
+    def test_model_rejects_a_bad_field(self, field, value, named):
+        model = nan_quality_model()
+        with pytest.raises(CalibrationError, match=named):
+            dataclasses.replace(model, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("a0", (math.nan,) + (1000.0,) * 11),
+        ("a1", (2.0,) * 4 + (math.inf,) + (2.0,) * 7),
+        ("a2", (0.01,) * 11 + (-math.inf,)),
+        ("reference_temp", math.nan),
+    ])
+    def test_compensator_rejects_a_non_finite_field(self, field, value):
+        comp = nan_quality_compensator()
+        with pytest.raises(CalibrationError, match=f"non-finite temp_compensator {field}"):
+            dataclasses.replace(comp, **{field: value})
 
 
 class TestModelFile:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -55,12 +56,16 @@ def overflowing_model(fitted, tmp_path):
     return path
 
 
-def run_cli_guarded(args, seconds=30.0, **env):
-    """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard;
-    env adds to or overrides this process's environment."""
+def run_cli_guarded(args, seconds=30.0, address_space=None, **env):
+    """The CLI in a child process, killed (TimeoutExpired) if it outlives the guard
+    and, given address_space, unable to map more than that many bytes; env adds to
+    or overrides this process's environment."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     path = [str(Path(capft.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run([sys.executable, "-m", "capft.cli", *args], capture_output=True,
                           text=True, timeout=seconds,
+                          preexec_fn=None if address_space is None else cap_memory,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env))
 
 
@@ -200,6 +205,19 @@ class TestGenerate:
         rc = main(["generate", "--trials", "1", "--duration", duration, "--out", str(out)])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_count_above_the_ceiling_is_data_error(self, tmp_path):
+        # 1e7 s at 360 Hz would ask generate for about 27 GiB: the child may map
+        # 2 GiB, with one BLAS thread, so a missing bound fails fast instead
+        out = tmp_path / "out"
+        proc = run_cli_guarded(["generate", "--trials", "1", "--duration", "1e7",
+                                "--out", str(out)], address_space=2 << 30,
+                               OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 3, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and "above the ceiling of 1000000" in err[0], proc.stderr
+        assert err[0].startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -495,6 +513,17 @@ class TestEvaluate:
         assert rc == 4
         assert "model estimate is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_predictions_fail_before_any_metric(self, fitted, noisy_dir, tmp_path,
+                                                            capsys):
+        rc = main(["evaluate", str(noisy_dir / "trial_00.csv"),
+                   "--model", str(fitted / "model.json"),
+                   "--predictions", str(tmp_path / "missing" / "preds.csv")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
 
     def test_missing_log_is_data_error(self, fitted, tmp_path):
         rc = main(["evaluate", str(tmp_path / "absent.csv"),
@@ -911,6 +940,30 @@ class TestJsonInputs:
         out = tmp_path / "out"
         assert main(json_input_command("--scenario-file", path, out)) == 3
         assert f"{field} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, code, key, value, message", [
+        ("--sensor-params", 5, "radius", 1e-300,
+         "error: pillar height 0.000127 and radius 1e-300 give a stiffness at zero compression"),
+        ("--scenario-file", 3, "band_hz", 5.0, "error: excitation band must lie in (0, 2] Hz"),
+        ("--scenario-file", 3, "band_Hz", 1.0,
+         "error: bad scenario structure: unknown key 'band_Hz' in Scenario"),
+    ], ids=["sensor-range", "scenario-range", "scenario-structure"])
+    def test_range_error_keeps_its_own_message(self, tmp_path, capsys, flag, code, key, value,
+                                               message):
+        # a well-formed file with an out-of-range value is not a structural fault
+        if flag == "--sensor-params":
+            data = default_sensor_params().to_dict()
+            data["pillars"][key] = value
+        else:
+            data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+            data[key] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(json_input_command(flag, path, out)) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
         assert not out.exists()
 
     @pytest.mark.parametrize("version", [True, 1.0, "1"])

@@ -252,7 +252,7 @@ class TestTickBitForBit:
     @example(unit_gains(), Vec3(1e-300, -1e-300, 0.0), Vec3(-5e-324, 0.0, 5e-324), 1.0,
              MachineState.HOLD)
     def test_desired_force_bit_for_bit_with_numpy(self, gains, e_p, e_v, mass, state):
-        kp, kv = select_gains(state, gains)
+        kp, kv = (np.array(m) for m in select_gains(state, gains))
         ep, ev = np.asarray(e_p.as_tuple()), np.asarray(e_v.as_tuple())
         want = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY.as_tuple())
         got = desired_force(e_p, e_v, gains, mass, state)

@@ -590,6 +590,15 @@ class TestScenarioSerialization:
         assert getattr(Scenario(name="x", duration=1.0, seed=0, **{field: -273.15}),
                        field) == -273.15
 
+    def test_sample_count_above_the_ceiling_rejected(self):
+        # 1e7 s at 360 Hz is 3.6e9 samples, about 27 GiB for generate to allocate
+        with pytest.raises(ScenarioRangeError, match="3600000000 samples, above the ceiling"):
+            Scenario(name="x", duration=1e7, seed=0)
+        with pytest.raises(ScenarioRangeError, match=f"ceiling of {dataio.MAX_SAMPLES}"):
+            Scenario(name="x", duration=dataio.MAX_SAMPLES + 1.0, seed=0, sample_rate=1.0)
+        at_ceiling = Scenario(name="x", duration=dataio.MAX_SAMPLES / 360.0, seed=0)
+        assert at_ceiling.sample_count == dataio.MAX_SAMPLES
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioRangeError):
             Scenario(name="x", duration=0.0, seed=0)

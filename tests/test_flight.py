@@ -1,6 +1,7 @@
 """Plant integration, contact physics, sensing-in-the-loop, and missions."""
 
 import dataclasses
+import json
 import math
 import struct
 from collections import Counter
@@ -968,6 +969,19 @@ class TestConfigSerialization:
             cfg = default_config(scenario, seed=5)
             d = config_to_dict(cfg)
             assert config_to_dict(config_from_dict(d)) == d
+
+    @pytest.mark.parametrize("scenario, kp_free", [
+        ("track_sine", None),
+        ("deploy_package", None),
+        ("track_sine", ((7.0, 0.5, 0.0), (0.5, 7.0, -0.25), (0.0, -0.25, 9.0))),
+    ], ids=["track_sine", "deploy_package", "non-diagonal"])
+    def test_json_roundtrip_compares_equal_and_hashes(self, scenario, kp_free):
+        cfg = default_config(scenario, seed=5)
+        if kp_free is not None:
+            cfg = dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains, kp_free=kp_free))
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert back == cfg
+        assert hash(back) == hash(cfg)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
