@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InputFileError, Wrench, from_plain, read_json
+from .core import InputFileError, Wrench, from_plain, read_json, write_lines
 from .sensor_model import NUM_CHANNELS, CapacitanceFrame
 
 AXIS_NAMES = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
@@ -306,7 +306,7 @@ def save_model(model: CalibrationModel, path: str | Path,
             "a0": list(comp.a0), "a1": list(comp.a1), "a2": list(comp.a2),
             "reference_temp": comp.reference_temp, "r_squared": list(comp.r_squared),
         }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, [json.dumps(payload, indent=2)])
 
 
 def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | None]:

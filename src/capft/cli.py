@@ -26,7 +26,7 @@ import numpy as np
 from . import calibration, dataio, flight
 from .calibration import CalibrationError
 from .controller import SurfaceNotFoundError
-from .core import InputFileError, read_json
+from .core import InputFileError, read_json, write_lines
 from .dataio import LogFormatError, ScenarioRangeError
 from .flight import SimulationFault
 from .sensor_model import SensorParams, SensorRangeError, default_sensor_params
@@ -97,13 +97,8 @@ def _check_output_files(*paths: Path) -> None:
             raise FileNotFoundError(f"parent directory of output path {path} does not exist")
 
 
-def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
-    """A CLI text output: UTF-8, each line ended by LF."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _write_json(path: str | Path, payload: dict) -> None:
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -129,7 +124,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         results = list(map(_generate_one, *jobs))
     manifest = {
-        "scenario": dataio.scenario_to_dict(base),
+        "scenario": asdict(base),
         "sensor_params_hash": params.hash(),
         "base_seed": args.seed,
         "trials": args.trials,
@@ -204,7 +199,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for frame, w in zip(trial.iter_frames(), trial.wrench.tolist()):
             pred = calibration.predict(model, frame).as_tuple()
             lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
-        _write_lines(args.predictions, lines)
+        write_lines(args.predictions, lines)
     return 0
 
 
@@ -241,7 +236,7 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
     for t, temp, fr, fc in zip(sweep.t.tolist(), sweep.temperature.tolist(),
                                f_raw.tolist(), f_comp.tolist()):
         lines.append(f"{t!r},{temp!r},{fr!r},{fc!r}")
-    _write_lines(out_dir / "ablation.csv", lines)
+    write_lines(out_dir / "ablation.csv", lines)
     r2 = comp.r_squared
     print(f"baseline fit R^2 per channel: min {min(r2):.5f}, max {max(r2):.5f}")
     print(f"no-load |F| error over {args.temp_start:.1f}..{args.temp_end:.1f} degC: "
@@ -266,7 +261,7 @@ def cmd_fly(args: argparse.Namespace) -> int:
     stack = flight.SensingStack(params=params, model=model, bypass=args.bypass_sensor)
     rows, summary = flight.run_mission(cfg, stack)
     out_dir = _resolve_out(args)
-    _write_lines(out_dir / "trace.csv", flight.rows_to_csv_lines(rows))
+    write_lines(out_dir / "trace.csv", flight.rows_to_csv_lines(rows))
     if cfg.scenario == "track_sine":
         print(f"hold {summary.hold_time:.1f}s, force tracking rms "
               f"{summary.rms_error:.3f} N, saturated={summary.saturated}")
@@ -291,7 +286,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         print("  cdc: gain_counts_per_farad, noise_sigma_counts, lag_corner_hz or null")
         print("every key is required; an unknown key or a wrong JSON type is rejected")
         print("defaults below are illustrative, not measurements of a physical device:")
-    print(json.dumps(params.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(params), indent=2, sort_keys=True))
     return 0
 
 

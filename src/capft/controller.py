@@ -100,7 +100,7 @@ def desired_force(e_p: Vec3, e_v: Vec3, gains: GainSet, mass: float,
     ex, ey, ez = e_p.x, e_p.y, e_p.z
     vx, vy, vz = e_v.x, e_v.y, e_v.z
     return Vec3(*[(0.0 + (-a * ex + -b * ey + -c * ez)) - (0.0 + (d * vx + e * vy + h * vz))
-                  - mass * g for (a, b, c), (d, e, h), g in zip(kp, kv, GRAVITY.as_tuple())])
+                  - mass * g for (a, b, c), (d, e, h), g in zip(kp, kv, GRAVITY)])
 
 
 def commanded_orientation(f_des: Vec3) -> tuple[float, float, float, float]:

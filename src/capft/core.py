@@ -11,12 +11,13 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 EPS_PARALLEL = 1e-8
-GRAVITY_MAG = 9.81  # m/s^2; GRAVITY points down the world z axis
+GRAVITY_MAG = 9.81  # m/s^2
+GRAVITY = (0.0, 0.0, -GRAVITY_MAG)  # m/s^2, down the world z axis
 MNM_TO_NM = 1e-3  # moment fields carry mN*m; convert only where mechanics needs SI
 
 
@@ -55,6 +56,11 @@ def read_json(path) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write a text output: UTF-8 and each line ended by LF, whatever the locale."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def from_plain(cls, data, base=None):
@@ -155,7 +161,6 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-GRAVITY = Vec3(0.0, 0.0, -GRAVITY_MAG)
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 
 

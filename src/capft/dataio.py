@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Wrench, check_finite_fields, from_plain
+from .core import Wrench, check_finite_fields, from_plain, write_lines
 from .sensor_model import (
     CHANNEL_NAMES,
     NUM_CHANNELS,
@@ -251,11 +251,10 @@ def write_log(trial: Trial, path: str | Path) -> None:
     columns = [map(repr, trial.t.tolist()), _texts(trial.temperature, repr).tolist()]
     columns += _texts(trial.counts, str).T.tolist()
     columns += [map(repr, col) for col in trial.wrench.T.tolist()]
-    lines = itertools.chain(
+    write_lines(path, itertools.chain(
         (f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",
          LOG_HEADER),
-        map(",".join, zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        map(",".join, zip(*columns))))
 
 
 def _parse_metadata(lines: list[str]) -> tuple[dict, int]:
@@ -399,10 +398,6 @@ def temp_sweep_scenario(name: str = "temp_sweep", duration: float = 22.0, seed: 
     """No-load stepped temperature sweep for drift characterization."""
     return Scenario(name=name, duration=duration, seed=seed,
                     temp_start=temp_start, temp_end=temp_end, temp_steps=steps)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return asdict(s)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,10 +56,17 @@ from .sensor_model import (NUM_CHANNELS, SaturationError, SensorParams, SensorRa
 
 # Simulated seconds a phase may run past its deadline without a controller tick.
 _STEP_BUDGET_S = 10.0
-# The most plant steps one phase may plan, budget included: the shipped
-# missions take about 47,300 steps in all, and the Python step loop runs
-# this many in seconds, where a 1e9 s hover would run for days.
-_MAX_PHASE_STEPS = 10_000_000
+# Seconds past its duration at which a hover's deadline falls.
+_HOVER_SLACK_S = 1.0
+# Seconds of the retreat hover that follows each engagement.
+_RETREAT_S = {"track_sine": 2.0, "deploy_package": 2.5}
+# The most plant steps and controller ticks a mission may plan, every phase's
+# budget included (SimConfig.budget_s): the shipped missions plan 78,500 and
+# 158,500 steps.  The Python step loop runs ten million steps in seconds,
+# and a million ticks' trace rows take about 0.8 GB, near the 1 GB that
+# dataio.MAX_SAMPLES samples take to generate.
+MAX_MISSION_STEPS = 10_000_000
+MAX_MISSION_TICKS = 1_000_000
 # The smallest plant step a mission takes, s: a minute of flight is then six
 # million steps, where a much smaller step would run a mission for hours.
 MIN_PLANT_DT = 1e-5
@@ -119,8 +126,8 @@ class FlightState(NamedTuple):
     q is the attitude, a unit (w, x, y, z) quaternion as core.snap_unit_quat
     returns it: the engine builds only such states, and no input file sets
     an attitude.  step_plant steps from q unchanged, and the controller and
-    the trace read it as it is.  p and v build Vec3s for the controller.
-    The state keeps no time: the engine's step index is the clock.
+    the trace read it as it is.  The state keeps no time: the engine's step
+    index is the clock.
     """
 
     px: float
@@ -131,14 +138,6 @@ class FlightState(NamedTuple):
     vz: float
     q: tuple[float, float, float, float]
     payload_attached: bool
-
-    @property
-    def p(self) -> Vec3:
-        return Vec3(self.px, self.py, self.pz)
-
-    @property
-    def v(self) -> Vec3:
-        return Vec3(self.vx, self.vy, self.vz)
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     q_cmd = cmd.q_cmd
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
     adhesion = env.adhesion_threshold
-    gx, gy, gz = GRAVITY.x, GRAVITY.y, GRAVITY.z
+    gx, gy, gz = GRAVITY
     px, py, pz, vx, vy, vz, q, attached = state
     hit = settled = _settle_key(*q, *q_cmd, alpha) == _settled
     if hit:
@@ -352,6 +351,29 @@ class SimConfig:
         for i, press in enumerate(self.press_forces):
             if press <= 0.0:
                 raise ValueError(f"SimConfig.press_forces[{i}] must be positive, got {press!r}")
+        names = "settle_time, measure_time, max_engage_time" + (
+            "" if self.scenario == "track_sine" else " or the number of press_forces")
+        budget = self.budget_s
+        if not budget / self.plant_dt <= MAX_MISSION_STEPS:  # inf too
+            raise ValueError(f"SimConfig plans {budget:g} s of flight, over {MAX_MISSION_STEPS:,} "
+                             f"plant steps of {self.plant_dt!r} s: lower {names}, "
+                             f"or raise plant_dt")
+        if not budget * self.control_hz <= MAX_MISSION_TICKS:
+            raise ValueError(f"SimConfig plans {budget:g} s of flight, over {MAX_MISSION_TICKS:,} "
+                             f"controller ticks at {self.control_hz!r} Hz: lower {names}, "
+                             f"or control_hz")
+
+    @property
+    def budget_s(self) -> float:
+        """Simulated seconds the mission may run at most: the sum of its
+        phases' deadlines plus _STEP_BUDGET_S each, as _Engine.run budgets them."""
+        def hover(duration: float) -> float:
+            return duration + _HOVER_SLACK_S + _STEP_BUDGET_S
+        engage = self.max_engage_time + _STEP_BUDGET_S + hover(_RETREAT_S[self.scenario])
+        lead = hover(self.settle_time) + hover(self.measure_time)
+        if self.scenario == "track_sine":
+            return lead + engage
+        return lead + sum(engage + hover(self.measure_time) for _ in self.press_forces)
 
 
 @dataclass(frozen=True)
@@ -439,9 +461,8 @@ class _Engine:
         Controller ticks check done() and the deadline.  The plant steps are
         budgeted too, to _STEP_BUDGET_S past the deadline: a run whose
         controller ticks too rarely to see the deadline faults there, and one
-        ticking at least that often reaches its deadline tick first.  A
-        phase whose budget is more than _MAX_PHASE_STEPS plant steps faults
-        before any step.
+        ticking at least that often reaches its deadline tick first.
+        SimConfig bounds the budgets of all phases together.
         Each tick's step is computed once, when the tick before it fires.
 
         A reading only sets f_raw, which the controller reads at its ticks,
@@ -462,11 +483,7 @@ class _Engine:
         """
         cfg = self.cfg
         hz, dt = cfg.sensor_hz, cfg.plant_dt
-        budget = (deadline + _STEP_BUDGET_S) / dt
-        if budget - self.k > _MAX_PHASE_STEPS:  # inf too
-            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far: the phase "
-                                  f"would plan over {_MAX_PHASE_STEPS:,} plant steps of {dt!r}s")
-        stop = math.ceil(budget) + 2  # the first step past the budget
+        stop = math.ceil((deadline + _STEP_BUDGET_S) / dt) + 2  # the first step past the budget
         next_sense = _due_step(self.ks, hz, dt, self.k, stop)
         next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
         while True:
@@ -563,10 +580,11 @@ class _Engine:
                     ) -> tuple[tuple[float, float, float, float], float]:
         """Commanded attitude and unclamped normalized thrust toward a setpoint."""
         cfg = self.cfg
-        e_p, e_v = tracking_errors(self.state.p, self.state.v, p_des, v_des)
+        s = self.state
+        e_p, e_v = tracking_errors(Vec3(s.px, s.py, s.pz), Vec3(s.vx, s.vy, s.vz), p_des, v_des)
         f_des = desired_force(e_p, e_v, cfg.gains, cfg.plant.mass, gain_state)
         return (commanded_orientation(f_des),
-                desired_normalized_thrust(f_des, self.state.q, cfg.plant.k_f))
+                desired_normalized_thrust(f_des, s.q, cfg.plant.k_f))
 
     def hover(self, z_target: float, duration: float, collect_after: float | None = None
               ) -> float:
@@ -584,7 +602,7 @@ class _Engine:
             f_hat = min(max(f_hat, 0.0), cfg.plant.max_thrust_hat)
             return Command(f_cmd_hat=f_hat, q_cmd=q_cmd), 0.0, MachineState.FREE.value
 
-        self.run(control, lambda: self.t - t0 >= duration, t0 + duration + 1.0, "hover")
+        self.run(control, lambda: self.t - t0 >= duration, t0 + duration + _HOVER_SLACK_S, "hover")
         return float(np.mean(samples)) if samples else 0.0
 
     def engage(self, profile: ForceProfile, residual_baseline: float
@@ -623,7 +641,7 @@ def simulate_track_sine(cfg: SimConfig, stack: SensingStack
     eng.hover(cfg.seq.z_low, cfg.settle_time)
     baseline = eng.hover(cfg.seq.z_low, cfg.measure_time, collect_after=0.5)
     machine, hold_errors, saturated = eng.engage(cfg.profile, baseline)
-    eng.hover(cfg.retreat_z, 2.0)
+    eng.hover(cfg.retreat_z, _RETREAT_S[cfg.scenario])
     held = [(ht, err) for ht, err in hold_errors if ht >= cfg.rms_settle]
     if held:
         rms = float(np.sqrt(np.mean([err * err for _, err in held])))
@@ -652,7 +670,7 @@ def simulate_deploy(cfg: SimConfig, stack: SensingStack
             break
         eng.engage(ForceProfile(offset=press), residuals[-1])
         peaks.append(eng.peak_contact)
-        eng.hover(cfg.retreat_z, 2.5)
+        eng.hover(cfg.retreat_z, _RETREAT_S[cfg.scenario])
         residuals.append(eng.hover(cfg.retreat_z, cfg.measure_time, collect_after=0.5))
     attached = eng.state.payload_attached
     success = (not attached) and residuals[-1] <= cfg.residual_threshold
@@ -675,13 +693,8 @@ def default_config(scenario: str, seed: int = 0) -> SimConfig:
         return SimConfig(scenario=scenario, seed=seed,
                          machine=ThrustMachineParams(hold_duration=12.0))
     if scenario == "deploy_package":
-        return SimConfig(scenario=scenario, seed=seed, env=ContactEnv(payload_mass=0.095),
-                         profile=ForceProfile(0.7))
+        return SimConfig(scenario=scenario, seed=seed, env=ContactEnv(payload_mass=0.095))
     raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> SimConfig:

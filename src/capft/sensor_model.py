@@ -259,10 +259,6 @@ class SensorParams:
     drift: DriftModel
     cdc: CdcConfig = field(default_factory=CdcConfig)
 
-    def to_dict(self) -> dict:
-        """Nested plain values; tuples serialize as JSON arrays."""
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SensorParams":
         try:
@@ -273,7 +269,7 @@ class SensorParams:
             raise SensorRangeError(f"bad sensor parameter structure: {exc}") from exc
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return sha256(blob).hexdigest()[:12]
 
 

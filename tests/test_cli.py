@@ -7,23 +7,31 @@ asserted directly; one test shells out to the installed entry point.
 import concurrent.futures
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import resource
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import capft
 from capft import calibration, dataio, flight
 from capft.cli import main
-from capft.sensor_model import default_sensor_params
+from capft.sensor_model import (CdcConfig, DriftModel, PillarModel, SensorGeometry, SensorParams,
+                                 default_sensor_params)
+from test_json_inputs import INPUTS, JSON_VALUES, as_json, key_paths, with_edit
 
 
 def read_lines(path):
@@ -85,7 +93,7 @@ def within_seconds(seconds):
 
 def edited_sensor_params(tmp_path, section, key, value):
     """A sensor parameter file: the defaults with one field replaced."""
-    params = default_sensor_params().to_dict()
+    params = asdict(default_sensor_params())
     params[section][key] = value
     path = tmp_path / "sensor.json"
     path.write_text(json.dumps(params))
@@ -124,7 +132,7 @@ def fitted(tmp_path_factory, noisy_dir):
 def protocol_dir(tmp_path_factory):
     """Full-protocol noiseless generation: 11 trials of 35 s at 360 Hz."""
     out = tmp_path_factory.mktemp("protocol")
-    scenario = dataio.scenario_to_dict(dataio.full_range_scenario(seed=0))
+    scenario = asdict(dataio.full_range_scenario(seed=0))
     scenario["name"] = "clean_full"
     scenario["noise_enabled"] = False
     scenario["drift_enabled"] = False
@@ -250,7 +258,7 @@ class TestGenerate:
     def test_extreme_temperature_is_simulation_error(self, tmp_path, capsys):
         # 1e200 degC overflows the drift scale; the counts must not wrap to
         # int64's minimum and surface as a data error
-        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        scenario = asdict(dataio.full_range_scenario(duration=1.0))
         scenario["temp_start"] = scenario["temp_end"] = 1e200
         sc_path = tmp_path / "hot.json"
         sc_path.write_text(json.dumps(scenario))
@@ -280,7 +288,7 @@ class TestGenerate:
         assert capsys.readouterr().err.count("error:") == 2
 
     def test_below_absolute_zero_is_data_error(self, tmp_path, capsys):
-        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        scenario = asdict(dataio.full_range_scenario(duration=1.0))
         scenario["temp_end"] = -300.0
         sc_path = tmp_path / "cold.json"
         sc_path.write_text(json.dumps(scenario))
@@ -294,7 +302,7 @@ class TestGenerate:
     def test_non_ascii_name_under_ascii_locale(self, tmp_path):
         # logs are UTF-8 whatever the locale: a child under an ASCII locale
         # writes the bytes this process writes
-        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=0.5))
+        scenario = asdict(dataio.full_range_scenario(duration=0.5))
         scenario["name"] = "caf\u00e9"
         sc_path = tmp_path / "scenario.json"
         sc_path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
@@ -392,7 +400,7 @@ class TestCalibrate:
 
     def test_non_ascii_name_under_ascii_locale(self, tmp_path):
         # the held-out trial's name is printed escaped, so an ASCII stdout takes it
-        scenario = dataio.scenario_to_dict(dataio.full_range_scenario(duration=0.5))
+        scenario = asdict(dataio.full_range_scenario(duration=0.5))
         scenario["name"] = "caf\u00e9"
         sc_path = tmp_path / "scenario.json"
         sc_path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
@@ -558,7 +566,7 @@ class TestTempSweep:
         assert comp_model is not None
 
     def test_zero_drift_both_traces_small(self, tmp_path):
-        params = default_sensor_params().to_dict()
+        params = asdict(default_sensor_params())
         params["drift"]["alpha"] = [0.0] * 12
         params["drift"]["beta"] = [0.0] * 12
         p_path = tmp_path / "params.json"
@@ -573,7 +581,7 @@ class TestTempSweep:
 
     def test_strong_drift_fit_quality(self, tmp_path):
         # 3% per 10 degC on every channel, pure linear
-        params = default_sensor_params().to_dict()
+        params = asdict(default_sensor_params())
         params["drift"]["alpha"] = [0.003] * 12
         params["drift"]["beta"] = [0.0] * 12
         p_path = tmp_path / "params.json"
@@ -666,7 +674,7 @@ class TestFly:
         assert not (tmp_path / "out").exists()
 
     def test_unreachable_surface_is_simulation_fault(self, tmp_path, capsys):
-        cfg = flight.config_to_dict(flight.default_config("track_sine"))
+        cfg = asdict(flight.default_config("track_sine"))
         cfg["env"]["surface_z"] = 3.0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -707,7 +715,7 @@ class TestFly:
         (None, "max_engage_time", math.inf),
     ])
     def test_non_finite_config_is_usage_error(self, tmp_path, capsys, section, key, value):
-        cfg = flight.config_to_dict(flight.default_config("track_sine"))
+        cfg = asdict(flight.default_config("track_sine"))
         (cfg if section is None else cfg[section])[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))  # json writes NaN and Infinity tokens
@@ -729,7 +737,7 @@ class TestFly:
         assert not out.exists()
 
     def test_config_scenario_mismatch(self, tmp_path):
-        cfg = flight.config_to_dict(flight.default_config("deploy_package"))
+        cfg = asdict(flight.default_config("deploy_package"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
@@ -795,24 +803,40 @@ class TestFly:
         assert "SimConfig.seed must be non-negative, got -4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    STEPS = "over 10,000,000 plant steps of 0.001 s: lower settle_time, measure_time, " \
+        "max_engage_time"
+    TICKS = "over 1,000,000 controller ticks at 1000.0 Hz: lower settle_time, measure_time, " \
+        "max_engage_time, or control_hz"
+
+    # Each is rejected before flight and before --out is made, under a guard
+    # far shorter than the run it would be.
     @pytest.mark.parametrize("config, code, message", [
         # 1 / 5e-324 is inf, so no step count or rate fits the step
         ({"plant_dt": 5e-324}, 2, "SimConfig.plant_dt 5e-324 is too small"),
-        # deadlines whose plant step count overflows a float
-        ({"max_engage_time": 1e308}, 5, "engagement deadline t=1e+308s is too far"),
-        ({"settle_time": 1e308}, 5, "hover deadline t=1e+308s is too far"),
-        # phases of about 1e12 plant steps, over the per-phase ceiling: each
-        # faults before its first step instead of running for days
-        ({"settle_time": 1e9}, 5, "hover deadline t=1e+09s is too far"),
-        ({"measure_time": 1e9}, 5, "hover deadline t=1e+09s is too far"),
-        ({"max_engage_time": 1e9}, 5, "engagement deadline t=1e+09s is too far"),
+        # missions whose plant step count overflows a float
+        ({"max_engage_time": 1e308}, 2, f"plans 1e+308 s of flight, {STEPS}"),
+        ({"settle_time": 1e308}, 2, f"plans 1e+308 s of flight, {STEPS}"),
+        # missions of about 1e12 plant steps, which would run for days
+        ({"settle_time": 1e9}, 2, STEPS),
+        ({"measure_time": 1e9}, 2, STEPS),
+        ({"max_engage_time": 1e9}, 2, STEPS),
+        # each phase is within its budget, but the presses add up: where the
+        # payload never sticks a press takes about 11 simulated seconds, so
+        # 100,000 of them would run for about half an hour
+        ({"scenario": "deploy_package", "press_forces": [0.7] * 200,
+          "env": {"adhesion_threshold": 1e9}}, 2,
+         f"plans 13325.5 s of flight, {STEPS} or the number of press_forces, or raise plant_dt"),
+        # 9,077 s at 1 kHz: about nine million trace rows, or 7 GB
+        ({"control_hz": 1000.0, "settle_time": 9000.0}, 2, f"plans 9077 s of flight, {TICKS}"),
     ], ids=["plant_dt", "max_engage_time", "settle_time", "settle_time_1e9",
-            "measure_time_1e9", "max_engage_time_1e9"])
+            "measure_time_1e9", "max_engage_time_1e9", "press_forces_200",
+            "control_hz_1000_settle_time_9000"])
     def test_step_count_overflow_is_reported(self, tmp_path, capsys, config, code, message):
+        config = {"scenario": "track_sine", **config}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"scenario": "track_sine", **config}))
+        cfg_path.write_text(json.dumps(config))
         with within_seconds(1.0):
-            rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+            rc = main(["fly", "--scenario", config["scenario"], "--bypass-sensor",
                        "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == code
         assert message in capsys.readouterr().err
@@ -884,6 +908,32 @@ class TestFly:
         assert got == self.BYPASS_DIGESTS[scenario]
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(fitted, tmp_path_factory):
+    """name: (complete data of a JSON input, the command that reads it from a
+    path and writes to out), each run short: a 2 s trial or short phases."""
+    log = tmp_path_factory.mktemp("short") / "trial.csv"
+    dataio.write_log(dataio.generate_trial(dataio.full_range_scenario(duration=2.0, seed=5),
+                                           default_sensor_params()), log)
+    model = json.loads((fitted / "model.json").read_text())
+    model["temp_compensator"] = INPUTS["model"][0]["temp_compensator"]
+    config = asdict(flight.default_config("track_sine"))
+    config.update(settle_time=0.3, measure_time=0.6)
+    config["machine"]["hold_duration"] = 0.5
+    return {
+        "params": (as_json(asdict(default_sensor_params())), lambda path, out: [
+            "generate", "--trials", "1", "--duration", "2", "--sensor-params", path,
+            "--out", out]),
+        "scenario": (INPUTS["scenario"][0], lambda path, out: [
+            "generate", "--trials", "1", "--scenario-file", path, "--out", out]),
+        "config": (as_json(config), lambda path, out: [
+            "fly", "--scenario", "track_sine", "--bypass-sensor", "--config", path,
+            "--out", out]),
+        "model": (model, lambda path, out: [
+            "evaluate", str(log), "--model", path, "--predictions", out]),
+    }
+
+
 def json_input_command(flag, path, out):
     """A CLI run that reads path through flag and writes under out."""
     if flag in ("--sensor-params", "--scenario-file"):
@@ -914,10 +964,10 @@ class TestJsonInputs:
     def test_integer_too_large_for_a_float(self, fitted, tmp_path, capsys, flag, code):
         huge = 10 ** 400
         if flag == "--sensor-params":
-            data = default_sensor_params().to_dict()
+            data = asdict(default_sensor_params())
             data["pillars"]["height"] = huge
         elif flag == "--scenario-file":
-            data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+            data = asdict(dataio.full_range_scenario(duration=1.0))
             data["duration"] = huge
         elif flag == "--config":
             data = {"scenario": "track_sine", "plant": {"mass": huge}}
@@ -933,7 +983,7 @@ class TestJsonInputs:
 
     @pytest.mark.parametrize("field", ["components", "temp_steps"])
     def test_scenario_count_beyond_the_samples(self, tmp_path, capsys, field):
-        data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+        data = asdict(dataio.full_range_scenario(duration=1.0))
         data[field] = 10 ** 400
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
@@ -953,10 +1003,10 @@ class TestJsonInputs:
                                                message):
         # a well-formed file with an out-of-range value is not a structural fault
         if flag == "--sensor-params":
-            data = default_sensor_params().to_dict()
+            data = asdict(default_sensor_params())
             data["pillars"][key] = value
         else:
-            data = dataio.scenario_to_dict(dataio.full_range_scenario(duration=1.0))
+            data = asdict(dataio.full_range_scenario(duration=1.0))
             data[key] = value
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
@@ -976,6 +1026,48 @@ class TestJsonInputs:
         assert main(json_input_command("--model", path, out)) == 4
         assert "unsupported model format version" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["config", "model", "params", "scenario"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_one_edit_runs_to_a_documented_exit(self, cli_inputs, name, data):
+        """One field of an input set to any JSON value: the command that reads
+        it exits 0, 2, 3, 4 or 5, prints one error line on failure and leaves
+        no output behind."""
+        plain, command = cli_inputs[name]
+        path = data.draw(st.sampled_from(sorted(key_paths(plain))), label="path")
+        edited = with_edit(plain, path, data.draw(JSON_VALUES, label="value"))
+        if name == "scenario":
+            # a longer trial runs for seconds and takes up to 1 GB at the
+            # sample ceiling, which test_sample_count_above_the_ceiling_is_data_error
+            # checks under a memory cap
+            try:
+                samples = dataio.scenario_from_dict(edited).sample_count
+            except dataio.ScenarioRangeError:
+                samples = 0
+            assume(samples <= 36_000)
+        if name == "config":
+            # the mission ceilings bound an accepted config's run, where a
+            # timing would only sample it
+            try:
+                cfg = flight.config_from_dict(edited)
+            except ValueError:
+                cfg = None
+            if cfg is not None:
+                assert cfg.budget_s / cfg.plant_dt <= flight.MAX_MISSION_STEPS
+                assert cfg.budget_s * cfg.control_hz <= flight.MAX_MISSION_TICKS
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.json", Path(tmp) / "out"
+            src.write_text(json.dumps(edited))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    within_seconds(30.0):  # a hang guard; these runs take under 3 s
+                rc = main(command(str(src), str(out)))
+            assert rc in (0, 2, 3, 4, 5)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len([ln for ln in lines if ln.startswith("error: ")]) == 1, lines
+                assert not out.exists()
 
 
 class TestMisc:
@@ -1001,7 +1093,12 @@ class TestMisc:
         assert main(["params", "--describe"]) == 0
         out = capsys.readouterr().out
         assert "illustrative" in out
-        assert "pillars" in out
+        # the schema notes before the JSON defaults are written by hand, so
+        # each field of every section must be named there too
+        notes = out.split("\n{", 1)[0]
+        for cls in (SensorParams, PillarModel, SensorGeometry, DriftModel, CdcConfig):
+            for f in fields(cls):
+                assert re.search(rf"\b{f.name}\b", notes), f"{cls.__name__}.{f.name}"
 
     def test_params_output_is_valid_json(self, capsys):
         assert main(["params"]) == 0

@@ -254,7 +254,7 @@ class TestTickBitForBit:
     def test_desired_force_bit_for_bit_with_numpy(self, gains, e_p, e_v, mass, state):
         kp, kv = (np.array(m) for m in select_gains(state, gains))
         ep, ev = np.asarray(e_p.as_tuple()), np.asarray(e_v.as_tuple())
-        want = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY.as_tuple())
+        want = -kp @ ep - kv @ ev - mass * np.asarray(GRAVITY)
         got = desired_force(e_p, e_v, gains, mass, state)
         assert hexes(got.as_tuple()) == hexes(want.tolist())
 

@@ -26,7 +26,6 @@ from capft.dataio import (
     load_log,
     no_load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     small_range_scenario,
     split,
     temp_sweep_scenario,
@@ -552,14 +551,14 @@ class TestSplit:
 class TestScenarioSerialization:
     def test_roundtrip(self):
         s = full_range_scenario(duration=12.5, seed=42)
-        assert scenario_from_dict(scenario_to_dict(s)) == s
+        assert scenario_from_dict(dataclasses.asdict(s)) == s
 
     def test_temp_sweep_roundtrip(self):
         s = temp_sweep_scenario(seed=9, steps=7)
-        assert scenario_from_dict(scenario_to_dict(s)) == s
+        assert scenario_from_dict(dataclasses.asdict(s)) == s
 
     def test_missing_key_rejected(self):
-        d = scenario_to_dict(full_range_scenario())
+        d = dataclasses.asdict(full_range_scenario())
         del d["fz"]
         with pytest.raises(ScenarioRangeError):
             scenario_from_dict(d)

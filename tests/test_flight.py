@@ -31,7 +31,6 @@ from capft.flight import (
     TraceRow,
     _due_step,
     config_from_dict,
-    config_to_dict,
     default_config,
     press_force,
     rows_to_csv_lines,
@@ -82,20 +81,20 @@ def step_plant_reference(state, cmd, params, env, dt):
     q_new = snap_unit_quat(*slerp_quat(state.q, cmd.q_cmd, alpha))
     z_body = Vec3(*body_z(*q_new))
     thrust = min(max(cmd.f_cmd_hat, 0.0), params.max_thrust_hat) / params.k_f
-    f_c = press_force(state.p.z, state.v.z, env)  # takes its own output, so it chains
+    f_c = press_force(state.pz, state.vz, env)  # takes its own output, so it chains
     attached = state.payload_attached
     mass = params.mass + (env.payload_mass if attached else 0.0)
-    accel = z_body.scaled(thrust / mass) + GRAVITY + Vec3(0.0, 0.0, -f_c / mass)
+    accel = z_body.scaled(thrust / mass) + Vec3(*GRAVITY) + Vec3(0.0, 0.0, -f_c / mass)
     if attached and f_c > env.adhesion_threshold:
         attached = False
-    v_new = state.v + accel.scaled(dt)
-    p_new = state.p + v_new.scaled(dt)
+    v_new = Vec3(state.vx, state.vy, state.vz) + accel.scaled(dt)
+    p_new = Vec3(state.px, state.py, state.pz) + v_new.scaled(dt)
     return FlightState(*p_new.as_tuple(), *v_new.as_tuple(), q_new, attached)
 
 
 def state_bits(s):
     """Every float of a state as hex, so -0.0 and 0.0 differ."""
-    floats = (*s.p.as_tuple(), *s.v.as_tuple(), *s.q)
+    floats = (*s[:6], *s.q)
     return tuple(v.hex() for v in floats), s.payload_attached
 
 
@@ -187,10 +186,10 @@ def trace_rows(draw):
 
 
 def object_rendering(row):
-    """A trace line from the state's objects: the repr of p, v and the
-    snapped attitude q."""
+    """A trace line from the state's named fields: the repr of px..vz and of
+    the snapped attitude q."""
     s = row.state
-    cells = [repr(v) for v in (row.t, *s.p.as_tuple(), *s.v.as_tuple(), *s.q,
+    cells = [repr(v) for v in (row.t, s.px, s.py, s.pz, s.vx, s.vy, s.vz, *s.q,
                                row.f_oc, row.f_dc, row.f_cmd_hat)]
     return ",".join(cells + [row.machine_state, "1" if row.payload_attached else "0"])
 
@@ -245,8 +244,8 @@ class TestContactForce:
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
             f = press_force(s.pz, s.vz, env)
             if f > 0.0:
-                bound = env.contact_stiffness * s.v.z * 0.001 \
-                    + env.contact_damping * s.v.z
+                bound = env.contact_stiffness * s.vz * 0.001 \
+                    + env.contact_damping * s.vz
                 assert prev == 0.0
                 assert f <= bound + 1e-9
                 break
@@ -263,8 +262,8 @@ class TestPlant:
         cmd = hover_command(plant)
         for _ in range(1000):
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
-        assert abs(s.v.z) < 1e-9
-        assert abs(s.p.z - 1.0) < 1e-9
+        assert abs(s.vz) < 1e-9
+        assert abs(s.pz - 1.0) < 1e-9
 
     def test_free_fall_rate(self):
         plant = PlantParams()
@@ -274,7 +273,7 @@ class TestPlant:
         n = 500
         for _ in range(n):
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
-        assert s.v.z == pytest.approx(-G * n * 0.001, rel=1e-9)
+        assert s.vz == pytest.approx(-G * n * 0.001, rel=1e-9)
 
     def test_press_settles_at_spring_balance(self):
         # constant 2 N of surplus thrust -> 4 mm steady-state penetration
@@ -286,9 +285,9 @@ class TestPlant:
         s = at_rest(env.surface_z - env.tip_offset + 0.001)
         for _ in range(6000):
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
-        penetration = s.p.z + env.tip_offset - env.surface_z
+        penetration = s.pz + env.tip_offset - env.surface_z
         assert penetration == pytest.approx(surplus / env.contact_stiffness, rel=0.05)
-        assert abs(s.v.z) < 0.01
+        assert abs(s.vz) < 0.01
 
     def test_energy_drift_bounded(self):
         # ballistic arc: symplectic integration keeps the drift tiny
@@ -298,8 +297,8 @@ class TestPlant:
         s = at_rest(0.0, v=35.0)
 
         def energy(st):
-            v2 = sum(c * c for c in st.v.as_tuple())
-            return 0.5 * plant.mass * v2 + plant.mass * G * st.p.z
+            v2 = sum(c * c for c in (st.vx, st.vy, st.vz))
+            return 0.5 * plant.mass * v2 + plant.mass * G * st.pz
 
         e0 = energy(s)
         peak_ke = 0.5 * plant.mass * 35.0 ** 2
@@ -307,7 +306,7 @@ class TestPlant:
         for _ in range(10000):
             s, _, _ = step_plant(s, cmd, plant, env, 0.001)
             peak_ke = max(peak_ke, 0.5 * plant.mass
-                          * sum(c * c for c in s.v.as_tuple()))
+                          * sum(c * c for c in (s.vx, s.vy, s.vz)))
             worst = max(worst, abs(energy(s) - e0))
         assert worst / peak_ke <= 1e-3
 
@@ -353,8 +352,8 @@ class TestPlant:
                 step_plant_reference(state, cmd, plant, env, dt))
             f_c = press_force(state.pz, state.vz, env)
             seen["separated"] += f_c == 0.0
-            seen["approaching"] += f_c > 0.0 and state.v.z > 0.0
-            seen["receding"] += f_c > 0.0 and state.v.z <= 0.0
+            seen["approaching"] += f_c > 0.0 and state.vz > 0.0
+            seen["receding"] += f_c > 0.0 and state.vz <= 0.0
             seen["detach"] += state.payload_attached and not got.payload_attached
             seen["thrust_at_zero"] += cmd.f_cmd_hat <= 0.0
             seen["thrust_at_max"] += cmd.f_cmd_hat >= plant.max_thrust_hat
@@ -538,8 +537,8 @@ class TestPayload:
         s_att = at_rest(1.0, attached=True)
         s_det = at_rest(1.0, attached=False)
         cmd = Command(f_cmd_hat=0.5, q_cmd=LEVEL_QUAT)
-        a_att = step_plant(s_att, cmd, self.plant, env_free, 0.001)[0].v.z
-        a_det = step_plant(s_det, cmd, self.plant, env_free, 0.001)[0].v.z
+        a_att = step_plant(s_att, cmd, self.plant, env_free, 0.001)[0].vz
+        a_det = step_plant(s_det, cmd, self.plant, env_free, 0.001)[0].vz
         assert a_att < a_det
 
 
@@ -967,8 +966,8 @@ class TestConfigSerialization:
     def test_roundtrip_dict(self):
         for scenario in ("track_sine", "deploy_package"):
             cfg = default_config(scenario, seed=5)
-            d = config_to_dict(cfg)
-            assert config_to_dict(config_from_dict(d)) == d
+            d = dataclasses.asdict(cfg)
+            assert dataclasses.asdict(config_from_dict(d)) == d
 
     @pytest.mark.parametrize("scenario, kp_free", [
         ("track_sine", None),
@@ -979,7 +978,7 @@ class TestConfigSerialization:
         cfg = default_config(scenario, seed=5)
         if kp_free is not None:
             cfg = dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains, kp_free=kp_free))
-        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        back = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert back == cfg
         assert hash(back) == hash(cfg)
 
@@ -992,6 +991,19 @@ class TestConfigSerialization:
         for tiny in (math.nextafter(1e-5, 0.0), 5e-324):
             with pytest.raises(ValueError, match=f"SimConfig.plant_dt {tiny!r} is too small"):
                 SimConfig("track_sine", plant_dt=tiny)
+
+    def test_mission_budget_sums_the_phase_budgets(self):
+        # settle, measure, one engagement and its retreat; a deployment
+        # repeats the engagement, the retreat and a measure for each press.
+        # The run below is bounded by the budget it checks (under 0.1 s).
+        assert default_config("track_sine").budget_s == 78.5
+        assert default_config("deploy_package").budget_s == 158.5
+        cfg = dataclasses.replace(default_config("deploy_package"), press_forces=(0.7,) * 3,
+                                  env=ContactEnv(payload_mass=0.095, adhesion_threshold=1e9))
+        rows, summary = simulate_deploy(cfg, SensingStack(params=default_sensor_params(),
+                                                          bypass=True))
+        assert len(summary.press_peaks) == 3  # the payload never sticks
+        assert rows[-1].t <= cfg.budget_s
 
     def test_trace_csv_shape(self):
         cfg = default_config("track_sine")

@@ -9,7 +9,7 @@ names the field.  Each input raises its own domain error and nothing else.
 import copy
 import json
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,7 @@ from capft import flight
 from capft.calibration import CalibrationModel, ModelFormatError, TempCompensator, load_model, \
     save_model
 from capft.core import InputFileError, from_plain, read_json
-from capft.dataio import ScenarioRangeError, full_range_scenario, scenario_from_dict, \
-    scenario_to_dict
+from capft.dataio import ScenarioRangeError, full_range_scenario, scenario_from_dict
 from capft.sensor_model import SensorParams, SensorRangeError, default_sensor_params
 
 
@@ -174,12 +173,12 @@ def load_model_payload(payload):
 
 # name: (complete data, load then dump as JSON, the input's domain error)
 INPUTS = {
-    "params": (as_json(default_sensor_params().to_dict()),
-               lambda d: as_json(SensorParams.from_dict(d).to_dict()), SensorRangeError),
-    "scenario": (as_json(scenario_to_dict(full_range_scenario(duration=2.0, seed=3))),
-                 lambda d: as_json(scenario_to_dict(scenario_from_dict(d))), ScenarioRangeError),
-    "config": (as_json(flight.config_to_dict(flight.default_config("track_sine", seed=4))),
-               lambda d: as_json(flight.config_to_dict(flight.config_from_dict(d))), ValueError),
+    "params": (as_json(asdict(default_sensor_params())),
+               lambda d: as_json(asdict(SensorParams.from_dict(d))), SensorRangeError),
+    "scenario": (as_json(asdict(full_range_scenario(duration=2.0, seed=3))),
+                 lambda d: as_json(asdict(scenario_from_dict(d))), ScenarioRangeError),
+    "config": (as_json(asdict(flight.default_config("track_sine", seed=4))),
+               lambda d: as_json(asdict(flight.config_from_dict(d))), ValueError),
     "model": (model_payload(), load_model_payload, ModelFormatError),
 }
 

@@ -34,3 +34,36 @@ def test_no_module_imports_another_modules_private_names():
                           f"import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not found
+
+
+
+def _bound_names(node):
+    """The names a module-level statement binds that the module must read:
+    every imported name, and each private name it defines."""
+    if isinstance(node, ast.Import):
+        return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [] if node.module == "__future__" else [alias.asname or alias.name
+                                                       for alias in node.names]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_unused_imports_or_private_module_names():
+    # a lint rule without a linter: what a module imports, and each private
+    # name it defines at module level, is read somewhere in that module
+    found = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{source.name}:{node.lineno}: {name}" for node in tree.body
+                  for name in _bound_names(node) if name not in loaded]
+    assert not found

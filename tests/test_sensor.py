@@ -535,7 +535,7 @@ class TestSampling:
         pool = [row for row in ([0.0 if abs(v) < 1.0 else v for v in row] for row in pool)
                 if in_range(row, self.params)]
         assume(pool)
-        twin = SensorParams.from_dict(self.params.to_dict())
+        twin = SensorParams.from_dict(dataclasses.asdict(self.params))
         assert twin == self.params and twin is not self.params
         stiffer = dataclasses.replace(self.params, pillars=dataclasses.replace(
             self.params.pillars, radius=1.1 * self.params.pillars.radius))
@@ -609,7 +609,7 @@ class TestLagRows:
 class TestParamsRoundtrip:
     def test_dict_roundtrip(self):
         p = default_sensor_params()
-        q = SensorParams.from_dict(p.to_dict())
+        q = SensorParams.from_dict(dataclasses.asdict(p))
         assert q == p
         assert q.hash() == p.hash()
 
@@ -617,12 +617,12 @@ class TestParamsRoundtrip:
         # equal but distinct objects hash equal, and the cached value stays out
         # of the dict, the file hash and a pickle (hash(None) is per process)
         p = default_sensor_params()
-        data, digest = p.to_dict(), p.hash()
+        data, digest = dataclasses.asdict(p), p.hash()
         q = SensorParams.from_dict(data)
         assert q is not p and q == p
         assert hash(q) == hash(p) == hash(p)
-        assert p.to_dict() == data and p.hash() == digest
-        assert SensorParams.from_dict(p.to_dict()) == p
+        assert dataclasses.asdict(p) == data and p.hash() == digest
+        assert SensorParams.from_dict(dataclasses.asdict(p)) == p
         assert "_field_hash" not in pickle.loads(pickle.dumps(p)).__dict__
         stiffer = dataclasses.replace(p, pillars=dataclasses.replace(
             p.pillars, radius=1.1 * p.pillars.radius))
@@ -640,7 +640,7 @@ class TestParamsRoundtrip:
         ("cdc", "lag_corner_hz", math.nan),
     ])
     def test_non_finite_or_non_physical_rejected(self, section, key, value):
-        data = default_sensor_params().to_dict()
+        data = dataclasses.asdict(default_sensor_params())
         data[section][key] = value
         with pytest.raises(SensorRangeError):
             SensorParams.from_dict(data)
