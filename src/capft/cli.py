@@ -11,7 +11,6 @@ fault.  All outputs are deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import shutil
@@ -119,6 +118,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     jobs = (scenarios, [params] * len(outs), outs)
     workers = min(args.jobs, len(outs))
     if workers > 1:
+        import concurrent.futures  # here, not at the top: it loads logging too
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_generate_one, *jobs))
     else:

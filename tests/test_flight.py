@@ -172,6 +172,7 @@ def interleaved_chains(chains, dt, splits):
 
 
 FINITE = SIGNED_ZERO | st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOAT = SIGNED_ZERO | st.floats()
 
 
 @st.composite
@@ -252,6 +253,28 @@ class TestContactForce:
             prev = f
         else:
             pytest.fail("never made contact")
+
+    @settings(max_examples=300, deadline=None)
+    @given(pz=ANY_FLOAT, vz=ANY_FLOAT, surface_z=FINITE, tip_offset=FINITE,
+           stiffness=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           damping=SIGNED_ZERO | st.floats(min_value=0.0, allow_infinity=False))
+    @example(pz=math.nan, vz=1.0, surface_z=0.0, tip_offset=0.0, stiffness=1.0, damping=1.0)
+    @example(pz=1.0, vz=math.nan, surface_z=0.0, tip_offset=0.0, stiffness=1.0, damping=1.0)
+    @example(pz=1.0, vz=math.inf, surface_z=0.0, tip_offset=0.0, stiffness=1.0, damping=0.0)
+    @example(pz=1.0, vz=math.inf, surface_z=0.0, tip_offset=0.0, stiffness=1.0, damping=1.0)
+    @example(pz=1e300, vz=-0.0, surface_z=0.0, tip_offset=0.0, stiffness=1e10, damping=-0.0)
+    @example(pz=5e-324, vz=-0.0, surface_z=0.0, tip_offset=0.0, stiffness=0.5, damping=-0.0)
+    def test_equals_builtin_max_form(self, pz, vz, surface_z, tip_offset, stiffness, damping):
+        # the clamps compare instead of calling max, with max's result for
+        # signed zeros, inf and NaN alike
+        env = ContactEnv(surface_z=surface_z, tip_offset=tip_offset,
+                         contact_stiffness=stiffness, contact_damping=damping)
+        penetration = pz + tip_offset - surface_z
+        want = 0.0 if penetration <= 0.0 else max(
+            0.0, stiffness * penetration + damping * max(0.0, vz))
+        got = press_force(pz, vz, env)
+        assert struct.pack("d", got) == struct.pack("d", want)
+        assert struct.pack("d", got) != struct.pack("d", -0.0)
 
 
 class TestPlant:
@@ -506,6 +529,103 @@ class TestSettledAttitude:
         s2, _, _ = step_plant(s, cmd, plant, env, 0.001, steps=500)
         assert calls[0] == 0
         assert s2.q == s.q
+
+
+def stretch_against_chain(state, cmd, plant, env, dt, n):
+    """step_plant's n-step call held equal to n chained step_plant_reference
+    steps: the last state bit for bit, the peak and the last press force.
+    Where a one-step call raises within the n steps, the n-step call must
+    raise the same type and message.  Returns the chained states and that
+    error, or None."""
+    chain, s = [], state
+    try:
+        for _ in range(n):
+            step_plant(s, cmd, plant, env, dt)  # raises where one-step calls do
+            s = step_plant_reference(s, cmd, plant, env, dt)
+            chain.append(s)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as multi:
+            step_plant(state, cmd, plant, env, dt, steps=n)
+        assert (type(multi.value), str(multi.value)) == (type(exc), str(exc))
+        return chain, exc
+    got, peak, press = step_plant(state, cmd, plant, env, dt, steps=n)
+    forces = [press_force(c.pz, c.vz, env) for c in chain]
+    assert state_bits(got) == state_bits(chain[-1])
+    assert (peak.hex(), press.hex()) == (max(forces).hex(), forces[-1].hex())
+    return chain, None
+
+
+POSITION = SIGNED_ZERO | st.floats(-1.0, 1.0)
+# velocities whose step is absorbed into a position, or underflows to a signed zero
+VELOCITY = POSITION | st.sampled_from([1e-300, -1e-300, 5e-324, -5e-324])
+
+
+class TestLateralFixedPoint:
+    """step_plant's stretch that integrates z alone once x and y repeat."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=held_attitudes(), lateral=st.tuples(POSITION, POSITION, VELOCITY, VELOCITY),
+           dz=st.floats(-0.02, 0.02), vz=COMPONENT, attached=st.booleans(),
+           f_cmd_hat=st.floats(-0.5, 1.5), n=st.integers(1, 60))
+    @example(case=(LEVEL, LEVEL, 0.05, 0.001), lateral=(0.3, -0.2, -0.0, 0.0), dz=0.002,
+             vz=0.05, attached=True, f_cmd_hat=1.0, n=20)
+    def test_stretch_equals_reference_chain(self, case, lateral, dz, vz, attached, f_cmd_hat,
+                                            n):
+        # level and tilted commands from level, tilted and (near-)settled
+        # attitudes, contact and payload included
+        q, cmd, tau, dt = case
+        env = ContactEnv(payload_mass=0.095)
+        px, py, vx, vy = lateral
+        state = FlightState(px, py, env.surface_z - env.tip_offset + dz, vx, vy, vz, q,
+                            payload_attached=attached)
+        stretch_against_chain(state, Command(f_cmd_hat=f_cmd_hat, q_cmd=unit_quat(*cmd)),
+                              PlantParams(tau_att=tau), env, dt, n)
+
+    @pytest.mark.parametrize("case", ["zero velocity of either sign", "creeping velocity",
+                                      "negative zero position", "moving", "tilted",
+                                      "detach", "z overflow", "thrust overflow on detach"])
+    def test_named_stretches(self, case):
+        plant = PlantParams()
+        env = ContactEnv(payload_mass=0.095)
+        hover = hover_command(plant)
+        level_full = Command(f_cmd_hat=1.0, q_cmd=LEVEL_QUAT)
+        z_touch = env.surface_z - env.tip_offset
+        away = at_rest(1.0)._replace(px=0.3, py=-0.2)
+        state, cmd = {
+            "zero velocity of either sign": (away._replace(vx=-0.0), hover),
+            "creeping velocity": (away._replace(vx=1e-300, vy=-5e-324), hover),
+            "negative zero position": (away._replace(px=-0.0, vx=-5e-324), hover),
+            "moving": (away._replace(vx=0.5, vy=-0.25), hover),
+            "tilted": (away, Command(f_cmd_hat=0.35, q_cmd=unit_quat(*TILT))),
+            # from a 2.5 N press, full thrust sticks the payload a few steps in
+            "detach": (at_rest(z_touch + 0.002, v=0.05, attached=True), level_full),
+            # falling from near the lowest float, z overflows a few steps in
+            "z overflow": (at_rest(-1.797e308 + 5e305, v=-1e308), hover),
+            # a 4.25 N press sticks the payload on the first step, which leaves
+            # the surface; on the next, the thrust per kilogram of a vehicle
+            # of 1e-309 kg alone overflows, and x turns NaN before z turns inf
+            "thrust overflow on detach": (at_rest(z_touch + 0.0085, v=-10.0, attached=True),
+                                          Command(f_cmd_hat=0.05, q_cmd=LEVEL_QUAT)),
+        }[case]
+        if case == "thrust overflow on detach":
+            plant = PlantParams(mass=1e-309)
+        chain, error = stretch_against_chain(state, cmd, plant, env, 0.001, 30)
+        if "overflow" in case:  # after the first step, from which x and y hold
+            assert error is not None and len(chain) >= 1
+            assert str(error).endswith("inf" if case == "z overflow" else "nan")
+            return
+        assert error is None
+        last = chain[-1]
+        if case == "zero velocity of either sign":
+            assert (last.px, last.vx.hex(), last.vy.hex()) == (0.3, "0x0.0p+0", "0x0.0p+0")
+        if case == "creeping velocity":
+            assert (last.px, last.py, last.vx, last.vy) == (0.3, -0.2, 1e-300, -5e-324)
+        if case == "negative zero position":
+            assert math.copysign(1.0, last.px) == -1.0 and last.vx == -5e-324
+        if case in ("moving", "tilted"):
+            assert last.px != chain[-2].px
+        if case == "detach":
+            assert chain[1].payload_attached and not last.payload_attached
 
 
 class TestPayload:

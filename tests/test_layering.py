@@ -12,16 +12,29 @@ import capft
 PACKAGE = Path(capft.__file__).parent
 
 
-def test_core_and_sensor_model_load_nothing_else():
-    # the package namespace re-exports nothing, so importing the two base
-    # modules loads neither calibration, dataio, controller, flight nor cli
-    code = ("import sys, capft.core, capft.sensor_model; "
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'capft')))")
+def _fresh_import(code):
+    """Standard output of code run in a fresh interpreter that finds this package."""
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["capft", "capft.core", "capft.sensor_model"]
+    return proc.stdout
+
+
+def test_core_and_sensor_model_load_nothing_else():
+    # the package namespace re-exports nothing, so importing the two base
+    # modules loads neither calibration, dataio, controller, flight nor cli
+    out = _fresh_import(
+        "import sys, capft.core, capft.sensor_model; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'capft')))")
+    assert out.split() == ["capft", "capft.core", "capft.sensor_model"]
+
+
+def test_cli_loads_no_process_pool():
+    # only generate with more than one worker uses a pool, so importing the
+    # front end leaves concurrent.futures, and the logging it loads, unloaded
+    out = _fresh_import("import sys, capft.cli; print('concurrent.futures' in sys.modules)")
+    assert out.split() == ["False"]
 
 
 def test_no_module_imports_another_modules_private_names():
