@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +90,13 @@ def _features(counts, baseline: np.ndarray, mode: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationModel:
-    """Fitted linear map from quadratic count features to a wrench."""
+    """Fitted linear map from quadratic count features to a wrench; its fields
+    are the model file's keys, in the file's order (see save_model)."""
 
-    matrix: np.ndarray  # (6, F)
-    baseline: np.ndarray  # (12,)
     mode: str
     ridge: float
+    baseline: np.ndarray  # (12,)
+    matrix: np.ndarray  # (6, F)
     train_rmse: tuple[float, ...]
     normal_eq_residual: float  # max |X (Y - A X)^T| / max |X Y^T|, optimality check
 
@@ -110,6 +112,19 @@ class CalibrationModel:
                 raise CalibrationError(f"non-finite {name}")
         if self.ridge < 0.0:
             raise CalibrationError(f"negative ridge {self.ridge!r}")
+
+    @cached_property
+    def _bound_terms(self) -> tuple[float, float]:  # largest |row| sum, |baseline| entry
+        return (max(sum(map(abs, row)) for row in self.matrix.tolist()),
+                max(map(abs, self.baseline.tolist())))
+
+    def estimate_bound(self, top: float) -> float:
+        """A bound on |estimate| for counts at most top, not finite where none holds:
+        top plus the largest |baseline| bounds each tared count, each feature of
+        _features is one or its square, and the factor 2 covers the rounding."""
+        row_sum, baseline_max = self._bound_terms
+        tared = top + baseline_max
+        return 2.0 * row_sum * max(tared, tared * tared)
 
 
 def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
@@ -146,33 +161,30 @@ def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
     denom = np.max(np.abs(xyt))
     grad_ratio = float(np.max(np.abs(grad)) / denom) if denom > 0.0 else 0.0
     rmse = tuple(float(v) for v in np.sqrt((resid * resid).mean(axis=1)))
-    return CalibrationModel(matrix=a, baseline=baseline, mode=mode, ridge=float(ridge),
+    return CalibrationModel(mode=mode, ridge=float(ridge), baseline=baseline, matrix=a,
                             train_rmse=rmse, normal_eq_residual=grad_ratio)
 
 
 def predict_counts(model: CalibrationModel, counts: np.ndarray) -> np.ndarray:
     """(6, N) wrench estimates for (N, 12) counts, tared on the model's baseline.
 
-    A block of readings is one matrix-matrix product (gemm), and its columns
-    can differ from per-row predict (gemv) in the last bits.  evaluate's RMSE
-    and temp-sweep's traces come from this batch path; evaluate --predictions
-    and flight use predict.  An estimate that is not finite raises
-    NonFiniteEstimateError.
+    One matrix-vector product per reading, the kernel predict runs, so
+    column i equals predict of reading i bit for bit.  An estimate that is
+    not finite raises NonFiniteEstimateError.
     """
+    x = np.ascontiguousarray(_features(counts, model.baseline, model.mode).T)
     with np.errstate(over="ignore", invalid="ignore"):
-        est = model.matrix @ _features(counts, model.baseline, model.mode)
+        est = np.matmul(model.matrix, x[:, :, None])[:, :, 0].T
     if not np.isfinite(est).all():
         raise NonFiniteEstimateError(_NON_FINITE_ESTIMATE)
     return est
 
 
 def predict(model: CalibrationModel, frame: CapacitanceFrame) -> Wrench:
-    """Wrench estimate for one frame, tared on the model's baseline.
-
-    One matrix-vector product (gemv), which can differ in the last bits from
-    the same row of a batch predict_counts (gemm); see predict_counts.  An
-    estimate that is not finite raises NonFiniteEstimateError, found by the
-    Wrench's own check.
+    """Wrench estimate for one frame, tared on the model's baseline: one
+    matrix-vector product, as each reading of predict_counts.  An estimate
+    that is not finite raises NonFiniteEstimateError, found by the Wrench's
+    own check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         est = (model.matrix @ _features(frame.counts, model.baseline, model.mode)).tolist()
@@ -276,9 +288,10 @@ def compensate_counts(counts, temperatures, comp: TempCompensator) -> np.ndarray
     re-rounds to non-negative whole counts, as floats; takes one (12,)
     reading at a scalar temperature or (N, 12) counts at (N,) temperatures.
     """
-    dt = np.asarray(temperatures, dtype=float)[..., None] - comp.reference_temp
-    drift = np.asarray(comp.a1) * dt + np.asarray(comp.a2) * (dt * dt)
-    return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the estimate check catches those
+        dt = np.asarray(temperatures, dtype=float)[..., None] - comp.reference_temp
+        drift = np.asarray(comp.a1) * dt + np.asarray(comp.a2) * (dt * dt)
+        return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
 
 
 def compensate(frame: CapacitanceFrame, temperature: float,
@@ -291,22 +304,11 @@ def compensate(frame: CapacitanceFrame, temperature: float,
 
 def save_model(model: CalibrationModel, path: str | Path,
                comp: TempCompensator | None = None) -> None:
-    """Write the model (and optional temperature compensator) as JSON."""
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "mode": model.mode,
-        "ridge": model.ridge,
-        "baseline": [float(v) for v in model.baseline],
-        "matrix": [[float(v) for v in row] for row in model.matrix],
-        "train_rmse": list(model.train_rmse),
-        "normal_eq_residual": model.normal_eq_residual,
-    }
+    """Write the model's fields (and an optional temperature compensator's) as JSON."""
+    payload = {"format_version": MODEL_FORMAT_VERSION, **asdict(model)}
     if comp is not None:
-        payload["temp_compensator"] = {
-            "a0": list(comp.a0), "a1": list(comp.a1), "a2": list(comp.a2),
-            "reference_temp": comp.reference_temp, "r_squared": list(comp.r_squared),
-        }
-    write_lines(path, [json.dumps(payload, indent=2)])
+        payload["temp_compensator"] = asdict(comp)
+    write_lines(path, [json.dumps(payload, indent=2, default=np.ndarray.tolist)])
 
 
 def load_model(path: str | Path) -> tuple[CalibrationModel, TempCompensator | None]:

@@ -86,14 +86,20 @@ def _seed(text: str) -> int:
     return value
 
 
-def _check_output_files(*paths: Path) -> None:
-    """Raise OSError naming the first path that is a directory or whose parent
-    directory does not exist, so a command fails before it writes anything."""
-    for path in paths:
+def _check_output_files(outputs: Sequence[Path], inputs: Sequence[Path] = ()) -> None:
+    """Raise OSError naming the first output path that is a directory, whose
+    parent directory does not exist, or that names an input or an earlier
+    output (the same resolved path, or the same existing file), so a command
+    fails before it writes anything."""
+    for i, path in enumerate(outputs):
         if path.is_dir():
             raise IsADirectoryError(f"output path {path} is a directory")
         if not path.parent.is_dir():
             raise FileNotFoundError(f"parent directory of output path {path} does not exist")
+        for other in (*inputs, *outputs[:i]):
+            if path.resolve() == other.resolve() or (
+                    path.exists() and other.exists() and os.path.samefile(path, other)):
+                raise FileExistsError(f"output path {path} names the same file as {other}")
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
@@ -156,9 +162,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     model_path = Path(args.model)
     out_paths = dict(zip(modes, (model_path, model_path.with_name(
         model_path.stem + "_shear_only" + model_path.suffix))))
-    _check_output_files(*out_paths.values(),
-                        *([Path(args.report)] if args.report is not None else []))
-    trials, tare_trial = _load_trial_dir(Path(args.data))
+    data = Path(args.data)
+    reports = [] if args.report is None else [Path(args.report)]
+    _check_output_files([*out_paths.values(), *reports],
+                        [*data.glob("trial_*.csv"), data / "tare.csv"])
+    trials, tare_trial = _load_trial_dir(data)
     if len(trials) < 2:
         raise CalibrationError("need at least two trials (train + held-out test)")
     train, test = dataio.split(trials)
@@ -185,10 +193,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.predictions is not None:
-        _check_output_files(Path(args.predictions))
-    model, _ = calibration.load_model(args.model)
+        _check_output_files([Path(args.predictions)], [Path(args.log), Path(args.model)])
+    model, comp = calibration.load_model(args.model)
     trial = dataio.load_log(args.log)
-    metrics = calibration.evaluate(model, trial.counts, trial.wrench)
+    counts = trial.counts if comp is None else calibration.compensate_counts(
+        trial.counts, trial.temperature, comp)
+    metrics = calibration.evaluate(model, counts, trial.wrench)
     print(f"evaluated {args.log} ({len(trial)} samples):")
     for line in metrics.summary_lines():
         print("  " + line)
@@ -197,6 +207,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                  + "," + ",".join(f"pred_{a}" for a in calibration.AXIS_NAMES)
         lines = [header]
         for frame, w in zip(trial.iter_frames(), trial.wrench.tolist()):
+            if comp is not None:
+                frame = calibration.compensate(frame, frame.temperature, comp)
             pred = calibration.predict(model, frame).as_tuple()
             lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
         write_lines(args.predictions, lines)
@@ -330,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fly", help="closed-loop contact mission")
     p.add_argument("--scenario", choices=("track_sine", "deploy_package"), required=True)
-    p.add_argument("--bypass-sensor", action="store_true",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--bypass-sensor", action="store_true",
                    help="feed true contact force to the controller")
-    p.add_argument("--model", help="calibration model for sensor-in-the-loop flight")
+    g.add_argument("--model", help="calibration model for sensor-in-the-loop flight")
     p.add_argument("--config", help="JSON simulation config")
     p.add_argument("--sensor-params")
     p.add_argument("--seed", type=_seed,

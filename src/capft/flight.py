@@ -455,14 +455,9 @@ class _Engine:
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
         # What a skipped sensed reading must stay below (see _skip): a load
-        # just under one whose noise-free solve succeeded, that solve's
-        # largest channel capacitance, and the model's largest absolute row
-        # sum and baseline entry, which bound its estimate.
+        # just under one whose noise-free solve succeeded, and that solve's
+        # largest channel capacitance.
         self.f_ok, self.cap_ok = -math.inf, math.inf
-        if not stack.bypass:
-            model = stack.model
-            self.row_sum = max(sum(map(abs, row)) for row in model.matrix.tolist())
-            self.baseline_max = max(map(abs, model.baseline.tolist()))
 
     @property
     def t(self) -> float:
@@ -556,7 +551,7 @@ class _Engine:
         None if it fails.  Saturation and every channel's capacitance rise
         with a pure normal load, so a load at most f_ok neither saturates
         nor gives capacitances above cap_ok; the drawn noise then bounds
-        their counts and the model's row sums their estimates.  The solve
+        their counts, and the model's estimate_bound their estimates.  The solve
         draws nothing and bypasses sample's memo.  None leaves the
         generator as it was.
         """
@@ -582,10 +577,7 @@ class _Engine:
             top = count_at_reference(self.cap_ok, float(noise.max()), self.stack.params.cdc)
         except SensorRangeError:
             top = math.inf
-        # bounds every tared count, and each feature is a tared count or its
-        # square; twice the bound covers the product's rounding
-        tared = top + self.baseline_max
-        if math.isfinite(2.0 * self.row_sum * max(tared, tared * tared)):
+        if math.isfinite(self.stack.model.estimate_bound(top)):
             return plant
         self.rng.bit_generator.state = saved
         return None

@@ -66,6 +66,16 @@ def synthetic_dataset(n, rng, noise=0.0):
     return a_true, baseline, np.array(counts), np.array(wrenches)
 
 
+def random_model(rng, mode):
+    """A model of the mode with a random matrix of random scale and a random
+    baseline up to 2**40 counts."""
+    n_feat = 24 if mode == "full" else 16
+    return CalibrationModel(
+        matrix=rng.normal(scale=rng.uniform(1e-9, 1.0), size=(6, n_feat)),
+        baseline=rng.uniform(0.0, 2.0**40, size=12), mode=mode, ridge=0.0,
+        train_rmse=(0.0,) * 6, normal_eq_residual=0.0)
+
+
 class TestTare:
     def test_single_frame(self):
         f = make_frame(range(100, 112))
@@ -225,17 +235,39 @@ class TestPredict:
     def test_one_reading_matches_expand_features_hex(self, mode, counts, seed):
         # predict skips expand_features' checks for the model's own baseline,
         # checked when the model was built, and must give the same bits
-        rng = np.random.default_rng(seed)
-        n_feat = 24 if mode == "full" else 16
-        model = CalibrationModel(
-            matrix=rng.normal(scale=rng.uniform(1e-9, 1.0), size=(6, n_feat)),
-            baseline=rng.uniform(0.0, 2.0**40, size=12), mode=mode, ridge=0.0,
-            train_rmse=(0.0,) * 6, normal_eq_residual=0.0)
+        model = random_model(np.random.default_rng(seed), mode)
         frame = make_frame(counts)
         expect = Wrench.from_sequence(
             model.matrix @ expand_features(frame.counts, model.baseline, model.mode))
         got = predict(model, frame)
         assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in expect.as_tuple()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.sampled_from(["full", "shear_only"]), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 64))
+    def test_block_estimates_equal_readings_bit_for_bit(self, mode, seed, rows):
+        # a block's estimates are its readings' estimates: column i of
+        # predict_counts is predict of reading i, hex for hex
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, mode)
+        counts = rng.integers(0, 2**40, size=(rows, 12))
+        block = predict_counts(model, counts)
+        for i, reading in enumerate(counts):
+            got = predict(model, make_frame(reading)).as_tuple()
+            assert [v.hex() for v in got] == [v.hex() for v in block[:, i].tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(["full", "shear_only"]), seed=st.integers(0, 2**32 - 1),
+           top=st.one_of(st.integers(0, 2**40), st.sampled_from([0, 1, 2**40])))
+    def test_estimate_bound_holds_for_counts_up_to_top(self, mode, seed, top):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, mode)
+        counts = rng.integers(0, top, size=(16, 12), endpoint=True)
+        counts[0], counts[1] = 0, top  # both ends of the range
+        bound = model.estimate_bound(float(top))
+        assert math.isfinite(bound)
+        for reading in counts:
+            assert max(map(abs, predict(model, make_frame(reading)).as_tuple())) <= bound
 
     def test_end_to_end_roundtrip(self):
         params = default_sensor_params()
@@ -498,6 +530,22 @@ class TestModelFile:
         edit_model_file(path, keys, value)
         with pytest.raises(ModelFormatError, match=named):
             load_model(path)
+
+    @pytest.mark.parametrize("case", ["no_compensator", "compensator", "nan_quality"])
+    def test_write_load_write_is_byte_identical(self, tmp_path, case):
+        # the file is the model's fields, so a model loaded from it writes
+        # the same bytes back; NaN fit-quality fields included
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model, comp = saved_model(first)
+        if case == "no_compensator":
+            comp = None
+        elif case == "nan_quality":
+            model, comp = nan_quality_model(), nan_quality_compensator()
+        save_model(model, first, comp=comp)
+        loaded, loaded_comp = load_model(first)
+        assert (loaded_comp is None) == (comp is None)
+        save_model(loaded, second, comp=loaded_comp)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_nan_fit_quality_accepted(self, tmp_path):
         # fit_temp_baseline writes r_squared NaN for a channel that never moves

@@ -18,7 +18,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +445,48 @@ class TestCalibrate:
         assert str(named) in captured.err and captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("clash", [
+        "report_is_model", "report_is_shear_only", "report_is_tare", "model_is_trial",
+        "model_is_tare", "shear_only_links_to_model", "shear_only_links_to_tare",
+        "report_hard_links_to_trial"])
+    def test_output_naming_another_path_writes_nothing(self, noisy_dir, tmp_path, capsys,
+                                                       clash):
+        # an output that names an input, or another output, fails before any
+        # fit: the same path, the same resolved path or the same file
+        data = tmp_path / "data"
+        shutil.copytree(noisy_dir, data)
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        shear_only = tmp_path / "m_shear_only.json"
+        if clash == "report_is_model":
+            report, other = model, model
+        elif clash == "report_is_shear_only":
+            report, other = shear_only, shear_only
+        elif clash == "report_is_tare":
+            report, other = data / "tare.csv", data / "tare.csv"
+        elif clash == "model_is_trial":
+            model, other = data / "trial_01.csv", data / "trial_01.csv"
+        elif clash == "model_is_tare":
+            model, other = data / "tare.csv", data / "tare.csv"
+        elif clash == "shear_only_links_to_model":
+            shear_only.write_text("")
+            model.symlink_to(shear_only)
+            other = model
+        elif clash == "shear_only_links_to_tare":
+            shear_only.symlink_to(data / "tare.csv")
+            other = data / "tare.csv"
+        else:
+            os.link(data / "trial_00.csv", report)
+            other = data / "trial_00.csv"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rc = main(["calibrate", str(data), "--mode", "both",
+                   "--model", str(model), "--report", str(report)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output path ")
+        assert err[0].endswith(f"names the same file as {other}") and captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_single_trial_rejected(self, tmp_path, capsys):
         rc = main(["generate", "--trials", "1", "--duration", "1.0",
                    "--seed", "3", "--out", str(tmp_path)])
@@ -532,6 +574,59 @@ class TestEvaluate:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+    @pytest.mark.parametrize("clash", ["log", "model", "hard_link_to_log"])
+    def test_predictions_naming_an_input_writes_nothing(self, fitted, noisy_dir, tmp_path,
+                                                         capsys, clash):
+        log, model = tmp_path / "trial.csv", tmp_path / "model.json"
+        shutil.copyfile(noisy_dir / "trial_00.csv", log)
+        shutil.copyfile(fitted / "model.json", model)
+        preds = {"log": log, "model": model, "hard_link_to_log": tmp_path / "preds.csv"}[clash]
+        if clash == "hard_link_to_log":
+            os.link(log, preds)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        rc = main(["evaluate", str(log), "--model", str(model), "--predictions", str(preds)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        other = model if clash == "model" else log
+        assert err == [f"error: output path {preds} names the same file as {other}"]
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_applies_the_model_files_compensator(self, fitted, tmp_path, capsys):
+        # a log 10 degC off the drift reference, scored by the same model with
+        # and without the compensator temp-sweep fits
+        params = default_sensor_params()
+        log = tmp_path / "hot.csv"
+        trial = dataio.generate_trial(replace(
+            dataio.full_range_scenario(duration=4.0, seed=8), temp_start=35.0, temp_end=35.0),
+            params)
+        dataio.write_log(trial, log)
+        assert main(["temp-sweep", "--model", str(fitted / "model.json"), "--seed", "3",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        with_comp = tmp_path / "sweep" / "model_with_comp.json"
+        model, comp = calibration.load_model(with_comp)
+        assert comp is not None
+        capsys.readouterr()
+
+        def force_rmse(model_path, preds):
+            assert main(["evaluate", str(log), "--model", str(model_path),
+                         "--predictions", str(preds)]) == 0
+            table = np.loadtxt(preds, delimiter=",", skiprows=1)
+            err = table[:, 7:10] - table[:, 1:4]
+            return math.sqrt(np.mean(np.sum(err * err, axis=1))), table[:, 7:13]
+
+        raw_rmse, _ = force_rmse(fitted / "model.json", tmp_path / "raw.csv")
+        capsys.readouterr()
+        comp_rmse, preds = force_rmse(with_comp, tmp_path / "comp.csv")
+        out = capsys.readouterr().out.splitlines()
+        assert comp_rmse < raw_rmse
+        counts = calibration.compensate_counts(trial.counts, trial.temperature, comp)
+        metrics = calibration.evaluate(model, counts, trial.wrench)
+        assert out[1:] == ["  " + line for line in metrics.summary_lines()]
+        assert comp_rmse == pytest.approx(math.hypot(*metrics.rmse[:3]), rel=1e-12)
+        assert np.array_equal(preds, calibration.predict_counts(model, counts).T)
 
     def test_missing_log_is_data_error(self, fitted, tmp_path):
         rc = main(["evaluate", str(tmp_path / "absent.csv"),
@@ -656,6 +751,15 @@ class TestFly:
         rc = main(["fly", "--scenario", "track_sine", "--out", str(tmp_path)])
         assert rc == 4
         assert "--model" in capsys.readouterr().err
+
+    def test_bypass_with_model_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["fly", "--scenario", "track_sine", "--bypass-sensor",
+                   "--model", str(tmp_path / "absent.json"), "--out", str(out)])
+        assert rc == 2
+        err = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(err) == 1 and "--model" in err[0] and "--bypass-sensor" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", NON_FINITE_MODEL)
     def test_non_finite_model_is_model_error(self, fitted, tmp_path, capsys, field, value):
@@ -1107,7 +1211,7 @@ class TestMisc:
         assert loaded.hash() == default_sensor_params().hash()
 
     @pytest.mark.parametrize("command", ["fly", "evaluate", "evaluate --predictions",
-                                         "temp-sweep"])
+                                         "temp-sweep", "evaluate, compensator"])
     def test_overflowing_model_exits_4_with_warnings_as_errors(self, fitted, noisy_dir,
                                                                 tmp_path, command):
         # PYTHONWARNINGS=error is python -W error: an overflow warning would
@@ -1116,9 +1220,17 @@ class TestMisc:
         argv = {"fly": ["fly", "--scenario", "track_sine", "--out", out],
                 "evaluate": ["evaluate", log],
                 "evaluate --predictions": ["evaluate", log, "--predictions", out],
-                "temp-sweep": ["temp-sweep", "--out", out]}[command]
-        proc = run_cli_guarded(argv + ["--model", str(overflowing_model(fitted, tmp_path))],
-                               PYTHONWARNINGS="error")
+                "temp-sweep": ["temp-sweep", "--out", out],
+                "evaluate, compensator": ["evaluate", log, "--predictions", out]}[command]
+        model = overflowing_model(fitted, tmp_path)
+        if command == "evaluate, compensator":
+            # a finite model whose compensator's drift overflows at the log's
+            # temperature, 1e308 degC from its reference
+            payload = json.loads((fitted / "model.json").read_text())
+            payload["temp_compensator"] = dict(INPUTS["model"][0]["temp_compensator"],
+                                               reference_temp=1e308)
+            model.write_text(json.dumps(payload))
+        proc = run_cli_guarded(argv + ["--model", str(model)], PYTHONWARNINGS="error")
         assert proc.returncode == 4, proc.stderr
         assert "model estimate is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
