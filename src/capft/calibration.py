@@ -287,11 +287,18 @@ def compensate_counts(counts, temperatures, comp: TempCompensator) -> np.ndarray
     Subtracts the fitted drift polynomial (zero at the reference) and
     re-rounds to non-negative whole counts, as floats; takes one (12,)
     reading at a scalar temperature or (N, 12) counts at (N,) temperatures.
+    A drift that is not finite raises CalibrationError naming the temperature.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the estimate check catches those
-        dt = np.asarray(temperatures, dtype=float)[..., None] - comp.reference_temp
+    temperatures = np.asarray(temperatures, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = temperatures[..., None] - comp.reference_temp
         drift = np.asarray(comp.a1) * dt + np.asarray(comp.a2) * (dt * dt)
-        return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
+    finite = np.isfinite(drift).all(axis=-1)
+    if not finite.all():
+        bad = float(temperatures.flat[np.flatnonzero(~finite)[0]])
+        raise CalibrationError(f"temp_compensator drift is not finite at {bad!r} degC "
+                               f"(reference_temp {comp.reference_temp!r} degC)")
+    return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
 
 
 def compensate(frame: CapacitanceFrame, temperature: float,

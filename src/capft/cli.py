@@ -56,25 +56,6 @@ def _generate_one(scenario: dataio.Scenario, params: SensorParams,
     return out_path.name, _sha256_file(out_path)
 
 
-def _resolve_out(args: argparse.Namespace) -> Path:
-    """--out, falling back to the CAPFT_OUT environment variable; created if missing.
-
-    The outermost directory this creates is kept in args.made_out, which main
-    removes if the command then fails.
-    """
-    out = args.out if args.out is not None else os.environ.get("CAPFT_OUT") or None
-    if out is None:
-        raise ValueError("--out is required (or set CAPFT_OUT)")
-    out = Path(out)
-    if not out.exists():
-        made = out
-        while not made.parent.exists():
-            made = made.parent
-        args.made_out = made
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _seed(text: str) -> int:
     """--seed's type: a non-negative integer, so a bad seed is a usage error naming the flag."""
     try:
@@ -86,27 +67,39 @@ def _seed(text: str) -> int:
     return value
 
 
-def _check_output_files(outputs: Sequence[Path], inputs: Sequence[Path] = ()) -> None:
+def _given(*paths: str | None) -> list[Path]:
+    """The paths of the optional file flags that were given."""
+    return [Path(p) for p in paths if p is not None]
+
+
+def _check_output_files(outputs: Sequence[Path], inputs: Sequence[Path]) -> None:
     """Raise OSError naming the first output path that is a directory, whose
     parent directory does not exist, or that names an input or an earlier
     output (the same resolved path, or the same existing file), so a command
-    fails before it writes anything."""
-    for i, path in enumerate(outputs):
-        if path.is_dir():
-            raise IsADirectoryError(f"output path {path} is a directory")
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"parent directory of output path {path} does not exist")
-        for other in (*inputs, *outputs[:i]):
-            if path.resolve() == other.resolve() or (
-                    path.exists() and other.exists() and os.path.samefile(path, other)):
-                raise FileExistsError(f"output path {path} names the same file as {other}")
+    fails before it writes anything.  Each path is resolved once, so the
+    check is linear in the number of paths."""
+    first: dict = {}  # a resolved path, or an existing file's (device, inode): its first path
+    for i, path in enumerate([*inputs, *outputs]):
+        if i >= len(inputs):
+            if path.is_dir():
+                raise IsADirectoryError(f"output path {path} is a directory")
+            if not path.parent.is_dir():
+                raise FileNotFoundError(f"parent directory of output path {path} does not exist")
+        keys = [path.resolve()]
+        if path.exists():
+            stat = path.stat()
+            keys.append((stat.st_dev, stat.st_ino))
+        for key in keys:
+            if i >= len(inputs) and key in first:
+                raise FileExistsError(f"output path {path} names the same file as {first[key]}")
+            first.setdefault(key, path)
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
     write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.jobs < 1:
@@ -116,13 +109,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         base = dataio.scenario_from_dict(read_json(args.scenario_file))
     else:
         base = _SCENARIO_BUILDERS[args.scenario](duration=args.duration, seed=args.seed)
-    out_dir = _resolve_out(args)
+    *logs, manifest_path = outputs
+    stale = sorted(set(manifest_path.parent.glob("trial_*.csv")).difference(logs))
+    if stale:  # calibrate reads every trial log in the directory
+        raise FileExistsError(f"{stale[0]} is not a log of this run; remove it or choose "
+                              "another --out")
     scenarios = [replace(base, name=f"{base.name}_{i:02d}", seed=_child_seed(args.seed, i))
                  for i in range(args.trials)]
     scenarios.append(dataio.no_load_scenario(seed=_child_seed(args.seed, args.trials)))
-    outs = [out_dir / f"trial_{i:02d}.csv" for i in range(args.trials)] + [out_dir / "tare.csv"]
-    jobs = (scenarios, [params] * len(outs), outs)
-    workers = min(args.jobs, len(outs))
+    jobs = (scenarios, [params] * len(logs), logs)
+    workers = min(args.jobs, len(logs))
     if workers > 1:
         import concurrent.futures  # here, not at the top: it loads logging too
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -136,8 +132,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "files": {name: digest for name, digest in sorted(results)},
     }
-    _write_json(out_dir / "manifest.json", manifest)
-    print(f"wrote {len(results)} logs + manifest to {out_dir}")
+    _write_json(manifest_path, manifest)
+    print(f"wrote {len(results)} logs + manifest to {manifest_path.parent}")
     return 0
 
 
@@ -157,16 +153,18 @@ def _training_set(tare_trial: dataio.Trial, train: Sequence[dataio.Trial]) -> tu
             calibration.tare(tare_trial.counts))
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
+def _calibrate_files(args: argparse.Namespace, out: Path | None) -> tuple[list, list]:
+    """The data directory's logs in; one model per fitted mode, then the report, out."""
+    data, model = Path(args.data), Path(args.model)
+    models = [model, model.with_name(model.stem + "_shear_only" + model.suffix)]
+    return ([*data.glob("trial_*.csv"), data / "tare.csv"],
+            models[:2 if args.mode == "both" else 1] + _given(args.report))
+
+
+def cmd_calibrate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
-    model_path = Path(args.model)
-    out_paths = dict(zip(modes, (model_path, model_path.with_name(
-        model_path.stem + "_shear_only" + model_path.suffix))))
-    data = Path(args.data)
-    reports = [] if args.report is None else [Path(args.report)]
-    _check_output_files([*out_paths.values(), *reports],
-                        [*data.glob("trial_*.csv"), data / "tare.csv"])
-    trials, tare_trial = _load_trial_dir(data)
+    out_paths = dict(zip(modes, outputs))
+    trials, tare_trial = _load_trial_dir(Path(args.data))
     if len(trials) < 2:
         raise CalibrationError("need at least two trials (train + held-out test)")
     train, test = dataio.split(trials)
@@ -187,13 +185,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "test_r_squared": list(test_metrics.r_squared),
         }
     if args.report is not None:
-        _write_json(args.report, report)
+        _write_json(outputs[-1], report)
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.predictions is not None:
-        _check_output_files([Path(args.predictions)], [Path(args.log), Path(args.model)])
+def cmd_evaluate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     model, comp = calibration.load_model(args.model)
     trial = dataio.load_log(args.log)
     counts = trial.counts if comp is None else calibration.compensate_counts(
@@ -202,7 +198,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"evaluated {args.log} ({len(trial)} samples):")
     for line in metrics.summary_lines():
         print("  " + line)
-    if args.predictions is not None:
+    if outputs:
         header = "t," + ",".join(f"ref_{a}" for a in calibration.AXIS_NAMES) \
                  + "," + ",".join(f"pred_{a}" for a in calibration.AXIS_NAMES)
         lines = [header]
@@ -211,7 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 frame = calibration.compensate(frame, frame.temperature, comp)
             pred = calibration.predict(model, frame).as_tuple()
             lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
-        write_lines(args.predictions, lines)
+        write_lines(outputs[0], lines)
     return 0
 
 
@@ -226,7 +222,7 @@ def _quick_model(params: SensorParams, seed: int) -> calibration.CalibrationMode
     return calibration.fit(*_training_set(tare_trial, trials))
 
 
-def cmd_temp_sweep(args: argparse.Namespace) -> int:
+def cmd_temp_sweep(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     params = _load_sensor_params(args.sensor_params)
     scenario = dataio.temp_sweep_scenario(seed=_child_seed(args.seed, 200),
                                           temp_start=args.temp_start, temp_end=args.temp_end)
@@ -242,13 +238,13 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
         model, calibration.compensate_counts(sweep.counts, sweep.temperature, comp))
     f_raw = np.linalg.norm(pred_raw[:3], axis=0)
     f_comp = np.linalg.norm(pred_comp[:3], axis=0)
-    out_dir = _resolve_out(args)
-    calibration.save_model(model, out_dir / "model_with_comp.json", comp=comp)
+    model_path, ablation_path = outputs
+    calibration.save_model(model, model_path, comp=comp)
     lines = ["t,T,f_err_raw,f_err_comp"]
     for t, temp, fr, fc in zip(sweep.t.tolist(), sweep.temperature.tolist(),
                                f_raw.tolist(), f_comp.tolist()):
         lines.append(f"{t!r},{temp!r},{fr!r},{fc!r}")
-    write_lines(out_dir / "ablation.csv", lines)
+    write_lines(ablation_path, lines)
     r2 = comp.r_squared
     print(f"baseline fit R^2 per channel: min {min(r2):.5f}, max {max(r2):.5f}")
     print(f"no-load |F| error over {args.temp_start:.1f}..{args.temp_end:.1f} degC: "
@@ -256,7 +252,7 @@ def cmd_temp_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fly(args: argparse.Namespace) -> int:
+def cmd_fly(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     params = _load_sensor_params(args.sensor_params)
     if args.config is not None:
         cfg = flight.config_from_dict(read_json(args.config))
@@ -272,8 +268,8 @@ def cmd_fly(args: argparse.Namespace) -> int:
     model = None if args.bypass_sensor else calibration.load_model(args.model)[0]
     stack = flight.SensingStack(params=params, model=model, bypass=args.bypass_sensor)
     rows, summary = flight.run_mission(cfg, stack)
-    out_dir = _resolve_out(args)
-    write_lines(out_dir / "trace.csv", flight.rows_to_csv_lines(rows))
+    trace_path, summary_path = outputs
+    write_lines(trace_path, flight.rows_to_csv_lines(rows))
     if cfg.scenario == "track_sine":
         print(f"hold {summary.hold_time:.1f}s, force tracking rms "
               f"{summary.rms_error:.3f} N, saturated={summary.saturated}")
@@ -281,11 +277,11 @@ def cmd_fly(args: argparse.Namespace) -> int:
         res = ", ".join(f"{r:.3f}" for r in summary.residuals)
         print(f"residuals [{res}] N, presses {len(summary.press_peaks)}, "
               f"payload_attached={summary.payload_attached}, success={summary.success}")
-    _write_json(out_dir / "summary.json", {"scenario": cfg.scenario, **asdict(summary)})
+    _write_json(summary_path, {"scenario": cfg.scenario, **asdict(summary)})
     return 0
 
 
-def cmd_params(args: argparse.Namespace) -> int:
+def cmd_params(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     params = default_sensor_params()
     if args.describe:
         print("sensor parameter file schema (JSON):")
@@ -315,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sensor-params", help="JSON sensor parameter file")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, files=lambda args, out: (
+        _given(args.sensor_params, args.scenario_file),
+        [out / f"trial_{i:02d}.csv" for i in range(args.trials)]
+        + [out / "tare.csv", out / "manifest.json"]))
 
     p = sub.add_parser("calibrate", help="fit a count-to-wrench model from logs")
     p.add_argument("data", help="directory with trial_*.csv and tare.csv")
@@ -323,13 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--model", required=True, help="output model JSON path")
     p.add_argument("--report", help="optional JSON metric report path")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, files=_calibrate_files)
 
     p = sub.add_parser("evaluate", help="score a model against a trial log")
     p.add_argument("log")
     p.add_argument("--model", required=True)
     p.add_argument("--predictions", help="optional predicted-vs-reference CSV path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, files=lambda args, out: (
+        _given(args.log, args.model), _given(args.predictions)))
 
     p = sub.add_parser("temp-sweep", help="characterize and compensate thermal drift")
     p.add_argument("--model", help="existing model JSON; a quick one is fitted if omitted")
@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp-end", type=float, default=30.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
-    p.set_defaults(func=cmd_temp_sweep)
+    p.set_defaults(func=cmd_temp_sweep, files=lambda args, out: (
+        _given(args.model, args.sensor_params),
+        [out / "model_with_comp.json", out / "ablation.csv"]))
 
     p = sub.add_parser("fly", help="closed-loop contact mission")
     p.add_argument("--scenario", choices=("track_sine", "deploy_package"), required=True)
@@ -351,11 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed,
                    help="overrides the config's seed (default: the config's, else 0)")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
-    p.set_defaults(func=cmd_fly)
+    p.set_defaults(func=cmd_fly, files=lambda args, out: (
+        _given(args.model, args.config, args.sensor_params),
+        [out / "trace.csv", out / "summary.json"]))
 
     p = sub.add_parser("params", help="print the default sensor parameter file")
     p.add_argument("--describe", action="store_true", help="prefix with schema notes")
-    p.set_defaults(func=cmd_params)
+    p.set_defaults(func=cmd_params, files=lambda args, out: ([], []))
 
     return parser
 
@@ -366,32 +370,37 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 2
-    args.made_out = None
+    made: list[Path] = []  # the directories made for --out, outermost last
     code = 1  # the exit code of an uncaught exception
     try:
-        code = _run(args)
-    finally:
-        if code and args.made_out is not None:  # a failed command leaves no output
-            shutil.rmtree(args.made_out, ignore_errors=True)
-    return code
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The command's exit code: each error class maps to its documented code."""
-    try:
-        return args.func(args)
+        out = None
+        if "out" in args:  # --out, else CAPFT_OUT, made before the declared files are checked
+            out = args.out if args.out is not None else os.environ.get("CAPFT_OUT") or None
+            if out is None:
+                raise ValueError("--out is required (or set CAPFT_OUT)")
+            out = Path(out)
+            made.extend(p for p in (out, *out.parents) if not p.exists())
+            out.mkdir(parents=True, exist_ok=True)
+        inputs, outputs = args.files(args, out)
+        _check_output_files(outputs, inputs)
+        code = args.func(args, outputs)
+    # each error class maps to its documented exit code
     except (LogFormatError, ScenarioRangeError, InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code = 4
     except (SimulationFault, SurfaceNotFoundError, SensorRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
+        code = 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        if code and made:  # a failed command leaves no output
+            shutil.rmtree(made[-1], ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -326,7 +326,7 @@ def _compressed_state(pillars: PillarModel, dz) -> tuple:
     return h_eff, area, eta
 
 
-def pillar_stiffness(pillars: PillarModel, geometry: SensorGeometry, dz) -> StiffnessSet:
+def pillar_stiffness(pillars: PillarModel, dz) -> StiffnessSet:
     """Plate stiffnesses with the array compressed by dz meters.
 
     Normal stiffness follows the compressed effective modulus and grown
@@ -446,7 +446,7 @@ def solve_deformation(w, pillars: PillarModel, geometry: SensorGeometry) -> Plat
         raise SaturationError(
             f"normal stroke exhausted: dz {np.max(dz):.3e} beyond "
             f"{MAX_COMPRESSION_FRACTION:.0%} of pillar height")
-    stiff = pillar_stiffness(pillars, geometry, dz)
+    stiff = pillar_stiffness(pillars, dz)
     return PlateDisplacement(
         dz=dz,
         theta_x=mx * MNM_TO_NM / stiff.k_tilt,

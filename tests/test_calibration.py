@@ -20,6 +20,7 @@ from capft.calibration import (
     NonFiniteEstimateError,
     TempCompensator,
     compensate,
+    compensate_counts,
     evaluate,
     expand_features,
     fit,
@@ -501,6 +502,18 @@ class TestModelChecks:
         comp = nan_quality_compensator()
         with pytest.raises(CalibrationError, match=f"non-finite temp_compensator {field}"):
             dataclasses.replace(comp, **{field: value})
+
+    @pytest.mark.parametrize("shape", ["reading", "block"])
+    def test_compensator_drift_overflow_names_the_compensator(self, shape):
+        # every field is finite, but the drift 1e308 degC from the reference is not
+        comp = dataclasses.replace(nan_quality_compensator(), reference_temp=1e308)
+        counts, temps = [1000.0] * 12, 25.0
+        if shape == "block":
+            counts, temps = np.full((3, 12), 1000.0), np.array([1e308, 1e308, 25.0])
+        with pytest.raises(CalibrationError) as err:
+            compensate_counts(counts, temps, comp)
+        assert str(err.value) == ("temp_compensator drift is not finite at 25.0 degC "
+                                  "(reference_temp 1e+308 degC)")
 
 
 class TestModelFile:

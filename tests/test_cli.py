@@ -188,6 +188,28 @@ class TestGenerate:
         for name in ("trial_00.csv", "trial_01.csv", "tare.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_stale_log_in_out_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # calibrate trains on every trial_*.csv in a directory, so a run with
+        # fewer trials must not leave an earlier run's extra logs beside its own
+        out = tmp_path / "st"
+        args = ["generate", "--duration", "0.1", "--out", str(out)]
+        assert main([*args, "--trials", "4", "--seed", "3"]) == 0
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "generate_trial", lambda *a: pytest.fail(
+                "a trial was simulated before the stale log was found"))
+            assert main([*args, "--trials", "2", "--seed", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {out / 'trial_02.csv'} is not a log of "
+                                             "this run; remove it or choose another --out"]
+        assert captured.out == "" and {p: p.read_bytes() for p in out.iterdir()} == before
+        # a run that declares every log in --out replaces them all
+        assert main([*args, "--trials", "4", "--seed", "9"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["base_seed"] == 9
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in before)
+        assert all((out / "trial_00.csv").read_bytes() != data for data in before.values())
+
     def test_jobs_do_not_change_output(self, tmp_path):
         args = ["generate", "--trials", "3", "--duration", "2.0", "--seed", "4"]
         a, b = tmp_path / "serial", tmp_path / "parallel"
@@ -912,7 +934,7 @@ class TestFly:
     TICKS = "over 1,000,000 controller ticks at 1000.0 Hz: lower settle_time, measure_time, " \
         "max_engage_time, or control_hz"
 
-    # Each is rejected before flight and before --out is made, under a guard
+    # Each is rejected before flight and leaves no --out behind, under a guard
     # far shorter than the run it would be.
     @pytest.mark.parametrize("config, code, message", [
         # 1 / 5e-324 is inf, so no step count or rate fits the step
@@ -1164,14 +1186,90 @@ class TestJsonInputs:
             src, out = Path(tmp) / "in.json", Path(tmp) / "out"
             src.write_text(json.dumps(edited))
             err = io.StringIO()
+            before = src.read_bytes()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     within_seconds(30.0):  # a hang guard; these runs take under 3 s
                 rc = main(command(str(src), str(out)))
             assert rc in (0, 2, 3, 4, 5)
+            assert src.read_bytes() == before
             if rc:
                 lines = err.getvalue().splitlines()
                 assert len([ln for ln in lines if ln.startswith("error: ")]) == 1, lines
                 assert not out.exists()
+
+
+# command: (its arguments, the input flags it reads and the output names it
+# declares under --out, or, for a command that names its outputs by flag, the
+# logs it reads and the output flags)
+DECLARED_FILES = {
+    "generate": (["generate", "--trials", "1", "--duration", "0.5"],
+                 ["--sensor-params", "--scenario-file"],
+                 ["trial_00.csv", "tare.csv", "manifest.json"]),
+    "temp-sweep": (["temp-sweep"], ["--model", "--sensor-params"],
+                   ["model_with_comp.json", "ablation.csv"]),
+    "fly": (["fly", "--scenario", "track_sine"], ["--model", "--config", "--sensor-params"],
+            ["trace.csv", "summary.json"]),
+    "calibrate": (["calibrate"], ["trial_00.csv", "trial_01.csv", "trial_02.csv", "tare.csv"],
+                  ["--model", "--report"]),
+    "evaluate": (["evaluate"], ["log", "--model"], ["--predictions"]),
+}
+
+
+class TestDeclaredFiles:
+    @pytest.mark.parametrize("command", sorted(DECLARED_FILES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_an_output_naming_an_input_writes_nothing(self, fitted, noisy_dir, command, data):
+        """One input of a command at one of the output paths it declares,
+        spelled as given or through '..': exit 3 before any work, one error
+        line naming both paths, and every file left as it was."""
+        argv, inputs, outputs = DECLARED_FILES[command]
+        source = data.draw(st.sampled_from(inputs), label="input")
+        target = data.draw(st.sampled_from(outputs), label="output")
+        detour = data.draw(st.booleans(), label="through ..")
+        contents = {
+            "--sensor-params": json.dumps(asdict(default_sensor_params())).encode(),
+            "--scenario-file": json.dumps(INPUTS["scenario"][0]).encode(),
+            "--config": json.dumps(asdict(flight.default_config("track_sine"))).encode(),
+            "--model": (fitted / "model.json").read_bytes(),
+            "log": (noisy_dir / "trial_00.csv").read_bytes(),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            if command in ("calibrate", "evaluate"):
+                data_dir = root / "data"
+                shutil.copytree(noisy_dir, data_dir)
+                files = {"log": data_dir / "trial_00.csv", "--model": root / "model.json"}
+                files["--model"].write_bytes(contents["--model"])
+                path = files.get(source, data_dir / source)
+                flags = {"--model": str(root / "m.json"), "--report": str(root / "r.json")}
+                if command == "evaluate":
+                    argv = [*argv, str(files["log"])]
+                    flags = {"--model": str(files["--model"])}
+                else:
+                    argv = [*argv, str(data_dir)]
+                output = path.parent / ".." / path.parent.name / path.name if detour else path
+                flags[target] = str(output)
+            else:
+                out = root / "out"
+                out.mkdir()
+                output = out / target
+                output.write_bytes(contents[source])
+                path = root / ".." / root.name / "out" / target if detour else output
+                bypass = command == "fly" and source != "--model"
+                flags = {source: str(path), "--out": str(out)}
+                argv = [*argv, *(["--bypass-sensor"] if bypass else [])]
+            before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            stdout, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err), \
+                    within_seconds(60.0):
+                rc = main([*argv, *(arg for item in flags.items() for arg in item)])
+            assert rc == 3
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert str(output) in lines[0] and str(path) in lines[0]
+            assert stdout.getvalue() == ""
+            assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 class TestMisc:
@@ -1232,7 +1330,8 @@ class TestMisc:
             model.write_text(json.dumps(payload))
         proc = run_cli_guarded(argv + ["--model", str(model)], PYTHONWARNINGS="error")
         assert proc.returncode == 4, proc.stderr
-        assert "model estimate is not finite" in proc.stderr
+        assert ("temp_compensator drift is not finite at " if command == "evaluate, compensator"
+                else "model estimate is not finite") in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["generate --out", "temp-sweep --out", "fly --out",

@@ -115,46 +115,41 @@ class TestMaterialLaws:
 class TestStiffness:
     def test_nominal_k_z(self):
         p = default_pillars()
-        g = default_geometry()
-        ks = pillar_stiffness(p, g, 0.0)
+        ks = pillar_stiffness(p, 0.0)
         expect = p.count * effective_modulus(p.youngs_modulus, p.aspect_ratio) \
             * p.pillar_area / p.height
         assert ks.k_z == pytest.approx(expect, rel=1e-12)
 
     def test_stiffening_monotone(self):
         p = default_pillars()
-        g = default_geometry()
-        k0 = pillar_stiffness(p, g, 0.0).k_z
-        k3 = pillar_stiffness(p, g, 0.3 * p.height).k_z
+        k0 = pillar_stiffness(p, 0.0).k_z
+        k3 = pillar_stiffness(p, 0.3 * p.height).k_z
         assert k3 > k0
 
     def test_shear_area_scaling(self):
         # doubling pillar radius at fixed count quadruples k_xy
         p = default_pillars()
-        g = default_geometry()
         p2 = dataclasses.replace(p, radius=2.0 * p.radius)
-        k1 = pillar_stiffness(p, g, 0.0).k_xy
-        k2 = pillar_stiffness(p2, g, 0.0).k_xy
+        k1 = pillar_stiffness(p, 0.0).k_xy
+        k2 = pillar_stiffness(p2, 0.0).k_xy
         assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
 
     def test_rejects_out_of_range_dz(self):
         p = default_pillars()
-        g = default_geometry()
         with pytest.raises(ValueError):
-            pillar_stiffness(p, g, p.height)
+            pillar_stiffness(p, p.height)
         with pytest.raises(ValueError):
-            pillar_stiffness(p, g, -1e-9)
+            pillar_stiffness(p, -1e-9)
 
     def test_finite_difference_matches_k_z(self):
         # d(Fz)/d(dz) from the force law vs the reported tangent stiffness
         p = default_pillars()
-        g = default_geometry()
         for frac in (0.0, 0.1, 0.25, 0.4, 0.5):
             dz = frac * p.height
             eps = 1e-10
             fd = (axial_force_oracle(p, dz + eps) - axial_force_oracle(p, max(dz - eps, 0.0))) \
                 / (eps if dz == 0.0 else 2 * eps)
-            k = pillar_stiffness(p, g, dz).k_z
+            k = pillar_stiffness(p, dz).k_z
             assert fd == pytest.approx(k, rel=0.01)
 
 
@@ -180,7 +175,7 @@ class TestDeformation:
         p, g = default_pillars(), default_geometry()
         w = Wrench(3.0, -2.0, 9.0, 30.0, -20.0, 8.0)
         d = solve_deformation(w, p, g)
-        ks = pillar_stiffness(p, g, d.dz)
+        ks = pillar_stiffness(p, d.dz)
         assert axial_force_oracle(p, d.dz) == pytest.approx(w.fz, abs=1e-9)
         assert ks.k_xy * d.dx == pytest.approx(w.fx, abs=1e-9)
         assert ks.k_xy * d.dy == pytest.approx(w.fy, abs=1e-9)
@@ -474,14 +469,14 @@ class TestSampling:
         w = np.array([row for row, _ in kept])
         temps = np.array([t for _, t in kept])
         d = solve_deformation(w, p, g)
-        k = pillar_stiffness(p, g, d.dz)
+        k = pillar_stiffness(p, d.dz)
         caps = normal_mode_capacitance(d, g) + shear_mode_capacitance(d, g)
         counts = sample_trajectory(w, temps, self.params, np.random.default_rng(seed))
         gen = np.random.default_rng(seed)
         for i, (row, temperature) in enumerate(kept):
             wi = Wrench.from_sequence(row)
             di = solve_deformation(wi, p, g)
-            ki = pillar_stiffness(p, g, di.dz)
+            ki = pillar_stiffness(p, di.dz)
             assert row_hex(dataclasses.astuple(d), i) == row_hex(dataclasses.astuple(di), 0)
             assert row_hex(dataclasses.astuple(k), i) == row_hex(dataclasses.astuple(ki), 0)
             assert row_hex(caps, i) == row_hex(capacitances(wi, self.params), 0)
