@@ -29,6 +29,7 @@ from .sensor_model import NUM_CHANNELS, CapacitanceFrame
 
 AXIS_NAMES = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
 MODEL_FORMAT_VERSION = 1
+MIN_TEMP_SPAN = 5.0  # degC between the coldest and warmest level of a drift fit
 
 _MODE_FEATURES = {"full": 24, "shear_only": 16}
 
@@ -251,7 +252,7 @@ def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
     Takes (N, 12) counts and their (N,) temperatures.  Frames are grouped
     by temperature and averaged per group before the weighted polynomial
     fit, so CDC read noise does not drown the drift curve.  Requires at
-    least 3 distinct temperatures spanning 5 degC.
+    least 3 distinct temperatures spanning MIN_TEMP_SPAN degC.
     """
     if len(counts) == 0:
         raise IllConditionedError("temperature fit requires frames")
@@ -260,8 +261,8 @@ def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
     levels = np.unique(temps)
     if len(levels) < 3:
         raise IllConditionedError(f"need >= 3 distinct temperatures, got {len(levels)}")
-    if levels.max() - levels.min() < 5.0:
-        raise IllConditionedError("temperature span below 5 degC")
+    if levels.max() - levels.min() < MIN_TEMP_SPAN:
+        raise IllConditionedError(f"temperature span below {MIN_TEMP_SPAN:g} degC")
     means = np.array([counts[temps == t].mean(axis=0) for t in levels])
     weights = np.sqrt(np.array([(temps == t).sum() for t in levels], dtype=float))
     x = levels - reference_temp

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -29,6 +30,10 @@ from .core import InputFileError, read_json, write_lines
 from .dataio import LogFormatError, ScenarioRangeError
 from .flight import SimulationFault
 from .sensor_model import SensorParams, SensorRangeError, default_sensor_params
+
+# trial_00 ... trial_99: two-digit names sort in the order generate writes
+# them, so calibrate holds out the last trial generated
+MAX_TRIALS = 100
 
 _SCENARIO_BUILDERS = {
     "full_range": dataio.full_range_scenario,
@@ -56,15 +61,21 @@ def _generate_one(scenario: dataio.Scenario, params: SensorParams,
     return out_path.name, _sha256_file(out_path)
 
 
-def _seed(text: str) -> int:
-    """--seed's type: a non-negative integer, so a bad seed is a usage error naming the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer(wanted: str, low: int, high: float = math.inf):
+    """An argparse type for an integer from low to high, so a bad value is a
+    usage error naming the flag, raised before main makes any path."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _integer("a non-negative integer", 0)
 
 
 def _given(*paths: str | None) -> list[Path]:
@@ -100,10 +111,6 @@ def _write_json(path: str | Path, payload: dict) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     params = _load_sensor_params(args.sensor_params)
     if args.scenario_file is not None:
         base = dataio.scenario_from_dict(read_json(args.scenario_file))
@@ -226,6 +233,10 @@ def cmd_temp_sweep(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     params = _load_sensor_params(args.sensor_params)
     scenario = dataio.temp_sweep_scenario(seed=_child_seed(args.seed, 200),
                                           temp_start=args.temp_start, temp_end=args.temp_end)
+    if abs(args.temp_end - args.temp_start) < calibration.MIN_TEMP_SPAN:
+        raise ScenarioRangeError(
+            f"--temp-start {args.temp_start!r} and --temp-end {args.temp_end!r} span less "
+            f"than the {calibration.MIN_TEMP_SPAN:g} degC the drift fit needs")
     if args.model is not None:
         model, _ = calibration.load_model(args.model)
     else:
@@ -305,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="simulate excitation trials to CSV logs")
     p.add_argument("--scenario", choices=sorted(_SCENARIO_BUILDERS), default="full_range")
     p.add_argument("--scenario-file", help="JSON scenario overriding --scenario")
-    p.add_argument("--trials", type=int, default=11)
+    p.add_argument("--trials", type=_integer(f"an integer from 1 to {MAX_TRIALS}", 1, MAX_TRIALS),
+                   default=11)
     p.add_argument("--duration", type=float, default=35.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer("a positive integer", 1), default=1)
     p.add_argument("--sensor-params", help="JSON sensor parameter file")
     p.add_argument("--out", help="output directory (default: $CAPFT_OUT)")
     p.set_defaults(func=cmd_generate, files=lambda args, out: (

@@ -427,7 +427,7 @@ def _solve_dz(pillars: PillarModel, fz):
     return dz
 
 
-def solve_deformation(w, pillars: PillarModel, geometry: SensorGeometry) -> PlateDisplacement:
+def solve_deformation(w, pillars: PillarModel) -> PlateDisplacement:
     """Static plate pose under an applied wrench.
 
     The normal axis is solved iteratively against the stiffening pillar
@@ -457,33 +457,26 @@ def solve_deformation(w, pillars: PillarModel, geometry: SensorGeometry) -> Plat
     )
 
 
-def _quadrant_gaps(d: PlateDisplacement, geometry: SensorGeometry) -> list:
-    """Local electrode gap under each quadrant centroid (m); raises once one closes."""
+def plate_capacitances(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
+    """The twelve channel capacitances of a plate pose in farads: Z1..Z4, then
+    X1..X4 and Y1..Y4 (columns for a column pose).
+
+    Each quadrant's normal electrode senses its local gap.  Each quadrant
+    also carries a +/- comb pair whose overlap areas split linearly with
+    tangential travel; both members share that gap, which retains the
+    normal-load cross-coupling seen on a physical device.  Raises once a gap
+    closes, then once travel passes half a finger pitch, then once a comb wraps.
+    """
     gaps = [geometry.nominal_gap - (d.dz + d.theta_x * y - d.theta_y * x)
             for x, y in zip(geometry.quadrant_x, geometry.quadrant_y)]
     g1, g2, g3, g4 = gaps
     if not _holds((g1 > 0.0) & (g2 > 0.0) & (g3 > 0.0) & (g4 > 0.0)):
         raise SaturationError("electrode gap closed under tilt/compression")
-    return gaps
-
-
-def normal_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
-    """Quadrant gap-sensing capacitances Z1..Z4 in farads (columns for a column pose)."""
     num = EPSILON_0 * geometry.eps_effective * geometry.normal_electrode_area
-    return tuple(num / g for g in _quadrant_gaps(d, geometry))
-
-
-def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
-    """Differential overlap-area capacitances X1..X4, Y1..Y4 in farads.
-
-    Each quadrant carries a +/- comb pair whose overlap areas split linearly
-    with tangential travel; both members share the local quadrant gap, which
-    retains the normal-load cross-coupling seen on a physical device.
-    """
+    caps = [num / g for g in gaps]
     half_pitch = 0.5 * geometry.finger_pitch
     if not _holds((abs(d.dx) < half_pitch) & (abs(d.dy) < half_pitch)):
         raise SensorRangeError("tangential travel beyond half a finger pitch")
-    gaps = _quadrant_gaps(d, geometry)
     qx, qy = geometry.quadrant_x, geometry.quadrant_y
     # rigid in-plane motion, (dx, dy) plus theta_z cross centroid, along each
     # quadrant's sensitive axis: quadrants 1 and 3 sense x, 2 and 4 sense y
@@ -493,7 +486,6 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
                   & (abs(deltas[2]) < half_pitch) & (abs(deltas[3]) < half_pitch)):
         raise SensorRangeError("comb overlap wrapped: quadrant travel beyond half pitch")
     num = EPSILON_0 * geometry.eps_effective * geometry.shear_overlap_area
-    caps: list = []
     for q in (0, 2, 1, 3):  # order: (Q1+, Q1-), (Q3+, Q3-), (Q2+, Q2-), (Q4+, Q4-)
         base = num / gaps[q]
         ratio = deltas[q] / geometry.finger_pitch
@@ -503,8 +495,7 @@ def shear_mode_capacitance(d: PlateDisplacement, geometry: SensorGeometry) -> tu
 
 def _channel_capacitances(w, params: SensorParams) -> tuple:
     """Noise-free capacitances of the twelve channels, in the fixed order."""
-    d = solve_deformation(w, params.pillars, params.geometry)
-    return normal_mode_capacitance(d, params.geometry) + shear_mode_capacitance(d, params.geometry)
+    return plate_capacitances(solve_deformation(w, params.pillars), params.geometry)
 
 
 # sample's memo of the last load, ((w, params), capacitances): a closed loop

@@ -223,6 +223,33 @@ class TestGenerate:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_trial_ceiling_keeps_the_held_out_trial_last(self, tmp_path, capsys):
+        # calibrate holds out the last trial log in name order; at 101 trials
+        # trial_100.csv would sort before trial_11.csv and hide the last one
+        out = tmp_path / "out"
+        args = ["generate", "--duration", "0.05", "--out", str(out)]
+        assert main([*args, "--trials", "101"]) == 2
+        assert "argument --trials: expected an integer from 1 to 100, got '101'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*args, "--trials", "100"]) == 0
+        report = tmp_path / "report.json"
+        assert main(["calibrate", str(out), "--model", str(tmp_path / "model.json"),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["test_trial"] == "full_range_99"
+
+    def test_huge_trial_count_is_usage_error_before_any_path(self, tmp_path):
+        # one output path per trial: 1e9 of them would need far more than the
+        # 2 GiB the child may map, so the ceiling must hold before main builds them
+        out = tmp_path / "out"
+        proc = run_cli_guarded(["generate", "--trials", "1000000000", "--out", str(out)],
+                               address_space=2 << 30, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1] == ("capft generate: error: argument --trials: "
+                                                "expected an integer from 1 to 100, "
+                                                "got '1000000000'")
+        assert not out.exists()
+
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         rc = main(["generate", "--scenario", "bogus", "--out", str(tmp_path)])
         assert rc == 2
@@ -716,6 +743,26 @@ class TestTempSweep:
         assert rc == 3
         field = flag[2:].replace("-", "_")
         assert f"Scenario.{field} -300.0 degC is below absolute zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, end", [(25.0, 27.0), (30.0, 25.5)])
+    @pytest.mark.parametrize("with_model", [False, True], ids=["quick-model", "model"])
+    def test_narrow_span_is_data_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       fitted, start, end, with_model):
+        # the drift fit needs a 5 degC span: checked before the quick model
+        # is fitted or the sweep simulated, and blamed on the flags, not a model
+        out = tmp_path / "out"
+        model = ["--model", str(fitted / "model.json")] if with_model else []
+        monkeypatch.setattr(dataio, "generate_trial", lambda *a: pytest.fail(
+            "a trial was simulated before the span was checked"))
+        rc = main(["temp-sweep", *model, "--temp-start", str(start), "--temp-end", str(end),
+                   "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --temp-start {start!r} and --temp-end {end!r} span less than the "
+            "5 degC the drift fit needs"]
+        assert captured.out == ""
         assert not out.exists()
 
     def test_ablation_deterministic(self, tmp_path):

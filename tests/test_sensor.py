@@ -1,6 +1,7 @@
 """Forward sensor model: mechanics, capacitance patterns, counts."""
 
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -21,17 +22,15 @@ from capft.sensor_model import (
     SensorRangeError,
     capacitances,
     default_drift,
-    default_geometry,
     default_pillars,
     default_sensor_params,
     effective_modulus,
     lag_rows,
-    normal_mode_capacitance,
     parallel_plate_capacitance,
     pillar_stiffness,
+    plate_capacitances,
     sample,
     sample_trajectory,
-    shear_mode_capacitance,
     shore_to_youngs,
     solve_deformation,
 )
@@ -57,7 +56,7 @@ def axial_force_oracle(pillars, dz):
     return pillars.count * e * area0 * h * (term1 + term2)
 
 
-def bisection_dz(pillars, geometry, fz, tol=1e-15):
+def bisection_dz(pillars, fz, tol=1e-15):
     """Scalar bisection on the axial force law; oracle for solve_deformation."""
     lo, hi = 0.0, 0.95 * pillars.height
     for _ in range(200):
@@ -155,26 +154,26 @@ class TestStiffness:
 
 class TestDeformation:
     def test_zero_wrench(self):
-        d = solve_deformation(Wrench.zero(), default_pillars(), default_geometry())
+        d = solve_deformation(Wrench.zero(), default_pillars())
         assert d.dz == 0.0 and d.dx == 0.0 and d.dy == 0.0
         assert d.theta_x == 0.0 and d.theta_y == 0.0 and d.theta_z == 0.0
 
     def test_pure_fz_decouples(self):
-        d = solve_deformation(Wrench(0, 0, 8, 0, 0, 0), default_pillars(), default_geometry())
+        d = solve_deformation(Wrench(0, 0, 8, 0, 0, 0), default_pillars())
         assert d.dz > 0.0
         assert d.dx == 0.0 and d.dy == 0.0
         assert d.theta_x == 0.0 and d.theta_y == 0.0 and d.theta_z == 0.0
 
     def test_fz_matches_bisection_oracle(self):
-        p, g = default_pillars(), default_geometry()
+        p = default_pillars()
         for fz in (1.0, 5.0, 10.0, 14.0):
-            d = solve_deformation(Wrench(0, 0, fz, 0, 0, 0), p, g)
-            assert d.dz == pytest.approx(bisection_dz(p, g, fz), abs=1e-9)
+            d = solve_deformation(Wrench(0, 0, fz, 0, 0, 0), p)
+            assert d.dz == pytest.approx(bisection_dz(p, fz), abs=1e-9)
 
     def test_force_balance_residual(self):
-        p, g = default_pillars(), default_geometry()
+        p = default_pillars()
         w = Wrench(3.0, -2.0, 9.0, 30.0, -20.0, 8.0)
-        d = solve_deformation(w, p, g)
+        d = solve_deformation(w, p)
         ks = pillar_stiffness(p, d.dz)
         assert axial_force_oracle(p, d.dz) == pytest.approx(w.fz, abs=1e-9)
         assert ks.k_xy * d.dx == pytest.approx(w.fx, abs=1e-9)
@@ -186,13 +185,11 @@ class TestDeformation:
 
     def test_tension_rejected(self):
         with pytest.raises(SaturationError):
-            solve_deformation(Wrench(0, 0, -1.0, 0, 0, 0),
-                              default_pillars(), default_geometry())
+            solve_deformation(Wrench(0, 0, -1.0, 0, 0, 0), default_pillars())
 
     def test_overload_rejected(self):
         with pytest.raises(SaturationError):
-            solve_deformation(Wrench(0, 0, 500.0, 0, 0, 0),
-                              default_pillars(), default_geometry())
+            solve_deformation(Wrench(0, 0, 500.0, 0, 0, 0), default_pillars())
 
 
 def unit_loads():
@@ -214,8 +211,8 @@ class TestCapacitancePatterns:
         self.c0 = capacitances(Wrench.zero(), self.params)
 
     def test_shear_baseline_uniform(self):
-        d = solve_deformation(Wrench.zero(), self.p, self.g)
-        cs = shear_mode_capacitance(d, self.g)
+        d = solve_deformation(Wrench.zero(), self.p)
+        cs = plate_capacitances(d, self.g)[4:]
         expect = EPSILON_0 * self.g.eps_effective * self.g.shear_overlap_area / self.g.nominal_gap
         assert cs == pytest.approx([expect] * 8, rel=1e-12)
 
@@ -261,9 +258,9 @@ class TestCapacitancePatterns:
         def ratio(theta):
             d = PlateDisplacement(dz=0.0, theta_x=theta, theta_y=0.0,
                                   dx=0.0, dy=0.0, theta_z=0.0)
-            dev = np.array(normal_mode_capacitance(d, self.g)) - np.array(
-                normal_mode_capacitance(
-                    PlateDisplacement(0, 0, 0, 0, 0, 0), self.g))
+            dev = np.array(plate_capacitances(d, self.g)[:4]) - np.array(
+                plate_capacitances(
+                    PlateDisplacement(0, 0, 0, 0, 0, 0), self.g)[:4])
             return abs(dev.sum()) / np.abs(dev).max()
 
         assert ratio(1e-4) < 0.01
@@ -273,10 +270,10 @@ class TestCapacitancePatterns:
     def test_mz_tangential_pattern(self):
         # +Mz rotates the plate; every quadrant sees a tangential split whose
         # sign follows delta = projection of theta_z x r onto its axis
-        d = solve_deformation(unit_loads()["Mz"], self.p, self.g)
-        cs = np.array(shear_mode_capacitance(d, self.g))
-        base = np.array(shear_mode_capacitance(
-            solve_deformation(Wrench.zero(), self.p, self.g), self.g))
+        d = solve_deformation(unit_loads()["Mz"], self.p)
+        cs = np.array(plate_capacitances(d, self.g)[4:])
+        base = np.array(plate_capacitances(
+            solve_deformation(Wrench.zero(), self.p), self.g)[4:])
         dc = cs - base
         # per-quadrant hand computation of the tangential displacement;
         # output slots run X1..X4 (quadrants 1,3) then Y1..Y4 (quadrants 2,4)
@@ -306,7 +303,7 @@ class TestCapacitancePatterns:
         from capft.sensor_model import PlateDisplacement
         da = PlateDisplacement(10e-6, 1e-3, -2e-3, 0.0, 0.0, 0.0)
         db = PlateDisplacement(10e-6, 1e-3, -2e-3, 40e-6, -30e-6, 2e-3)
-        assert normal_mode_capacitance(da, self.g) == normal_mode_capacitance(db, self.g)
+        assert plate_capacitances(da, self.g)[:4] == plate_capacitances(db, self.g)[:4]
 
     def test_sensitivity_decreases_with_radius(self):
         # Fig-3-style trend: bigger pillars, stiffer array, less dC/dF
@@ -468,14 +465,14 @@ class TestSampling:
         assume(len(kept) >= 2)
         w = np.array([row for row, _ in kept])
         temps = np.array([t for _, t in kept])
-        d = solve_deformation(w, p, g)
+        d = solve_deformation(w, p)
         k = pillar_stiffness(p, d.dz)
-        caps = normal_mode_capacitance(d, g) + shear_mode_capacitance(d, g)
+        caps = plate_capacitances(d, g)
         counts = sample_trajectory(w, temps, self.params, np.random.default_rng(seed))
         gen = np.random.default_rng(seed)
         for i, (row, temperature) in enumerate(kept):
             wi = Wrench.from_sequence(row)
-            di = solve_deformation(wi, p, g)
+            di = solve_deformation(wi, p)
             ki = pillar_stiffness(p, di.dz)
             assert row_hex(dataclasses.astuple(d), i) == row_hex(dataclasses.astuple(di), 0)
             assert row_hex(dataclasses.astuple(k), i) == row_hex(dataclasses.astuple(ki), 0)
@@ -571,6 +568,44 @@ class TestSampling:
         assert key == (ok, self.params)
         fresh = _channel_capacitances(ok, self.params)
         assert [c.hex() for c in caps] == [c.hex() for c in fresh]
+
+    # The forward model runs only + - * / and sqrt, in a fixed order on floats
+    # or elementwise on columns, and calls no BLAS routine, so these bytes hold
+    # for every numpy build and BLAS kernel.
+    FORWARD_DIGESTS = (
+        "96c3f4edb24fbaac96bf7573a758ccc8044ff46ff9125b00c95258cf58308f8d",
+        "58233b80f6d893b2fa3b40b9b9a3a5794d81f12bc5e9f9b93ae5741159f3c5af")
+
+    def test_forward_model_pinned(self):
+        # 500 draws like wrench_rows: each row scaled by up to 1.5x the axis
+        # limits, so about 40% of them leave the range through every check
+        rng = np.random.default_rng(2024)
+        unit = rng.uniform(-1.0, 1.0, size=(500, 6))
+        unit[:, 2] = rng.uniform(-0.02, 1.0, size=500)
+        w = unit * AXIS_LIMITS * rng.uniform(0.0, 1.5, size=(500, 1))
+        temps = rng.uniform(0.0, 50.0, size=500)
+        lines, kept, seen = [], [], set()
+        for i, row in enumerate(w):
+            try:
+                caps = capacitances(Wrench.from_sequence(row), self.params)
+            except SensorRangeError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+                seen.add(str(exc).split(":")[0])
+            else:
+                lines.append(" ".join(float(c).hex() for c in caps))
+                kept.append(i)
+        assert seen == {
+            "tensile normal load is outside the model range", "normal stroke exhausted",
+            "electrode gap closed under tilt/compression",
+            "tangential travel beyond half a finger pitch", "comb overlap wrapped"}
+        quiet = dataclasses.replace(
+            self.params, cdc=dataclasses.replace(self.params.cdc, noise_sigma_counts=0.0))
+        counts = sample_trajectory(w[kept], temps[kept], quiet, np.random.default_rng(0))
+        assert len(kept) == 296
+        got = (hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+               hashlib.sha256("\n".join(" ".join(map(str, r)) for r in counts.tolist())
+                              .encode()).hexdigest())
+        assert got == self.FORWARD_DIGESTS
 
 
 class TestLagRows:
