@@ -43,6 +43,8 @@ _ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _ABSOLUTE_ZERO_C = -273.15
 MAX_SAMPLES = 1_000_000  # per trial: 46 min at 360 Hz, and about 1 GB to generate
+# components * samples per axis: each sine term is one pass over the time column
+MAX_SINE_TERMS = 10_000_000
 
 
 class LogFormatError(ValueError):
@@ -83,6 +85,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_finite_fields(self, ScenarioRangeError)
+        # the name is a log's metadata line, which load_log reads back stripped
+        if not self.name.isprintable() or self.name != self.name.strip():
+            raise ScenarioRangeError(f"Scenario.name {self.name!r} must be printable text "
+                                     "without leading or trailing whitespace")
         if self.duration <= 0.0 or self.sample_rate <= 0.0 \
                 or not math.isfinite(self.duration * self.sample_rate) or self.sample_count < 1:
             raise ScenarioRangeError("duration * sample_rate must give a finite sample count >= 1")
@@ -94,6 +100,9 @@ class Scenario:
         # both size arrays in generate, so more of either than samples is rejected
         if not 1 <= self.components <= self.sample_count:
             raise ScenarioRangeError("components must lie in [1, sample count]")
+        if self.components * self.sample_count > MAX_SINE_TERMS:
+            raise ScenarioRangeError(f"components {self.components} times {self.sample_count} "
+                                     f"samples is above the ceiling of {MAX_SINE_TERMS} sine terms")
         if not 0 <= self.temp_steps <= self.sample_count:
             raise ScenarioRangeError("temp_steps must lie in [0, sample count]")
         for lo, hi in self.ranges():

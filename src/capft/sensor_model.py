@@ -67,9 +67,12 @@ def _holds(check) -> bool:
     return check if check.__class__ is bool else bool(check.all())
 
 
-def parallel_plate_capacitance(eps_r: float, area: float, gap: float) -> float:
-    """Ideal parallel-plate capacitance in farads; area in m^2, gap in m."""
-    if area <= 0.0 or gap <= 0.0 or eps_r <= 0.0:
+def parallel_plate_capacitance(eps_r: float, area: float, gap):
+    """Ideal parallel-plate capacitance in farads; area in m^2, gap in m.
+
+    gap is a float or an (N,) column, and the capacitance takes its form.
+    """
+    if not (eps_r > 0.0 and area > 0.0 and _holds(gap > 0.0)):  # NaN fails too
         raise SensorRangeError(f"non-physical plate parameters ({eps_r}, {area}, {gap})")
     return EPSILON_0 * eps_r * area / gap
 
@@ -124,6 +127,9 @@ class PillarModel:
             k0 = self.k0
         except ZeroDivisionError:  # the squat-pillar shape factor overflowed
             k0 = math.inf
+        except OverflowError:  # the pillar count does not convert to a float
+            raise SensorRangeError("PillarModel.ring_counts total is too large for a float") \
+                from None
         if not 0.0 < k0 < math.inf:  # the compression solve divides by it
             raise SensorRangeError(f"pillar height {self.height!r} and radius {self.radius!r} "
                                    f"give a stiffness at zero compression of {k0!r} N/m")
@@ -277,29 +283,21 @@ class SensorParams:
 class CapacitanceFrame:
     """One synchronized reading of all twelve channels, in integer counts."""
 
-    normal_counts: tuple[int, int, int, int]
-    shear_counts: tuple[int, int, int, int, int, int, int, int]
+    counts: tuple[int, ...]  # Z1..Z4, X1..X4, Y1..Y4
     timestamp: float
     temperature: float
 
     def __post_init__(self) -> None:
-        if len(self.normal_counts) != 4 or len(self.shear_counts) != 8:
-            raise SensorRangeError("frame needs 4 normal and 8 shear counts")
+        if len(self.counts) != NUM_CHANNELS:
+            raise SensorRangeError(f"frame needs {NUM_CHANNELS} counts, got {len(self.counts)}")
         # 0 leads, so a NaN first does not hide a negative count behind it
-        if min(0, *self.normal_counts, *self.shear_counts) < 0:
+        if min(0, *self.counts) < 0:
             raise SensorRangeError("counts must be non-negative")
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """All channels in the fixed Z1..Z4, X1..X4, Y1..Y4 order."""
-        return self.normal_counts + self.shear_counts
 
     @classmethod
     def from_counts(cls, counts, timestamp: float, temperature: float) -> "CapacitanceFrame":
-        """Frame from all twelve whole-number counts in the counts order."""
-        c = tuple(int(v) for v in counts)
-        return cls(normal_counts=c[:4], shear_counts=c[4:], timestamp=timestamp,
-                   temperature=temperature)
+        """Frame from twelve whole-number counts in the counts order."""
+        return cls(tuple(int(v) for v in counts), timestamp, temperature)
 
 
 @dataclass(frozen=True)
@@ -461,9 +459,9 @@ def plate_capacitances(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
     """The twelve channel capacitances of a plate pose in farads: Z1..Z4, then
     X1..X4 and Y1..Y4 (columns for a column pose).
 
-    Each quadrant's normal electrode senses its local gap.  Each quadrant
-    also carries a +/- comb pair whose overlap areas split linearly with
-    tangential travel; both members share that gap, which retains the
+    Every channel is the parallel-plate law on its quadrant's local gap: the
+    normal electrode's area, and a +/- comb pair whose overlap areas split
+    linearly with tangential travel.  The pair shares that gap, which retains the
     normal-load cross-coupling seen on a physical device.  Raises once a gap
     closes, then once travel passes half a finger pitch, then once a comb wraps.
     """
@@ -472,8 +470,8 @@ def plate_capacitances(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
     g1, g2, g3, g4 = gaps
     if not _holds((g1 > 0.0) & (g2 > 0.0) & (g3 > 0.0) & (g4 > 0.0)):
         raise SaturationError("electrode gap closed under tilt/compression")
-    num = EPSILON_0 * geometry.eps_effective * geometry.normal_electrode_area
-    caps = [num / g for g in gaps]
+    eps = geometry.eps_effective
+    caps = [parallel_plate_capacitance(eps, geometry.normal_electrode_area, g) for g in gaps]
     half_pitch = 0.5 * geometry.finger_pitch
     if not _holds((abs(d.dx) < half_pitch) & (abs(d.dy) < half_pitch)):
         raise SensorRangeError("tangential travel beyond half a finger pitch")
@@ -485,9 +483,8 @@ def plate_capacitances(d: PlateDisplacement, geometry: SensorGeometry) -> tuple:
     if not _holds((abs(deltas[0]) < half_pitch) & (abs(deltas[1]) < half_pitch)
                   & (abs(deltas[2]) < half_pitch) & (abs(deltas[3]) < half_pitch)):
         raise SensorRangeError("comb overlap wrapped: quadrant travel beyond half pitch")
-    num = EPSILON_0 * geometry.eps_effective * geometry.shear_overlap_area
     for q in (0, 2, 1, 3):  # order: (Q1+, Q1-), (Q3+, Q3-), (Q2+, Q2-), (Q4+, Q4-)
-        base = num / gaps[q]
+        base = parallel_plate_capacitance(eps, geometry.shear_overlap_area, gaps[q])
         ratio = deltas[q] / geometry.finger_pitch
         caps += (base * (1.0 + ratio), base * (1.0 - ratio))
     return tuple(caps)
@@ -566,7 +563,7 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     dt = float(temperature) - drift.reference_temp
     counts = tuple([_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
         caps, drift.alpha, drift.beta, gen.normal(size=NUM_CHANNELS).tolist())])
-    return CapacitanceFrame(counts[:4], counts[4:], timestamp, temperature)
+    return CapacitanceFrame(counts, timestamp, temperature)
 
 
 def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: SensorParams,

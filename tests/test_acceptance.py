@@ -147,9 +147,7 @@ def test_04_calibration_recovery(protocol):
     frames = []
     for i in range(600):
         counts = [int(v) for v in rng.integers(900, 1100, 12)]
-        frames.append(CapacitanceFrame(
-            normal_counts=tuple(counts[:4]), shear_counts=tuple(counts[4:]),
-            timestamp=i / 360.0, temperature=25.0))
+        frames.append(CapacitanceFrame(counts=tuple(counts), timestamp=i / 360.0, temperature=25.0))
     x = np.column_stack([expand_features(f.counts, baseline, "full") for f in frames])
     y = a_true @ x
     wrenches = [Wrench(*y[:, i]) for i in range(y.shape[1])]

@@ -40,9 +40,7 @@ from capft.sensor_model import (
 
 
 def make_frame(counts, timestamp=0.0, temperature=25.0):
-    counts = [int(v) for v in counts]
-    return CapacitanceFrame(normal_counts=tuple(counts[:4]),
-                            shear_counts=tuple(counts[4:]),
+    return CapacitanceFrame(counts=tuple(int(v) for v in counts),
                             timestamp=timestamp, temperature=temperature)
 
 

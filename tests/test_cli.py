@@ -1165,6 +1165,35 @@ class TestJsonInputs:
         assert f"{field} must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "fly"])
+    def test_pillar_count_too_large_for_a_float(self, tmp_path, capsys, command):
+        data = as_json(asdict(default_sensor_params()))
+        data["pillars"]["ring_counts"][0] = 10 ** 400
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = json_input_command("--sensor-params", path, out) if command == "generate" \
+            else ["fly", "--scenario", "track_sine", "--bypass-sensor", "--sensor-params",
+                  str(path), "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: PillarModel.ring_counts total is too large for a float"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", " lead", "trail ", "tab\t", "\ud800"],
+                             ids=["newline", "return", "leading", "trailing", "tab", "surrogate"])
+    def test_scenario_name_that_breaks_its_log(self, tmp_path, capsys, name):
+        # a metadata line must load back as written: one line, stripped, UTF-8
+        data = asdict(dataio.full_range_scenario(duration=1.0))
+        data["name"] = name
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(json_input_command("--scenario-file", path, out)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: Scenario.name {name!r} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, code, key, value, message", [
         ("--sensor-params", 5, "radius", 1e-300,
          "error: pillar height 0.000127 and radius 1e-300 give a stiffness at zero compression"),

@@ -598,6 +598,14 @@ class TestScenarioSerialization:
         at_ceiling = Scenario(name="x", duration=dataio.MAX_SAMPLES / 360.0, seed=0)
         assert at_ceiling.sample_count == dataio.MAX_SAMPLES
 
+    def test_sine_terms_above_the_ceiling_rejected(self):
+        # 1000 s at 360 Hz: each axis sums components sines over 360,000 samples
+        most = dataio.MAX_SINE_TERMS // 360_000
+        with pytest.raises(ScenarioRangeError,
+                           match=f"ceiling of {dataio.MAX_SINE_TERMS} sine terms"):
+            Scenario(name="x", duration=1000.0, seed=0, components=most + 1)
+        assert Scenario(name="x", duration=1000.0, seed=0, components=most).components == most
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioRangeError):
             Scenario(name="x", duration=0.0, seed=0)

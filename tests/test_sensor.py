@@ -110,6 +110,18 @@ class TestMaterialLaws:
         c2 = parallel_plate_capacitance(3.0, 1e-6, 63.5e-6)
         assert c2 == pytest.approx(2.0 * c1, rel=1e-12)
 
+    def test_parallel_plate_column_gap_matches_floats(self):
+        gaps = [127e-6, 63.5e-6, 1e-9, 2e-3]
+        column = parallel_plate_capacitance(3.0, 1e-6, np.array(gaps))
+        assert column.tolist() == [parallel_plate_capacitance(3.0, 1e-6, g) for g in gaps]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-6])
+    def test_parallel_plate_bad_gap_raises(self, bad):
+        with pytest.raises(SensorRangeError, match="non-physical plate"):
+            parallel_plate_capacitance(3.0, 1e-6, bad)
+        with pytest.raises(SensorRangeError, match="non-physical plate"):
+            parallel_plate_capacitance(3.0, 1e-6, np.array([127e-6, bad, 63.5e-6]))
+
 
 class TestStiffness:
     def test_nominal_k_z(self):
@@ -350,17 +362,19 @@ def counts_or_error(fn):
 
 
 class TestFrame:
-    @pytest.mark.parametrize("normal, shear", [(3, 8), (4, 7), (5, 7)])
-    def test_channel_split_rejected(self, normal, shear):
-        with pytest.raises(SensorRangeError, match="4 normal and 8 shear"):
-            CapacitanceFrame((100,) * normal, (100,) * shear, 0.0, 25.0)
+    @pytest.mark.parametrize("n", [0, 11, 13])
+    def test_channel_count_rejected(self, n):
+        with pytest.raises(SensorRangeError, match=f"frame needs 12 counts, got {n}"):
+            CapacitanceFrame((100,) * n, 0.0, 25.0)
+        with pytest.raises(SensorRangeError, match=f"frame needs 12 counts, got {n}"):
+            CapacitanceFrame.from_counts([100] * n, 0.0, 25.0)
 
     @given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=12, max_size=12),
            slot=st.integers(0, 11), negative=st.integers(-2**63, -1))
     def test_negative_count_rejected(self, counts, slot, negative):
         counts[slot] = negative
         with pytest.raises(SensorRangeError, match="non-negative"):
-            CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
+            CapacitanceFrame(tuple(counts), 0.0, 25.0)
         with pytest.raises(SensorRangeError, match="non-negative"):
             CapacitanceFrame.from_counts(counts, 0.0, 25.0)
 
@@ -372,9 +386,9 @@ class TestFrame:
         # a NaN ahead of a negative count must not hide it
         if any(c < 0 for c in counts):
             with pytest.raises(SensorRangeError, match="non-negative"):
-                CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
+                CapacitanceFrame(tuple(counts), 0.0, 25.0)
         else:
-            CapacitanceFrame(tuple(counts[:4]), tuple(counts[4:]), 0.0, 25.0)
+            CapacitanceFrame(tuple(counts), 0.0, 25.0)
 
     @settings(max_examples=100, deadline=None)
     @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
