@@ -258,13 +258,13 @@ def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
         raise IllConditionedError("temperature fit requires frames")
     temps = np.asarray(temperatures, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    levels = np.unique(temps)
+    levels, sizes = np.unique(temps, return_counts=True)
     if len(levels) < 3:
         raise IllConditionedError(f"need >= 3 distinct temperatures, got {len(levels)}")
     if levels.max() - levels.min() < MIN_TEMP_SPAN:
         raise IllConditionedError(f"temperature span below {MIN_TEMP_SPAN:g} degC")
     means = np.array([counts[temps == t].mean(axis=0) for t in levels])
-    weights = np.sqrt(np.array([(temps == t).sum() for t in levels], dtype=float))
+    weights = np.sqrt(sizes.astype(float))
     x = levels - reference_temp
     a0, a1, a2, r2 = [], [], [], []
     for k in range(NUM_CHANNELS):

@@ -271,8 +271,8 @@ def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack
 
     press is the state's press force, press_force(state.pz, state.vz, env),
     which step_plant returns with the state.  A sensed reading draws
-    NUM_CHANNELS normals from rng; a bypassed one draws none.  The engine
-    calls this only for the readings it must compute (see _Engine.run).
+    NUM_CHANNELS normals from rng; a bypassed one draws none, and its rng
+    is None.  _Engine.run calls this only for the readings it must compute.
     """
     true_force = sensor_load(state, press, env)
     if stack.bypass:
@@ -435,12 +435,15 @@ def _last_due(j_max: int, hz: float, dt: float, n: int) -> int:
 
 
 class _Engine:
-    """Shared plant/sensor/controller scheduling for mission phases."""
+    """Shared plant/sensor/controller scheduling for mission phases.
+
+    rng, the read-noise generator, is None for a bypassed stack, which never draws."""
 
     def __init__(self, cfg: SimConfig, stack: SensingStack):
         self.cfg = cfg
         self.stack = stack
-        self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EB5)))
+        self.rng = None if stack.bypass else np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, 0x5EB5)))
         lat = cfg.seq.lateral
         self.state = FlightState(  # at rest and level
             lat[0], lat[1], cfg.seq.z_low, 0.0, 0.0, 0.0, LEVEL_QUAT,

@@ -774,7 +774,8 @@ class SenseEveryTickEngine(flight._Engine):
 
 def fly_on(engine_cls, cfg, stack):
     """run_mission on engine_cls: its trace lines, its summary or raised
-    exception, and the generator's state at the end."""
+    exception, and the generator's state at the end (None bypassed, where
+    the engine builds no generator)."""
     engines = []
     with mock.patch.object(flight, "_Engine", recording_engine(engine_cls, engines)):
         try:
@@ -782,6 +783,10 @@ def fly_on(engine_cls, cfg, stack):
         except Exception as exc:  # whatever either engine raises is compared
             outcome = (type(exc), str(exc))
     (eng,) = engines
+    if stack.bypass:
+        assert eng.rng is None
+        return rows_to_csv_lines(eng.rows), outcome, None
+    assert isinstance(eng.rng, np.random.Generator)
     return rows_to_csv_lines(eng.rows), outcome, eng.rng.bit_generator.state
 
 

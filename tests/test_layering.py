@@ -1,5 +1,5 @@
-"""The package's module layering: what importing a module loads, and who
-imports whose private helpers."""
+"""The package's module layering: what importing a module or running a
+command loads, and who imports whose private helpers."""
 
 import ast
 import os
@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import capft
+from capft.cli import main
 
 PACKAGE = Path(capft.__file__).parent
 
@@ -35,6 +38,38 @@ def test_cli_loads_no_process_pool():
     # front end leaves concurrent.futures, and the logging it loads, unloaded
     out = _fresh_import("import sys, capft.cli; print('concurrent.futures' in sys.modules)")
     assert out.split() == ["False"]
+
+
+@pytest.fixture(scope="module")
+def cli_data(tmp_path_factory):
+    """Two short trials plus tare, and the full model fitted to them."""
+    data = tmp_path_factory.mktemp("data")
+    assert main(["generate", "--trials", "2", "--duration", "4.0", "--seed", "1",
+                 "--out", str(data)]) == 0
+    assert main(["calibrate", str(data), "--model", str(data / "model.json")]) == 0
+    return data
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("generate --trials 1 --duration 2.0 --out {out}", ["numpy.random"]),
+    ("calibrate {data} --model {out}/model.json", []),
+    ("evaluate {data}/trial_01.csv --model {data}/model.json", []),
+    ("temp-sweep --model {data}/model.json --out {out}", ["numpy.random"]),
+    ("fly --scenario track_sine --model {data}/model.json --out {out}", ["numpy.random"]),
+    ("fly --scenario track_sine --bypass-sensor --out {out}", []),
+], ids=["generate", "calibrate", "evaluate", "temp-sweep", "fly", "fly-bypass"])
+def test_cli_loads_only_the_numpy_submodules_it_uses(cli_data, tmp_path, command, loaded):
+    # numpy 2.x loads numpy.random and numpy.ma on first use, and a command
+    # loads the first only where it draws noise and the second nowhere;
+    # numpy 1.x loads both with numpy, which leaves nothing to check
+    argv = command.format(data=cli_data, out=tmp_path).split()
+    out = _fresh_import(
+        "import sys, numpy; lazy = [m for m in ('numpy.random', 'numpy.ma') "
+        "if m not in sys.modules]; from capft.cli import main; "
+        f"assert main({argv!r}) == 0; print('lazy:', *lazy); "
+        "print('loaded:', *[m for m in lazy if m in sys.modules])")
+    lazy, got = (line.split()[1:] for line in out.splitlines()[-2:])
+    assert got == [m for m in loaded if m in lazy]
 
 
 def test_no_module_imports_another_modules_private_names():
