@@ -72,8 +72,8 @@ def _check_mode(mode: str) -> int:
 
 
 def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndarray:
-    """Tared counts followed by their squares: an (F,) vector for one (12,)
-    reading, an (F, N) matrix with one column per row for (N, 12) counts."""
+    """Tared counts followed by their squares: an (F,) vector for one (12,) reading,
+    or for (N, 12) counts the (F, N) transposed view of one row-major (N, F) buffer."""
     _check_mode(mode)
     baseline = np.asarray(baseline, dtype=float)
     if baseline.shape != (NUM_CHANNELS,):
@@ -82,11 +82,18 @@ def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndar
 
 
 def _features(counts, baseline: np.ndarray, mode: str) -> np.ndarray:
-    """expand_features for a mode and (12,) baseline already checked."""
-    tared = np.asarray(counts, dtype=float) - baseline
-    if mode == "shear_only":
-        tared = tared[..., 4:]
-    return np.concatenate([tared.T, (tared * tared).T])
+    """expand_features for a mode and (12,) baseline already checked, written in
+    place into one row-major (N, F) buffer whose (F, N) transposed view it returns."""
+    n = _MODE_FEATURES[mode] // 2
+    lo = NUM_CHANNELS - n  # shear_only drops the four normal channels; a wrong width raises
+    one = isinstance(counts, tuple)  # a frame's ints: no int array first, so predict stays fast
+    counts = counts[lo:] if one else np.asarray(counts)[..., lo:]
+    feats = np.empty((2 * n,) if one else counts.shape[:-1] + (2 * n,))
+    tared = feats[..., :n]
+    tared[...] = counts  # each count rounds to float as float(int) rounds it
+    tared -= baseline[lo:]
+    np.multiply(tared, tared, out=feats[..., n:])
+    return feats.T
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,16 @@ def _training_set(tare_trial: dataio.Trial, train: Sequence[dataio.Trial]) -> tu
             calibration.tare(tare_trial.counts))
 
 
+def _load_split(path: Path) -> tuple:
+    """calibrate's training counts, wrenches, baseline and held-out trial; the parsed
+    training logs are freed when it returns, before any fit."""
+    trials, tare_trial = _load_trial_dir(path)
+    if len(trials) < 2:
+        raise CalibrationError("need at least two trials (train + held-out test)")
+    train, test = dataio.split(trials)
+    return (*_training_set(tare_trial, train), test)
+
+
 def _calibrate_files(args: argparse.Namespace, out: Path | None) -> tuple[list, list]:
     """The data directory's logs in; one model per fitted mode, then the report, out."""
     data, model = Path(args.data), Path(args.model)
@@ -171,11 +181,7 @@ def _calibrate_files(args: argparse.Namespace, out: Path | None) -> tuple[list, 
 def cmd_calibrate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
     out_paths = dict(zip(modes, outputs))
-    trials, tare_trial = _load_trial_dir(Path(args.data))
-    if len(trials) < 2:
-        raise CalibrationError("need at least two trials (train + held-out test)")
-    train, test = dataio.split(trials)
-    counts, wrenches, baseline = _training_set(tare_trial, train)
+    counts, wrenches, baseline, test = _load_split(Path(args.data))
     report = {"axes": list(calibration.AXIS_NAMES), "test_trial": test.name, "modes": {}}
     for mode in modes:
         model = calibration.fit(counts, wrenches, baseline, mode=mode, ridge=args.ridge)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def synthetic_dataset(n, rng, noise=0.0):
         counts.append(c)
         wrenches.append(y)
     return a_true, baseline, np.array(counts), np.array(wrenches)
+
+
+def concatenated_features(counts, baseline, mode):
+    """The feature map as one concatenation of the tared counts and their
+    squares built it: the reference for the one-buffer form."""
+    tared = np.asarray(counts, dtype=float) - baseline
+    if mode == "shear_only":
+        tared = tared[..., 4:]
+    return np.concatenate([tared.T, (tared * tared).T])
 
 
 def random_model(rng, mode):
@@ -130,6 +140,37 @@ class TestFeatures:
         feats = expand_features(f.counts, base, "shear_only")
         assert feats.shape == (16,)
 
+    @pytest.mark.parametrize("mode", ["full", "shear_only"])
+    @pytest.mark.parametrize("counts", [np.ones((5, 13), dtype=np.int64),
+                                        np.ones((5, 11), dtype=np.int64),
+                                        tuple(range(13)), tuple(range(11))],
+                             ids=["block_13", "block_11", "reading_13", "reading_11"])
+    def test_wrong_channel_count_raises(self, mode, counts):
+        # a slice of the last channels alone would take 13 columns' last 12 or 8
+        with pytest.raises(ValueError):
+            expand_features(counts, np.zeros(12), mode)
+
+    @pytest.mark.parametrize("mode", ["full", "shear_only"])
+    @pytest.mark.parametrize("counts", [
+        np.random.default_rng(3).integers(0, 2**40, size=(1000, 12)),
+        np.array([[2**63 + 1, 2**64 + 7, 2**80 + 3, *range(2**53 + 1, 2**53 + 10)]] * 3,
+                 dtype=object),
+        make_frame(np.random.default_rng(5).integers(0, 2**40, size=12)).counts,
+        (2**63 + 1, 2**64 + 7, 2**80 + 3, *range(2**53 + 1, 2**53 + 10)),
+    ], ids=["block", "block_beyond_int64", "reading", "reading_beyond_int64"])
+    def test_one_buffer_equals_concatenated_form_bit_for_bit(self, mode, counts):
+        # same bits, shape and strides as the concatenation, so fit's Gram and
+        # predict_counts' row-major copy see the same layout; counts beyond
+        # int64 round as float(int) rounds them
+        baseline = np.random.default_rng(4).uniform(0.0, 2.0**40, size=12)
+        got = expand_features(counts, baseline, mode)
+        expect = concatenated_features(counts, baseline, mode)
+        assert got.shape == expect.shape and got.strides == expect.strides
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(np.asarray(got @ got.T).view(np.int64),
+                              np.asarray(expect @ expect.T).view(np.int64))
+
 
 class TestFit:
     def test_noiseless_recovery_vs_pinv_oracle(self):
@@ -143,6 +184,28 @@ class TestFit:
         a_pinv = y @ np.linalg.pinv(x)
         np.testing.assert_allclose(model.matrix, a_pinv, rtol=1e-6, atol=1e-12)
         np.testing.assert_allclose(model.matrix, a_true, rtol=1e-6, atol=1e-10)
+
+    def test_fit_peak_memory_is_one_feature_buffer_and_two_residuals(self):
+        # fit's traced peak is its (N, 24) feature buffer and two (6, N)
+        # residual arrays, plus 1 MiB for the small ones; a feature map that
+        # builds tared counts, squares and their concatenation holds two buffers
+        rows = 20_000
+        rng = np.random.default_rng(8)
+        counts = rng.integers(900, 1100, size=(rows, 12))
+        wrenches = rng.normal(size=(rows, 6))
+        baseline = np.full(12, 1000.0)
+        bound = 24 * rows * 8 + 2 * (6 * rows * 8) + 2**20
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fit(counts, wrenches, baseline, "full")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= bound
 
     def test_single_sample_ill_conditioned(self):
         rng = np.random.default_rng(3)

@@ -470,6 +470,19 @@ class TestCalibrate:
         assert not model_path.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_one_trial_is_a_model_error_and_writes_no_model(self, tmp_path, capsys):
+        # a tare log and one trial leave nothing to hold out
+        logs = tmp_path / "logs"
+        assert main(["generate", "--trials", "1", "--duration", "0.5", "--seed", "3",
+                     "--out", str(logs)]) == 0
+        assert sorted(p.name for p in logs.glob("*.csv")) == ["tare.csv", "trial_00.csv"]
+        capsys.readouterr()
+        model_path = tmp_path / "m.json"
+        rc = main(["calibrate", str(logs), "--model", str(model_path)])
+        assert rc == 4
+        assert "need at least two trials" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("bad", ["report_dir", "model_dir", "shear_only_dir",
                                      "report_no_parent", "model_no_parent"])
     def test_unwritable_output_writes_nothing(self, noisy_dir, tmp_path, capsys, monkeypatch,
