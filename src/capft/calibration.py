@@ -43,7 +43,7 @@ class IllConditionedError(CalibrationError):
 
 
 class ChannelMismatchError(CalibrationError):
-    """Model shape does not match its declared channel mode."""
+    """Model or counts shape does not match the channels or the declared mode."""
 
 
 class ModelFormatError(CalibrationError):
@@ -81,13 +81,21 @@ def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndar
     return _features(counts, baseline, mode)
 
 
+def _channels(counts) -> np.ndarray:
+    """counts as an array whose last axis is the twelve channels; another width raises."""
+    counts = np.asarray(counts)
+    if counts.shape[-1:] != (NUM_CHANNELS,):
+        raise ChannelMismatchError(f"counts of shape {counts.shape}: not {NUM_CHANNELS} channels")
+    return counts
+
+
 def _features(counts, baseline: np.ndarray, mode: str) -> np.ndarray:
     """expand_features for a mode and (12,) baseline already checked, written in
     place into one row-major (N, F) buffer whose (F, N) transposed view it returns."""
     n = _MODE_FEATURES[mode] // 2
-    lo = NUM_CHANNELS - n  # shear_only drops the four normal channels; a wrong width raises
-    one = isinstance(counts, tuple)  # a frame's ints: no int array first, so predict stays fast
-    counts = counts[lo:] if one else np.asarray(counts)[..., lo:]
+    lo = NUM_CHANNELS - n  # shear_only drops the four normal channels
+    one = isinstance(counts, tuple)  # a frame's twelve ints: no array first, so predict stays fast
+    counts = counts[lo:] if one else _channels(counts)[..., lo:]
     feats = np.empty((2 * n,) if one else counts.shape[:-1] + (2 * n,))
     tared = feats[..., :n]
     tared[...] = counts  # each count rounds to float as float(int) rounds it
@@ -297,7 +305,7 @@ def compensate_counts(counts, temperatures, comp: TempCompensator) -> np.ndarray
     reading at a scalar temperature or (N, 12) counts at (N,) temperatures.
     A drift that is not finite raises CalibrationError naming the temperature.
     """
-    temperatures = np.asarray(temperatures, dtype=float)
+    counts, temperatures = _channels(counts), np.asarray(temperatures, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         dt = temperatures[..., None] - comp.reference_temp
         drift = np.asarray(comp.a1) * dt + np.asarray(comp.a2) * (dt * dt)

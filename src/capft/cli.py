@@ -29,7 +29,7 @@ from .controller import SurfaceNotFoundError
 from .core import InputFileError, read_json, write_lines
 from .dataio import LogFormatError, ScenarioRangeError
 from .flight import SimulationFault
-from .sensor_model import SensorParams, SensorRangeError, default_sensor_params
+from .sensor_model import CapacitanceFrame, SensorParams, SensorRangeError, default_sensor_params
 
 # trial_00 ... trial_99: two-digit names sort in the order generate writes
 # them, so calibrate holds out the last trial generated
@@ -215,11 +215,10 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
         header = "t," + ",".join(f"ref_{a}" for a in calibration.AXIS_NAMES) \
                  + "," + ",".join(f"pred_{a}" for a in calibration.AXIS_NAMES)
         lines = [header]
-        for frame, w in zip(trial.iter_frames(), trial.wrench.tolist()):
-            if comp is not None:
-                frame = calibration.compensate(frame, frame.temperature, comp)
-            pred = calibration.predict(model, frame).as_tuple()
-            lines.append(",".join(map(repr, (frame.timestamp, *w, *pred))))
+        for c, t, temp, w in zip(counts.tolist(), trial.t.tolist(), trial.temperature.tolist(),
+                                 trial.wrench.tolist()):
+            pred = calibration.predict(model, CapacitanceFrame.from_counts(c, t, temp)).as_tuple()
+            lines.append(",".join(map(repr, (t, *w, *pred))))
         write_lines(outputs[0], lines)
     return 0
 
@@ -282,8 +281,8 @@ def cmd_fly(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.model is None and not args.bypass_sensor:
         raise CalibrationError("sensor-in-the-loop flight requires --model")
-    model = None if args.bypass_sensor else calibration.load_model(args.model)[0]
-    stack = flight.SensingStack(params=params, model=model, bypass=args.bypass_sensor)
+    stack = None if args.bypass_sensor else flight.SensingStack(
+        params, calibration.load_model(args.model)[0])
     rows, summary = flight.run_mission(cfg, stack)
     trace_path, summary_path = outputs
     write_lines(trace_path, flight.rows_to_csv_lines(rows))

@@ -76,7 +76,7 @@ _MAX_UNREAD = 1024
 
 
 class SimulationFault(RuntimeError):
-    """The closed-loop run cannot proceed (timeout, missing model, ...)."""
+    """The closed-loop run cannot proceed (timeout, no commanded attitude, ...)."""
 
 
 class SensedRangeFault(SimulationFault):
@@ -246,17 +246,13 @@ def step_plant(state: FlightState, cmd: Command, params: PlantParams, env: Conta
     return FlightState(px, py, pz, vx, vy, vz, q, attached), peak, f_c
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensingStack:
-    """Sensor-in-the-loop contact force estimation, or a truth bypass."""
+    """Sensor-in-the-loop contact force estimation: the sensor and its calibration
+    model.  A flight without one (None) reads the true contact force."""
 
     params: SensorParams
-    model: CalibrationModel | None = None
-    bypass: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.bypass and self.model is None:
-            raise SimulationFault("sensor-in-the-loop mode requires a calibration model")
+    model: CalibrationModel
 
 
 def sensor_load(state: FlightState, press: float, env: ContactEnv) -> float:
@@ -265,17 +261,17 @@ def sensor_load(state: FlightState, press: float, env: ContactEnv) -> float:
     return press + env.payload_weight if state.payload_attached else press
 
 
-def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack,
+def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack | None,
           rng) -> float:
     """Magnitude of the force the sensor reports at its mounting point.
 
     press is the state's press force, press_force(state.pz, state.vz, env),
     which step_plant returns with the state.  A sensed reading draws
-    NUM_CHANNELS normals from rng; a bypassed one draws none, and its rng
-    is None.  _Engine.run calls this only for the readings it must compute.
+    NUM_CHANNELS normals from rng; with no stack it is the true load, and
+    rng is None.  _Engine.run calls this only for the readings it must compute.
     """
     true_force = sensor_load(state, press, env)
-    if stack.bypass:
+    if stack is None:
         return true_force
     w = Wrench(0.0, 0.0, true_force, 0.0, 0.0, 0.0)
     try:
@@ -437,12 +433,12 @@ def _last_due(j_max: int, hz: float, dt: float, n: int) -> int:
 class _Engine:
     """Shared plant/sensor/controller scheduling for mission phases.
 
-    rng, the read-noise generator, is None for a bypassed stack, which never draws."""
+    rng, the read-noise generator, is None for a truth flight (no stack), which never draws."""
 
-    def __init__(self, cfg: SimConfig, stack: SensingStack):
+    def __init__(self, cfg: SimConfig, stack: SensingStack | None):
         self.cfg = cfg
         self.stack = stack
-        self.rng = None if stack.bypass else np.random.default_rng(
+        self.rng = None if stack is None else np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0x5EB5)))
         lat = cfg.seq.lateral
         self.state = FlightState(  # at rest and level
@@ -483,7 +479,7 @@ class _Engine:
         runs in one step_plant call to the next read tick (or control tick,
         or the step budget), where the reading is sensed in full; the unread
         ticks on the way, at most _MAX_UNREAD, are skipped together.
-        Bypassed, an unread reading draws nothing and cannot fault, so
+        Without a stack, an unread reading draws nothing and cannot fault, so
         skipping it is free.  Sensed, _skip draws the unread readings' noise
         in one call, which leaves the generator where their draws would, and
         checks that none of them could have faulted.  Where one could, the
@@ -559,7 +555,7 @@ class _Engine:
         generator as it was.
         """
         cfg = self.cfg
-        if self.stack.bypass:
+        if self.stack is None:
             return step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
         try:
             plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
@@ -643,7 +639,7 @@ class _Engine:
         return machine, hold_errors, saturated
 
 
-def simulate_track_sine(cfg: SimConfig, stack: SensingStack
+def simulate_track_sine(cfg: SimConfig, stack: SensingStack | None
                         ) -> tuple[list[TraceRow], TrackingSummary]:
     """Engage the surface and track the sinusoidal contact-force profile."""
     eng = _Engine(cfg, stack)
@@ -663,7 +659,7 @@ def simulate_track_sine(cfg: SimConfig, stack: SensingStack
     return eng.rows, summary
 
 
-def simulate_deploy(cfg: SimConfig, stack: SensingStack
+def simulate_deploy(cfg: SimConfig, stack: SensingStack | None
                     ) -> tuple[list[TraceRow], DeploySummary]:
     """Press the payload against the surface until it sticks, then verify.
 
@@ -688,8 +684,8 @@ def simulate_deploy(cfg: SimConfig, stack: SensingStack
         payload_attached=attached, success=success)
 
 
-def run_mission(cfg: SimConfig, stack: SensingStack):
-    """Dispatch on cfg.scenario; returns (rows, summary)."""
+def run_mission(cfg: SimConfig, stack: SensingStack | None):
+    """Dispatch on cfg.scenario; returns (rows, summary); a None stack flies on the true force."""
     if cfg.scenario == "track_sine":
         return simulate_track_sine(cfg, stack)
     return simulate_deploy(cfg, stack)

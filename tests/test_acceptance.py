@@ -249,8 +249,7 @@ def test_08_thrust_machine_transcript():
 def test_09_force_tracking(protocol):
     cfg = flight.default_config("track_sine", seed=0)
     t0 = time.perf_counter()
-    _, summary = flight.simulate_track_sine(
-        cfg, flight.SensingStack(params=protocol.params, model=None, bypass=True))
+    _, summary = flight.simulate_track_sine(cfg, None)
     bypass_elapsed = time.perf_counter() - t0
     assert summary.hold_entered and not summary.saturated
     assert summary.rms_error <= 0.18
@@ -258,8 +257,7 @@ def test_09_force_tracking(protocol):
 
     t0 = time.perf_counter()
     _, summary_full = flight.simulate_track_sine(
-        cfg, flight.SensingStack(params=protocol.params, model=protocol.model,
-                                 bypass=False))
+        cfg, flight.SensingStack(params=protocol.params, model=protocol.model))
     full_elapsed = time.perf_counter() - t0
     assert summary_full.hold_entered
     assert summary_full.rms_error <= 0.30
@@ -270,8 +268,7 @@ def test_09_force_tracking(protocol):
 
 def test_10_package_deployment_story():
     cfg = flight.default_config("deploy_package", seed=0)
-    stack = flight.SensingStack(params=default_sensor_params(), model=None, bypass=True)
-    rows, summary = flight.simulate_deploy(cfg, stack)
+    rows, summary = flight.simulate_deploy(cfg, None)
     weight = 0.095 * 9.81
     assert len(summary.residuals) == 3
     assert summary.residuals[0] == pytest.approx(weight, abs=0.02)

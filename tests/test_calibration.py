@@ -150,6 +150,21 @@ class TestFeatures:
         with pytest.raises(ValueError):
             expand_features(counts, np.zeros(12), mode)
 
+    @pytest.mark.parametrize("width", [1, 11, 13])
+    @pytest.mark.parametrize("call", [
+        lambda counts: expand_features(counts, np.zeros(12)),
+        lambda counts: fit(counts, np.zeros((len(counts), 6)), np.zeros(12)),
+        lambda counts: predict_counts(nan_quality_model(), counts),
+        lambda counts: evaluate(nan_quality_model(), counts, np.zeros((len(counts), 6))),
+        lambda counts: compensate_counts(counts, np.full(len(counts), 25.0),
+                                         nan_quality_compensator()),
+    ], ids=["expand_features", "fit", "predict_counts", "evaluate", "compensate_counts"])
+    def test_counts_not_twelve_wide_raise(self, width, call):
+        # one column would broadcast to all twelve channels, thirteen would not broadcast
+        counts = np.full((200, width), 1000, dtype=np.int64)
+        with pytest.raises(ChannelMismatchError, match=rf"\(200, {width}\)"):
+            call(counts)
+
     @pytest.mark.parametrize("mode", ["full", "shear_only"])
     @pytest.mark.parametrize("counts", [
         np.random.default_rng(3).integers(0, 2**40, size=(1000, 12)),

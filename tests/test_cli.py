@@ -223,6 +223,13 @@ class TestGenerate:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_non_integer_trials_is_usage_error_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--trials", "abc", "--out", str(out)]) == 2
+        assert "argument --trials: expected an integer from 1 to 100, got 'abc'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trial_ceiling_keeps_the_held_out_trial_last(self, tmp_path, capsys):
         # calibrate holds out the last trial log in name order; at 101 trials
         # trial_100.csv would sort before trial_11.csv and hide the last one
@@ -294,6 +301,10 @@ class TestGenerate:
         ("pillars", "radius", 1e-300, "stiffness at zero compression"),
         ("pillars", "radius", 1e300, "stiffness at zero compression"),
         ("pillars", "height", 1e-300, "stiffness at zero compression"),
+        ("pillars", "ring_counts", default_sensor_params().pillars.ring_counts[:-1],
+         "ring radii and counts must be equal-length, non-empty"),
+        ("pillars", "ring_radii", (-1e-3, *default_sensor_params().pillars.ring_radii[1:]),
+         "ring radii and counts must be positive"),
     ])
     def test_bad_sensor_params_is_simulation_error(self, tmp_path, capsys, section, key, value,
                                                    named):
@@ -470,6 +481,17 @@ class TestCalibrate:
         assert not model_path.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_missing_tare_is_data_error_and_writes_no_model(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        assert main(["generate", "--trials", "2", "--duration", "0.5", "--seed", "3",
+                     "--out", str(logs)]) == 0
+        (logs / "tare.csv").unlink()
+        capsys.readouterr()
+        model_path = tmp_path / "m.json"
+        assert main(["calibrate", str(logs), "--model", str(model_path)]) == 3
+        assert capsys.readouterr().err == f"error: missing tare.csv in {logs}\n"
+        assert not model_path.exists()
+
     def test_one_trial_is_a_model_error_and_writes_no_model(self, tmp_path, capsys):
         # a tare log and one trial leave nothing to hold out
         logs = tmp_path / "logs"
@@ -601,6 +623,15 @@ class TestEvaluate:
         rmse = np.sqrt(np.mean((ref - pred) ** 2, axis=0))
         assert rmse[:3].max() < 1.0
         assert rmse[3:].max() < 5.0  # moments in mN*m
+
+    def test_log_of_only_metadata_is_data_error(self, fitted, tmp_path, capsys):
+        log = tmp_path / "meta.csv"
+        log.write_text("# name=meta\n# seed=1\n", encoding="utf-8")
+        preds = tmp_path / "preds.csv"
+        assert main(["evaluate", str(log), "--model", str(fitted / "model.json"),
+                     "--predictions", str(preds)]) == 3
+        assert capsys.readouterr().err == f"error: {log}: line 3: missing header row\n"
+        assert not preds.exists()
 
     def test_missing_model_is_model_error(self, noisy_dir, tmp_path):
         rc = main(["evaluate", str(noisy_dir / "trial_00.csv"),
@@ -830,9 +861,11 @@ class TestFly:
         assert summary["success"] is True
 
     def test_full_stack_requires_model(self, tmp_path, capsys):
-        rc = main(["fly", "--scenario", "track_sine", "--out", str(tmp_path)])
+        out = tmp_path / "nomodel"
+        rc = main(["fly", "--scenario", "track_sine", "--out", str(out)])
         assert rc == 4
         assert "--model" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bypass_with_model_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

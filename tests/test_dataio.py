@@ -408,6 +408,12 @@ class TestLogErrors:
         with pytest.raises(LogFormatError, match="19"):
             load_log(p)
 
+    def test_non_integer_seed_loads_as_minus_one(self, tmp_path):
+        p = self.write_lines(tmp_path, ["# name=x", "# seed=abc", LOG_HEADER,
+                                        self.good_row(0.0)])
+        trial = load_log(p)
+        assert (trial.name, trial.seed) == ("x", -1)
+
     def test_bad_header(self, tmp_path):
         p = self.write_lines(tmp_path, ["time,temp,stuff", self.good_row(0.0)])
         with pytest.raises(LogFormatError, match="line 1"):

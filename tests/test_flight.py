@@ -665,25 +665,28 @@ class TestPayload:
 class TestSense:
     def test_bypass_equals_truth(self):
         env = ContactEnv(payload_mass=0.095)
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = env.surface_z - env.tip_offset + float(rng.uniform(-0.01, 0.01))
             attached = bool(rng.integers(0, 2))
             s = at_rest(z, v=float(rng.uniform(-1, 1)), attached=attached)
             expect = press_force(s.pz, s.vz, env) + (env.payload_weight if attached else 0.0)
-            assert sense(s, press_force(s.pz, s.vz, env), env, stack, rng) == expect
+            assert sense(s, press_force(s.pz, s.vz, env), env, None, rng) == expect
 
     def test_payload_weight_hand_value(self):
         env = ContactEnv(payload_mass=0.095)
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
         s = at_rest(1.0, attached=True)
-        assert sense(s, press_force(s.pz, s.vz, env), env, stack, np.random.default_rng(0)) \
+        assert sense(s, press_force(s.pz, s.vz, env), env, None, np.random.default_rng(0)) \
             == pytest.approx(0.095 * G, rel=1e-12)
 
-    def test_stack_requires_model(self, sensor_params):
-        with pytest.raises(SimulationFault):
-            SensingStack(params=sensor_params, model=None, bypass=False)
+    def test_stack_is_a_sensor_and_its_model(self, sensor_params, quick_model):
+        # a truth flight passes no stack, so every stack has a model to read with
+        assert [f.name for f in dataclasses.fields(SensingStack)] == ["params", "model"]
+        stack = SensingStack(sensor_params, quick_model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stack.model = None
+        with pytest.raises(TypeError):
+            SensingStack(sensor_params)
 
     def test_free_flight_reads_near_zero(self, sensor_params, quick_model):
         env = ContactEnv()
@@ -774,8 +777,8 @@ class SenseEveryTickEngine(flight._Engine):
 
 def fly_on(engine_cls, cfg, stack):
     """run_mission on engine_cls: its trace lines, its summary or raised
-    exception, and the generator's state at the end (None bypassed, where
-    the engine builds no generator)."""
+    exception, and the generator's state at the end (None on the true
+    force, where the engine builds no generator)."""
     engines = []
     with mock.patch.object(flight, "_Engine", recording_engine(engine_cls, engines)):
         try:
@@ -783,7 +786,7 @@ def fly_on(engine_cls, cfg, stack):
         except Exception as exc:  # whatever either engine raises is compared
             outcome = (type(exc), str(exc))
     (eng,) = engines
-    if stack.bypass:
+    if stack is None:
         assert eng.rng is None
         return rows_to_csv_lines(eng.rows), outcome, None
     assert isinstance(eng.rng, np.random.Generator)
@@ -875,7 +878,7 @@ class TestSchedule:
         monkeypatch.setattr(flight, "sense", recording_sense)
         engines = []
         monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
-        rows, _ = run_mission(cfg, SensingStack(params=default_sensor_params(), bypass=True))
+        rows, _ = run_mission(cfg, None)
         (eng,) = engines
         controlled = [round(r.t / plant_dt) for r in rows]
         assert [r.t for r in rows] == [k * plant_dt for k in controlled]
@@ -931,7 +934,7 @@ def fly_both(case, sensor_params, quick_model):
         cdc=dataclasses.replace(sensor_params.cdc, noise_sigma_counts=sigma),
         pillars=dataclasses.replace(pillars, youngs_modulus=modulus * pillars.youngs_modulus))
     model = dataclasses.replace(quick_model, matrix=quick_model.matrix * scale)
-    stack = SensingStack(params=params, model=model, bypass=bypass)
+    stack = None if bypass else SensingStack(params, model)
     outcomes = Counter()
     real = flight.capacitances
 
@@ -1033,8 +1036,7 @@ class TestReadTicks:
 class TestMissions:
     def test_track_sine_bypass(self):
         cfg = default_config("track_sine", seed=0)
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, summary = simulate_track_sine(cfg, stack)
+        rows, summary = simulate_track_sine(cfg, None)
         assert summary.hold_entered
         assert not summary.saturated
         assert summary.hold_time >= cfg.machine.hold_duration - 0.1
@@ -1048,8 +1050,7 @@ class TestMissions:
         cfg = dataclasses.replace(
             base, profile=ForceProfile(2.0),
             machine=dataclasses.replace(base.machine, hold_duration=6.0))
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, summary = simulate_track_sine(cfg, stack)
+        rows, summary = simulate_track_sine(cfg, None)
         hold_rows = [r for r in rows if r.machine_state == "HOLD"]
         assert hold_rows
         t_entry = hold_rows[0].t
@@ -1060,8 +1061,7 @@ class TestMissions:
 
     def test_deploy_bypass_two_press_story(self):
         cfg = default_config("deploy_package", seed=0)
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, summary = simulate_deploy(cfg, stack)
+        rows, summary = simulate_deploy(cfg, None)
         assert len(summary.residuals) == 3
         assert summary.residuals[0] == pytest.approx(0.095 * G, abs=0.02)
         assert summary.residuals[1] == pytest.approx(0.095 * G, abs=0.02)
@@ -1076,8 +1076,7 @@ class TestMissions:
         assert all(a >= b for a, b in zip(flags, flags[1:]))
 
     def test_run_mission_dispatch(self):
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, summary = run_mission(default_config("track_sine"), stack)
+        rows, summary = run_mission(default_config("track_sine"), None)
         assert hasattr(summary, "rms_error")
 
     def test_unknown_scenario(self):
@@ -1125,15 +1124,13 @@ class TestConfigSerialization:
         assert default_config("deploy_package").budget_s == 158.5
         cfg = dataclasses.replace(default_config("deploy_package"), press_forces=(0.7,) * 3,
                                   env=ContactEnv(payload_mass=0.095, adhesion_threshold=1e9))
-        rows, summary = simulate_deploy(cfg, SensingStack(params=default_sensor_params(),
-                                                          bypass=True))
+        rows, summary = simulate_deploy(cfg, None)
         assert len(summary.press_peaks) == 3  # the payload never sticks
         assert rows[-1].t <= cfg.budget_s
 
     def test_trace_csv_shape(self):
         cfg = default_config("track_sine")
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, _ = simulate_track_sine(cfg, stack)
+        rows, _ = simulate_track_sine(cfg, None)
         lines = rows_to_csv_lines(rows[:3])
         assert lines[0] == TRACE_COLUMNS
         assert all(len(line.split(",")) == 16 for line in lines)
@@ -1146,8 +1143,7 @@ class TestConfigSerialization:
 
     def test_reading_an_attitude_snaps_nothing(self, monkeypatch):
         # a state stores the snapped attitude, so reading it is no arithmetic
-        stack = SensingStack(params=default_sensor_params(), bypass=True)
-        rows, _ = simulate_deploy(default_config("deploy_package"), stack)
+        rows, _ = simulate_deploy(default_config("deploy_package"), None)
         calls = [0]
         real_snap = flight.snap_unit_quat
 
