@@ -2,8 +2,9 @@
 
 A trial is a fixed-rate sequence of reference wrenches alongside the
 simulated sensor counts they produced, held as columns: one array per
-quantity, one row per sample.  Logs are UTF-8 CSV with LF line ends and
-an exact header
+quantity, one row per sample.  Generated wrenches lie on a 1e-4 grid
+(WRENCH_DECIMALS).  Logs are UTF-8 CSV with LF line ends and an exact
+header
 
     t,T,Z1,Z2,Z3,Z4,X1,X2,X3,X4,Y1,Y2,Y3,Y4,Fx,Fy,Fz,Mx,My,Mz
 
@@ -45,6 +46,7 @@ _ABSOLUTE_ZERO_C = -273.15
 MAX_SAMPLES = 1_000_000  # per trial: 46 min at 360 Hz, and about 1 GB to generate
 # components * samples per axis: each sine term is one pass over the time column
 MAX_SINE_TERMS = 10_000_000
+WRENCH_DECIMALS = 4  # reference wrench grid: 1e-4 N and 1e-4 mN*m
 
 
 class LogFormatError(ValueError):
@@ -217,7 +219,10 @@ def generate_trial(scenario: Scenario, params: SensorParams) -> Trial:
     """Simulate one trial: wrench trajectory in, counts out.
 
     Deterministic for a given (scenario, params, seed); the trajectory and
-    the CDC noise share one seeded generator.
+    the CDC noise share one seeded generator.  The wrench, lagged if the
+    CDC has a lag, is rounded to WRENCH_DECIMALS and clipped into each
+    axis's (lo, hi) before sampling, so the counts are those of exactly
+    the wrench logged, and the corner check still bounds every row.
     """
     check_mechanical_range(scenario, params)
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
@@ -234,6 +239,7 @@ def generate_trial(scenario: Scenario, params: SensorParams) -> Trial:
     if params.cdc.lag_corner_hz is not None:
         wrench_arr = np.array(lag_rows(wrench_arr.tolist(), params.cdc.lag_corner_hz,
                                        1.0 / scenario.sample_rate))
+    wrench_arr = np.clip(np.round(wrench_arr, WRENCH_DECIMALS), *np.array(scenario.ranges()).T)
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
     return Trial(name=scenario.name, seed=scenario.seed, params_hash=params.hash(),
                  t=t, temperature=temps, counts=counts, wrench=wrench_arr)

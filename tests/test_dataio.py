@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capft import dataio
@@ -265,16 +265,26 @@ class TestGenerateTrial:
         lagged = dataclasses.replace(
             params, cdc=dataclasses.replace(params.cdc, lag_corner_hz=97.0))
         scen = full_range_scenario(duration=2.0)
+        raw = []
+        lag_rows = dataio.lag_rows
+        monkeypatch.setattr(dataio, "lag_rows",
+                            lambda rows, *a: raw.append(np.array(rows)) or lag_rows(rows, *a))
         got = generate_trial(scen, lagged)
-        # the lag draws nothing, so the unlagged trial carries the raw trajectory
+        lo, hi = np.array(scen.ranges()).T
+
+        def on_grid(a):
+            return np.clip(np.round(a, dataio.WRENCH_DECIMALS), lo, hi)
+        # the lag draws nothing, so it lags the unlagged trial's raw trajectory
+        assert np.array_equal(on_grid(raw[0]), generate_trial(scen, params).wrench)
         dt = 1.0 / scen.sample_rate
         alpha = 1.0 - math.exp(-2.0 * math.pi * 97.0 * dt)
         state, rows = None, []
-        for row in generate_trial(scen, params).wrench:
+        for row in raw[0]:
             target = np.asarray(Wrench.from_sequence(row).as_tuple())
             state = target.copy() if state is None else state + alpha * (target - state)
             rows.append(Wrench.from_sequence(state).as_tuple())
-        expect = np.array(rows)
+        # the counts are sampled from the lagged rows on the grid, as logged
+        expect = on_grid(np.array(rows))
         sample_trajectory = dataio.sample_trajectory
         monkeypatch.setattr(dataio, "sample_trajectory",
                             lambda w, temps, eff, rng: sample_trajectory(expect, temps, eff, rng))
@@ -284,6 +294,43 @@ class TestGenerateTrial:
             return [float(v).hex() for v in a.ravel().tolist()]
         assert hexes(got.wrench) == hexes(expect)
         assert hexes(got.counts) == hexes(expect_counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=6, max_size=6),
+           lag_hz=st.sampled_from([None, 97.0]), seed=st.integers(0, 2**32 - 1))
+    @example(ends=[(0.0, 0.0)] * 2 + [(0.0, 3.14159 / AXIS_LIMITS[2])] + [(0.0, 0.0)] * 3,
+             lag_hz=None, seed=0)
+    @example(ends=[(-0.123456789, 0.0987654321)] * 6, lag_hz=97.0, seed=1)
+    def test_wrench_on_grid_inside_box(self, params, ends, lag_hz, seed):
+        # every logged wrench entry is its unrounded value on the 1e-4 grid,
+        # or an end of its axis's box, and is the array the counts come from
+        ends = np.sort(np.array(ends), axis=1)
+        ends[2] = np.sort(np.abs(ends[2]))
+        ranges = ends * AXIS_LIMITS[:, None]
+        scen = Scenario("box", 0.25, seed, *map(tuple, ranges.tolist()))
+        try:
+            check_mechanical_range(scen, params)
+        except ScenarioRangeError:
+            assume(False)
+        with_lag = dataclasses.replace(params, cdc=dataclasses.replace(params.cdc,
+                                                                       lag_corner_hz=lag_hz))
+        axes, lagged_rows, sampled = [], [], []
+        axis_signal, lag_rows = dataio._axis_signal, dataio.lag_rows
+        sample_trajectory = dataio.sample_trajectory
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_axis_signal", lambda *a: axes.append(axis_signal(*a)) or axes[-1])
+            mp.setattr(dataio, "lag_rows",
+                       lambda *a: lagged_rows.append(np.array(lag_rows(*a))) or lagged_rows[-1])
+            mp.setattr(dataio, "sample_trajectory",
+                       lambda w, *a: sampled.append(w) or sample_trajectory(w, *a))
+            trial = generate_trial(scen, with_lag)
+        raw = lagged_rows[0] if lag_hz else np.column_stack(axes)
+        lo, hi = ranges[:, 0], ranges[:, 1]
+        w = trial.wrench
+        assert np.all((lo <= w) & (w <= hi))
+        assert np.all((w == np.round(raw, 4)) | (w == lo) | (w == hi))
+        assert np.array_equal(sampled[0].view(np.uint64), w.view(np.uint64))
 
 
 class TestLogRoundtrip:
@@ -378,6 +425,19 @@ class TestLogRoundtrip:
         q = tmp_path / "crlf.csv"
         q.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
         assert load_log(q) == load_log(p)
+
+    def test_generated_wrench_text_is_short(self, short_trial, tmp_path):
+        # each wrench cell is a 1e-4 grid value: at most 4 fraction digits, no exponent
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_log(short_trial, p1)
+        rows = p1.read_text().splitlines()[4:]
+        assert len(rows) == 720
+        cell = re.compile(r"-?\d+\.\d{1,4}")
+        for row in rows:
+            for text in row.split(",")[14:]:
+                assert cell.fullmatch(text), (row, text)
+        write_log(load_log(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_line(self, short_trial, tmp_path):
         p = tmp_path / "trial.csv"
