@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InputFileError, Wrench, from_plain, read_json, write_lines
+from .core import InputFileError, Wrench, check_temperature, from_plain, read_json, write_lines
 from .sensor_model import NUM_CHANNELS, CapacitanceFrame
 
 AXIS_NAMES = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
@@ -78,6 +78,8 @@ def expand_features(counts, baseline: np.ndarray, mode: str = "full") -> np.ndar
     baseline = np.asarray(baseline, dtype=float)
     if baseline.shape != (NUM_CHANNELS,):
         raise CalibrationError(f"baseline must have {NUM_CHANNELS} channels")
+    if isinstance(counts, tuple):  # _features checks an array's width, not a reading's
+        _channels(counts)
     return _features(counts, baseline, mode)
 
 
@@ -258,6 +260,7 @@ class TempCompensator:
         for name in ("a0", "a1", "a2", "reference_temp"):
             if not np.isfinite(getattr(self, name)).all():
                 raise CalibrationError(f"non-finite temp_compensator {name}")
+        check_temperature("TempCompensator.reference_temp", self.reference_temp, CalibrationError)
 
 
 def fit_temp_baseline(counts: np.ndarray, temperatures: np.ndarray,
@@ -315,14 +318,6 @@ def compensate_counts(counts, temperatures, comp: TempCompensator) -> np.ndarray
         raise CalibrationError(f"temp_compensator drift is not finite at {bad!r} degC "
                                f"(reference_temp {comp.reference_temp!r} degC)")
     return np.maximum(np.rint(np.asarray(counts, dtype=float) - drift), 0.0)
-
-
-def compensate(frame: CapacitanceFrame, temperature: float,
-               comp: TempCompensator) -> CapacitanceFrame:
-    """One frame's counts referred back to the reference temperature; at the
-    reference (or with zero drift coefficients) the frame passes through unchanged."""
-    return CapacitanceFrame.from_counts(compensate_counts(frame.counts, temperature, comp),
-                                        frame.timestamp, frame.temperature)
 
 
 def save_model(model: CalibrationModel, path: str | Path,

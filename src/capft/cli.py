@@ -215,9 +215,8 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
         header = "t," + ",".join(f"ref_{a}" for a in calibration.AXIS_NAMES) \
                  + "," + ",".join(f"pred_{a}" for a in calibration.AXIS_NAMES)
         lines = [header]
-        for c, t, temp, w in zip(counts.tolist(), trial.t.tolist(), trial.temperature.tolist(),
-                                 trial.wrench.tolist()):
-            pred = calibration.predict(model, CapacitanceFrame.from_counts(c, t, temp)).as_tuple()
+        for c, t, w in zip(counts.tolist(), trial.t.tolist(), trial.wrench.tolist()):
+            pred = calibration.predict(model, CapacitanceFrame.from_counts(c)).as_tuple()
             lines.append(",".join(map(repr, (t, *w, *pred))))
         write_lines(outputs[0], lines)
     return 0

@@ -19,6 +19,7 @@ EPS_PARALLEL = 1e-8
 GRAVITY_MAG = 9.81  # m/s^2
 GRAVITY = (0.0, 0.0, -GRAVITY_MAG)  # m/s^2, down the world z axis
 MNM_TO_NM = 1e-3  # moment fields carry mN*m; convert only where mechanics needs SI
+ABSOLUTE_ZERO_C = -273.15
 
 
 class DegenerateOrientationError(ValueError):
@@ -43,6 +44,12 @@ def check_finite_fields(obj, error: type[Exception] = ValueError) -> None:
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise error(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
+
+
+def check_temperature(label: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise error naming label if the temperature value, in degC, is below absolute zero."""
+    if value < ABSOLUTE_ZERO_C:
+        raise error(f"{label} {value!r} degC is below absolute zero ({ABSOLUTE_ZERO_C} degC)")
 
 
 class InputFileError(ValueError):

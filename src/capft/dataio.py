@@ -20,15 +20,14 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .core import Wrench, check_finite_fields, from_plain, write_lines
+from .core import Wrench, check_finite_fields, check_temperature, from_plain, write_lines
 from .sensor_model import (
     CHANNEL_NAMES,
     NUM_CHANNELS,
-    CapacitanceFrame,
     DriftModel,
     SensorParams,
     SensorRangeError,
@@ -42,7 +41,6 @@ _NUM_COLUMNS = 20
 _ROW_DTYPE = np.dtype([("t", "f8"), ("T", "f8"), ("counts", "i8", (NUM_CHANNELS,)),
                        ("wrench", "f8", (6,))])
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_ABSOLUTE_ZERO_C = -273.15
 MAX_SAMPLES = 1_000_000  # per trial: 46 min at 360 Hz, and about 1 GB to generate
 # components * samples per axis: each sine term is one pass over the time column
 MAX_SINE_TERMS = 10_000_000
@@ -111,10 +109,7 @@ class Scenario:
             if hi < lo:
                 raise ScenarioRangeError(f"axis range ({lo}, {hi}) is inverted")
         for name in ("temp_start", "temp_end"):
-            value = getattr(self, name)
-            if value < _ABSOLUTE_ZERO_C:
-                raise ScenarioRangeError(f"Scenario.{name} {value!r} degC is below "
-                                         f"absolute zero ({_ABSOLUTE_ZERO_C} degC)")
+            check_temperature(f"Scenario.{name}", getattr(self, name), ScenarioRangeError)
 
     def ranges(self) -> tuple[tuple[float, float], ...]:
         return (self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
@@ -154,6 +149,7 @@ class Trial:
             raise ValueError("trial counts must be integers from 0 to int64's maximum")
         if not all(np.isfinite(a).all() for a in (self.t, self.temperature, self.wrench)):
             raise ValueError("trial values must be finite")
+        check_temperature("trial temperature", float(self.temperature.min()))
         # compare neighbours, not their difference: that overflows for far-apart finite times
         if np.any(self.t[1:] <= self.t[:-1]):
             raise ValueError("trial timestamps must be strictly increasing")
@@ -164,11 +160,6 @@ class Trial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trial) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-    def iter_frames(self) -> Iterator[CapacitanceFrame]:
-        """The rows as single-reading CapacitanceFrame objects, in order."""
-        for c, t, temp in zip(self.counts.tolist(), self.t.tolist(), self.temperature.tolist()):
-            yield CapacitanceFrame.from_counts(c, t, temp)
 
 
 def _axis_signal(rng: np.random.Generator, t: np.ndarray, lo: float, hi: float,
@@ -336,6 +327,7 @@ def _reject_first_bad_row(path, rows: list[str], first_lineno: int) -> NoReturn:
             raise LogFormatError(f"{path}: line {lineno}: non-finite value")
         if (counts < 0).any():
             raise LogFormatError(f"{path}: line {lineno}: negative count")
+        check_temperature(f"{path}: line {lineno}: temperature", float(temp[0]), LogFormatError)
         if t <= prev_t:
             raise LogFormatError(
                 f"{path}: line {lineno}: non-monotonic timestamp {float(t)!r}")

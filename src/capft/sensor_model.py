@@ -28,7 +28,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .core import MNM_TO_NM, Wrench, check_finite_fields, from_plain
+from .core import MNM_TO_NM, Wrench, check_finite_fields, check_temperature, from_plain
 
 EPSILON_0 = 8.8541878128e-12  # F/m
 
@@ -233,6 +233,7 @@ class DriftModel:
         if len(self.alpha) != NUM_CHANNELS or len(self.beta) != NUM_CHANNELS:
             raise SensorRangeError("drift model needs one alpha and beta per channel")
         check_finite_fields(self, SensorRangeError)
+        check_temperature("DriftModel.reference_temp", self.reference_temp, SensorRangeError)
 
     @classmethod
     def disabled(cls, reference_temp: float = 25.0) -> "DriftModel":
@@ -284,8 +285,6 @@ class CapacitanceFrame:
     """One synchronized reading of all twelve channels, in integer counts."""
 
     counts: tuple[int, ...]  # Z1..Z4, X1..X4, Y1..Y4
-    timestamp: float
-    temperature: float
 
     def __post_init__(self) -> None:
         if len(self.counts) != NUM_CHANNELS:
@@ -295,9 +294,9 @@ class CapacitanceFrame:
             raise SensorRangeError("counts must be non-negative")
 
     @classmethod
-    def from_counts(cls, counts, timestamp: float, temperature: float) -> "CapacitanceFrame":
+    def from_counts(cls, counts) -> "CapacitanceFrame":
         """Frame from twelve whole-number counts in the counts order."""
-        return cls(tuple(int(v) for v in counts), timestamp, temperature)
+        return cls(tuple(int(v) for v in counts))
 
 
 @dataclass(frozen=True)
@@ -537,8 +536,7 @@ def count_at_reference(capacitance: float, noise: float, cdc: CdcConfig) -> int:
     return _counts(capacitance, 0.0, 0.0, 0.0, cdc, noise)
 
 
-def sample(w: Wrench, temperature: float, params: SensorParams, rng,
-           timestamp: float = 0.0) -> CapacitanceFrame:
+def sample(w: Wrench, temperature: float, params: SensorParams, rng) -> CapacitanceFrame:
     """One CDC reading of the full channel set under a static wrench.
 
     Applies the thermal baseline scale, converts to counts, adds Gaussian
@@ -563,7 +561,7 @@ def sample(w: Wrench, temperature: float, params: SensorParams, rng,
     dt = float(temperature) - drift.reference_temp
     counts = tuple([_counts(c, a, b, dt, params.cdc, n) for c, a, b, n in zip(
         caps, drift.alpha, drift.beta, gen.normal(size=NUM_CHANNELS).tolist())])
-    return CapacitanceFrame(counts, timestamp, temperature)
+    return CapacitanceFrame(counts)
 
 
 def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: SensorParams,

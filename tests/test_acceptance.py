@@ -147,7 +147,7 @@ def test_04_calibration_recovery(protocol):
     frames = []
     for i in range(600):
         counts = [int(v) for v in rng.integers(900, 1100, 12)]
-        frames.append(CapacitanceFrame(counts=tuple(counts), timestamp=i / 360.0, temperature=25.0))
+        frames.append(CapacitanceFrame(counts=tuple(counts)))
     x = np.column_stack([expand_features(f.counts, baseline, "full") for f in frames])
     y = a_true @ x
     wrenches = [Wrench(*y[:, i]) for i in range(y.shape[1])]
@@ -196,9 +196,8 @@ def test_06_temperature_compensation(protocol):
                                          protocol.params.drift.reference_temp)
     assert min(comp.r_squared) > 0.999
     force_errors = []
-    for frame in sweep.iter_frames():
-        fixed = calibration.compensate(frame, frame.temperature, comp)
-        w = calibration.predict(protocol.model, fixed)
+    for c in calibration.compensate_counts(sweep.counts, sweep.temperature, comp).tolist():
+        w = calibration.predict(protocol.model, CapacitanceFrame.from_counts(c))
         force_errors.append(np.hypot(np.hypot(w.fx, w.fy), w.fz))
     assert max(force_errors) < 0.4
     ok(6, "temperature drift fit and compensation")

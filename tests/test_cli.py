@@ -305,6 +305,8 @@ class TestGenerate:
          "ring radii and counts must be equal-length, non-empty"),
         ("pillars", "ring_radii", (-1e-3, *default_sensor_params().pillars.ring_radii[1:]),
          "ring radii and counts must be positive"),
+        ("drift", "reference_temp", -500.0,
+         "DriftModel.reference_temp -500.0 degC is below absolute zero"),
     ])
     def test_bad_sensor_params_is_simulation_error(self, tmp_path, capsys, section, key, value,
                                                    named):

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capft import dataio
-from capft.core import Wrench
+from capft.core import ABSOLUTE_ZERO_C, Wrench
 from capft.dataio import (
     LOG_HEADER,
     LogFormatError,
@@ -53,6 +53,8 @@ def trial_at(times, name="x", seed=0, wrench_rows=None):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# a trial's temperatures are finite and at or above absolute zero
+temperatures = st.floats(min_value=ABSOLUTE_ZERO_C, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -68,7 +70,7 @@ def small_trials(draw):
         name=draw(st.text("abcxyz_0189", min_size=1, max_size=8)),
         seed=draw(st.integers(0, 2**32)), params_hash="feedc0ffee12",
         t=np.array(sorted(draw(st.sets(finite, min_size=n, max_size=n))), dtype=float),
-        temperature=np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float),
+        temperature=np.array(draw(st.lists(temperatures, min_size=n, max_size=n)), dtype=float),
         counts=np.array(draw(rows(st.integers(0, 2**63 - 1), 12)), dtype=np.int64),
         wrench=np.array(draw(rows(finite, 6)), dtype=float))
 
@@ -82,7 +84,7 @@ def repetitive_trials(draw):
     def picks(pool, size):
         return st.lists(st.sampled_from(pool), min_size=size, max_size=size)
 
-    temps = draw(st.lists(finite, min_size=1, max_size=3)) + [0.0, -0.0]
+    temps = draw(st.lists(temperatures, min_size=1, max_size=3)) + [0.0, -0.0]
     counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4))
     wrench = draw(st.lists(finite, min_size=1, max_size=4))
     return Trial(
@@ -397,8 +399,9 @@ class TestLogRoundtrip:
             x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
             return np.where(np.isfinite(x), x, 0.0)
 
+        temps = finite_bits(n)  # one below absolute zero flips its sign bit
         trial = Trial(name="bits", seed=0, params_hash="", t=np.arange(n) / 7.0,
-                      temperature=finite_bits(n),
+                      temperature=np.where(temps < ABSOLUTE_ZERO_C, -temps, temps),
                       counts=rng.integers(0, 2**63 - 1, size=(n, 12), endpoint=True),
                       wrench=finite_bits((n, 6)))
         p = tmp_path / "bits.csv"
@@ -556,6 +559,7 @@ class TestLogErrors:
         [LOG_HEADER, "1.0,2.0"],
         [LOG_HEADER, ",".join([repr(0.1), "25.0", "12.0"] + ["100"] * 11 + ["0.0"] * 6)],
         [LOG_HEADER, ",".join([repr(0.1), "25.0", "-3"] + ["100"] * 11 + ["0.0"] * 6)],
+        [LOG_HEADER, ",".join([repr(0.1), "-300.0"] + ["100"] * 12 + ["0.0"] * 6)],
     ])
     def test_bad_file_emits_no_warning(self, tmp_path, rows):
         p = self.write_lines(tmp_path, rows)

@@ -211,6 +211,10 @@ class TestInputs:
         ("model", ("temp_compensator", "typo"), 1.0, "unknown key 'typo' in TempCompensator"),
         ("model", ("ridge",), True, "CalibrationModel.ridge must be float"),
         ("model", ("matrix", 0, 0), "0.5", "CalibrationModel.matrix[0][0] must be float"),
+        ("params", ("drift", "reference_temp"), -500.0,
+         "DriftModel.reference_temp -500.0 degC is below absolute zero"),
+        ("model", ("temp_compensator", "reference_temp"), -300.0,
+         "TempCompensator.reference_temp -300.0 degC is below absolute zero"),
     ])
     def test_bad_value_is_the_domain_error(self, name, path, value, named):
         data, load, error = INPUTS[name]

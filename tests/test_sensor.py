@@ -365,18 +365,18 @@ class TestFrame:
     @pytest.mark.parametrize("n", [0, 11, 13])
     def test_channel_count_rejected(self, n):
         with pytest.raises(SensorRangeError, match=f"frame needs 12 counts, got {n}"):
-            CapacitanceFrame((100,) * n, 0.0, 25.0)
+            CapacitanceFrame((100,) * n)
         with pytest.raises(SensorRangeError, match=f"frame needs 12 counts, got {n}"):
-            CapacitanceFrame.from_counts([100] * n, 0.0, 25.0)
+            CapacitanceFrame.from_counts([100] * n)
 
     @given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=12, max_size=12),
            slot=st.integers(0, 11), negative=st.integers(-2**63, -1))
     def test_negative_count_rejected(self, counts, slot, negative):
         counts[slot] = negative
         with pytest.raises(SensorRangeError, match="non-negative"):
-            CapacitanceFrame(tuple(counts), 0.0, 25.0)
+            CapacitanceFrame(tuple(counts))
         with pytest.raises(SensorRangeError, match="non-negative"):
-            CapacitanceFrame.from_counts(counts, 0.0, 25.0)
+            CapacitanceFrame.from_counts(counts)
 
     @example(counts=[math.nan, -1] + [0] * 10)
     @example(counts=[0] * 4 + [math.nan] + [0] * 6 + [-1])
@@ -386,9 +386,9 @@ class TestFrame:
         # a NaN ahead of a negative count must not hide it
         if any(c < 0 for c in counts):
             with pytest.raises(SensorRangeError, match="non-negative"):
-                CapacitanceFrame(tuple(counts), 0.0, 25.0)
+                CapacitanceFrame(tuple(counts))
         else:
-            CapacitanceFrame(tuple(counts), 0.0, 25.0)
+            CapacitanceFrame(tuple(counts))
 
     @settings(max_examples=100, deadline=None)
     @given(w=wrench_rows(), temperature=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
@@ -396,9 +396,9 @@ class TestFrame:
         params = default_sensor_params()
         assume(in_range(w, params))
         frame = sample(Wrench.from_sequence(w), temperature, params,
-                       np.random.default_rng(seed), timestamp=0.5)
+                       np.random.default_rng(seed))
         assert all(type(c) is int for c in frame.counts)
-        assert frame == CapacitanceFrame.from_counts(frame.counts, 0.5, temperature)
+        assert frame == CapacitanceFrame.from_counts(frame.counts)
 
 
 class TestSampling:
