@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,19 +129,6 @@ class CalibrationModel:
                 raise CalibrationError(f"non-finite {name}")
         if self.ridge < 0.0:
             raise CalibrationError(f"negative ridge {self.ridge!r}")
-
-    @cached_property
-    def _bound_terms(self) -> tuple[float, float]:  # largest |row| sum, |baseline| entry
-        return (max(sum(map(abs, row)) for row in self.matrix.tolist()),
-                max(map(abs, self.baseline.tolist())))
-
-    def estimate_bound(self, top: float) -> float:
-        """A bound on |estimate| for counts at most top, not finite where none holds:
-        top plus the largest |baseline| bounds each tared count, each feature of
-        _features is one or its square, and the factor 2 covers the rounding."""
-        row_sum, baseline_max = self._bound_terms
-        tared = top + baseline_max
-        return 2.0 * row_sum * max(tared, tared * tared)
 
 
 def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,

@@ -13,14 +13,9 @@ Rates are decoupled: the plant integrates at 1 kHz, the sensor samples at
 
 A reading only replaces the force the controller reads at its next tick, so
 the engine senses only the read ticks: the last sensing tick at or before
-each control tick.  The unread ticks between are drawn, not sensed: a sensed
-run draws their read noise in one call once it has checked that none of
-them could have saturated the sensor, left the count range or overflowed
-the model's estimate, and senses them in full where one could.  A
-noise-free solve at twice a stretch's load bounds its saturation, so on
-seed 11 both sensed missions sense only their 951 read ticks.  Traces,
-summaries, the random stream and every fault equal those of sensing every
-tick.
+each control tick.  The sensing ticks between are never computed: they draw
+no read noise and cannot fault.  On seed 11 the two sensed missions make 951
+readings where the sensor clock ticks 17,084 times.
 """
 
 from __future__ import annotations
@@ -51,8 +46,7 @@ from .controller import (
 from .core import (GRAVITY, GRAVITY_MAG, LEVEL_QUAT, DegenerateOrientationError, Vec3, Wrench,
                    ZERO3, body_z, check_finite, check_finite_fields, from_plain, slerp_quat,
                    snap_unit_quat)
-from .sensor_model import (NUM_CHANNELS, SaturationError, SensorParams, SensorRangeError,
-                           capacitances, count_at_reference, sample)
+from .sensor_model import SaturationError, SensorParams, sample
 
 # Simulated seconds a phase may run past its deadline without a controller tick.
 _STEP_BUDGET_S = 10.0
@@ -70,9 +64,6 @@ MAX_MISSION_TICKS = 1_000_000
 # The smallest plant step a mission takes, s: a minute of flight is then six
 # million steps, where a much smaller step would run a mission for hours.
 MIN_PLANT_DT = 1e-5
-# The most sensing readings one plant stretch skips, which bounds the noise a
-# stretch draws at once when the controller ticks rarely.
-_MAX_UNREAD = 1024
 
 
 class SimulationFault(RuntimeError):
@@ -267,8 +258,8 @@ def sense(state: FlightState, press: float, env: ContactEnv, stack: SensingStack
 
     press is the state's press force, press_force(state.pz, state.vz, env),
     which step_plant returns with the state.  A sensed reading draws
-    NUM_CHANNELS normals from rng; with no stack it is the true load, and
-    rng is None.  _Engine.run calls this only for the readings it must compute.
+    twelve normals from rng; with no stack it is the true load, and rng is
+    None.  _Engine.run calls this only at read ticks.
     """
     true_force = sensor_load(state, press, env)
     if stack is None:
@@ -419,12 +410,12 @@ def _due_step(j: int, hz: float, dt: float, k: int, stop: int) -> int:
     return n
 
 
-def _last_due(j_max: int, hz: float, dt: float, n: int) -> int:
-    """The last tick of a hz clock due at plant step n, up to tick j_max:
-    the largest j <= j_max with j / hz <= n * dt + 1e-12."""
+def _last_due(hz: float, dt: float, n: int) -> int:
+    """The last tick of a hz clock due at plant step n: the largest j with
+    j / hz <= n * dt + 1e-12."""
     limit = n * dt + 1e-12
     # the floor's rounding error is far below one tick, so it never falls short
-    j = j_max if not limit * hz < j_max else math.floor(limit * hz) + 1
+    j = math.floor(limit * hz) + 1
     while not j / hz <= limit:
         j -= 1
     return j
@@ -453,10 +444,6 @@ class _Engine:
         self.cmd = Command(f_cmd_hat=hover, q_cmd=LEVEL_QUAT)
         self.rows: list[TraceRow] = []
         self.peak_contact = 0.0
-        # What a skipped sensed reading must stay below (see _skip): a load
-        # just under one whose noise-free solve succeeded, and that solve's
-        # largest channel capacitance.
-        self.f_ok, self.cap_ok = -math.inf, math.inf
 
     @property
     def t(self) -> float:
@@ -474,20 +461,12 @@ class _Engine:
         Each tick's step is computed once, when the tick before it fires.
 
         A reading only sets f_raw, which the controller reads at its ticks,
-        so a sensing tick is read when the next sensing tick falls after the
-        next control tick, and unread otherwise.  From each stop the plant
-        runs in one step_plant call to the next read tick (or control tick,
-        or the step budget), where the reading is sensed in full; the unread
-        ticks on the way, at most _MAX_UNREAD, are skipped together.
-        Without a stack, an unread reading draws nothing and cannot fault, so
-        skipping it is free.  Sensed, _skip draws the unread readings' noise
-        in one call, which leaves the generator where their draws would, and
-        checks that none of them could have faulted.  Where one could, the
-        engine re-runs the plant to the next sensing tick and senses that
-        in full.  Every output, the generator's state and every fault (type,
-        message and tick) equal those of sensing every tick.  On seed 11 no
-        stretch falls back: both sensed missions make 951 readings in 949
-        plant calls, against 17,084 and 17,082 sensing every tick.
+        so only the read ticks are sensed: the last sensing tick at or before
+        each control tick.  From each stop the plant runs in one step_plant
+        call to the next read tick, control tick or the step budget, and the
+        sensing ticks on the way are never computed: they draw no read noise
+        and cannot fault.  A sensed flight draws twelve normals per read tick
+        and nothing else.
         """
         cfg = self.cfg
         hz, dt = cfg.sensor_hz, cfg.plant_dt
@@ -497,10 +476,11 @@ class _Engine:
         while True:
             k = self.k
             t = k * dt
-            while next_sense == k:  # more than one sensing tick may fall on a step
+            # a read tick: the last sensing tick due here, read by a control tick by stop
+            if next_sense == k and next_control <= stop:
                 self.f_raw = sense(self.state, self.press, cfg.env, self.stack, self.rng)
-                self.ks += 1
-                next_sense = _due_step(self.ks, hz, dt, k, stop)
+                self.ks = _last_due(hz, dt, k) + 1
+                next_sense = _due_step(self.ks, hz, dt, k + 1, stop)
             if next_control == k:
                 if done():
                     return
@@ -520,66 +500,12 @@ class _Engine:
                 raise SimulationFault(f"{what} still running at t={t:.1f}s: no controller "
                                       f"tick since the {deadline:.1f}s deadline")
             end = min(next_control, stop)
-            n, unread = end - k, 0
-            if next_sense <= end:
-                # sensed in full: the last sensing tick by end, which the
-                # control tick at end reads
-                last = _last_due(self.ks + _MAX_UNREAD, hz, dt, end)
-                unread = last - self.ks
-                n = _due_step(last, hz, dt, next_sense, stop) - k
-            plant = self._skip(n, unread) if unread else None
-            if plant is not None:
-                self.ks += unread
-                next_sense = k + n
-            else:
-                if unread:  # one could fault: sense the next tick in full
-                    n = next_sense - k
-                plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, dt, n)
-            self.state, peak, self.press = plant
+            if next_sense <= next_control <= stop:  # stop first at the control tick's read tick
+                end = next_sense = _due_step(_last_due(hz, dt, end), hz, dt, next_sense, stop)
+            self.state, peak, self.press = step_plant(self.state, self.cmd, cfg.plant, cfg.env,
+                                                      dt, end - k)
             self.peak_contact = max(self.peak_contact, peak)
-            self.k = k + n
-
-    def _skip(self, n: int, unread: int) -> tuple[FlightState, float, float] | None:
-        """step_plant's n steps to a read tick past unread sensing ticks, or
-        None where an unread reading could have faulted.
-
-        Sensed, the unread readings' noise is drawn.  Their loads are at
-        most the stretch's peak (plus the payload if attached at its start).
-        Where that load passes f_ok, one noise-free solve of a pure normal
-        load of twice it, at least 1 N, raises f_ok and cap_ok, or gives
-        None if it fails.  Saturation and every channel's capacitance rise
-        with a pure normal load, so a load at most f_ok neither saturates
-        nor gives capacitances above cap_ok; the drawn noise then bounds
-        their counts, and the model's estimate_bound their estimates.  The solve
-        draws nothing and bypasses sample's memo.  None leaves the
-        generator as it was.
-        """
-        cfg = self.cfg
-        if self.stack is None:
-            return step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
-        try:
-            plant = step_plant(self.state, self.cmd, cfg.plant, cfg.env, cfg.plant_dt, n)
-        except ValueError:  # a non-finite state; a reading on the way may fault first
-            return None
-        load = sensor_load(self.state, plant[1], cfg.env)
-        if not load <= self.f_ok:
-            f = max(2.0 * load, 1.0)
-            try:
-                caps = capacitances(Wrench(0.0, 0.0, f, 0.0, 0.0, 0.0), self.stack.params)
-            except ValueError:  # saturated, or twice the load is not finite
-                return None
-            # the margin covers the last bits of the compression solve
-            self.f_ok, self.cap_ok = f - 1e-6 * f, float(caps.max())
-        saved = self.rng.bit_generator.state
-        noise = self.rng.normal(size=NUM_CHANNELS * unread)
-        try:
-            top = count_at_reference(self.cap_ok, float(noise.max()), self.stack.params.cdc)
-        except SensorRangeError:
-            top = math.inf
-        if math.isfinite(self.stack.model.estimate_bound(top)):
-            return plant
-        self.rng.bit_generator.state = saved
-        return None
+            self.k = end
 
     def _outer_loop(self, p_des: Vec3, v_des: Vec3, gain_state: MachineState
                     ) -> tuple[tuple[float, float, float, float], float]:
@@ -593,7 +519,12 @@ class _Engine:
 
     def hover(self, z_target: float, duration: float, collect_after: float | None = None
               ) -> float:
-        """Station-keep at z_target; optionally average sensed force late in the phase."""
+        """Station-keep at z_target; optionally average sensed force late in the phase.
+
+        A measuring hover (collect_after given) of positive duration with no
+        controller tick from collect_after on faults: there is no force to
+        average.  One of zero duration measures nothing and reads 0 N.
+        """
         cfg = self.cfg
         t0 = self.t
         samples: list[float] = []
@@ -608,7 +539,11 @@ class _Engine:
             return Command(f_cmd_hat=f_hat, q_cmd=q_cmd), 0.0, MachineState.FREE.value
 
         self.run(control, lambda: self.t - t0 >= duration, t0 + duration + _HOVER_SLACK_S, "hover")
-        return float(np.mean(samples)) if samples else 0.0
+        if samples or collect_after is None or duration == 0.0:
+            return float(np.mean(samples)) if samples else 0.0
+        raise SimulationFault(f"measure hover at t={self.t:.1f}s: no controller tick after the "
+                              f"{collect_after:g}s settling window of measure_time={duration!r}s, "
+                              f"so no sensed force to average")
 
     def engage(self, profile: ForceProfile, residual_baseline: float
                ) -> tuple[ThrustMachine, list[tuple[float, float]], bool]:

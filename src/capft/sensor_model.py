@@ -301,9 +301,9 @@ class CapacitanceFrame:
 
 @dataclass(frozen=True)
 class StiffnessSet:
-    """Lumped plate stiffnesses at a given compression."""
+    """Lumped plate stiffnesses at a given compression.  The axial one is
+    _axial_stiffness, the tangent of the compression solve."""
 
-    k_z: float  # N/m
     k_xy: float  # N/m
     k_tilt: float  # N*m/rad, about x or y
     k_torsion: float  # N*m/rad, about z
@@ -326,10 +326,10 @@ def _compressed_state(pillars: PillarModel, dz) -> tuple:
 def pillar_stiffness(pillars: PillarModel, dz) -> StiffnessSet:
     """Plate stiffnesses with the array compressed by dz meters.
 
-    Normal stiffness follows the compressed effective modulus and grown
+    Tilt stiffness follows the compressed effective modulus and grown
     cross-section; shear and torsion use the nominal geometry (tangential
     comb travel is small compared to the pillar radius).  dz may be an (N,)
-    column; k_z and k_tilt are then columns and k_xy and k_torsion floats.
+    column; k_tilt is then a column and k_xy and k_torsion floats.
     """
     if not _holds(dz >= 0.0):
         raise SensorRangeError("compression dz must be non-negative")
@@ -340,7 +340,6 @@ def pillar_stiffness(pillars: PillarModel, dz) -> StiffnessSet:
     kxy_per_pillar = pillars.shear_modulus * pillars.pillar_area / pillars.height
     second = pillars.radial_second_moment
     return StiffnessSet(
-        k_z=pillars.count * kz_per_pillar,
         k_xy=pillars.count * kxy_per_pillar,
         k_tilt=kz_per_pillar * second,
         k_torsion=kxy_per_pillar * second,
@@ -523,17 +522,6 @@ def _counts(c, alpha, beta, dt, cdc: CdcConfig, noise):
     elif _holds(noisy < _COUNT_LIMIT):
         return np.rint(np.maximum(noisy, 0.0)).astype(int)
     raise SensorRangeError(_COUNT_RANGE_ERROR)
-
-
-def count_at_reference(capacitance: float, noise: float, cdc: CdcConfig) -> int:
-    """One channel's count at the drift model's reference temperature, for
-    capacitance farads and a standard normal read-noise draw of noise.
-
-    Raises SensorRangeError where sample would.  Every step of the count
-    rises with the capacitance and the draw, so this bounds the counts of
-    every reading whose capacitance and draw are at most these.
-    """
-    return _counts(capacitance, 0.0, 0.0, 0.0, cdc, noise)
 
 
 def sample(w: Wrench, temperature: float, params: SensorParams, rng) -> CapacitanceFrame:

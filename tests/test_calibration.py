@@ -334,19 +334,6 @@ class TestPredict:
             got = predict(model, make_frame(reading)).as_tuple()
             assert [v.hex() for v in got] == [v.hex() for v in block[:, i].tolist()]
 
-    @settings(max_examples=200, deadline=None)
-    @given(mode=st.sampled_from(["full", "shear_only"]), seed=st.integers(0, 2**32 - 1),
-           top=st.one_of(st.integers(0, 2**40), st.sampled_from([0, 1, 2**40])))
-    def test_estimate_bound_holds_for_counts_up_to_top(self, mode, seed, top):
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, mode)
-        counts = rng.integers(0, top, size=(16, 12), endpoint=True)
-        counts[0], counts[1] = 0, top  # both ends of the range
-        bound = model.estimate_bound(float(top))
-        assert math.isfinite(bound)
-        for reading in counts:
-            assert max(map(abs, predict(model, make_frame(reading)).as_tuple())) <= bound
-
     def test_end_to_end_roundtrip(self):
         params = default_sensor_params()
         rng = np.random.default_rng(10)

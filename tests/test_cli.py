@@ -957,6 +957,21 @@ class TestFly:
         assert "hover at t=18.2s: no commanded attitude: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["track_sine", "deploy_package"])
+    def test_measure_hover_with_nothing_to_average_is_simulation_fault(
+            self, tmp_path, capsys, scenario):
+        # at 20 Hz the last tick of a 0.5 s measure hover falls at 0.45 s,
+        # before the window from 0.5 s on whose sensed force it averages
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "measure_time": 0.5}))
+        out = tmp_path / "out"
+        rc = main(["fly", "--scenario", scenario, "--bypass-sensor",
+                   "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 5
+        assert "measure hover at t=2.0s: no controller tick after the 0.5s settling window " \
+            "of measure_time=0.5s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_scenario_mismatch(self, tmp_path):
         cfg = asdict(flight.default_config("deploy_package"))
         cfg_path = tmp_path / "cfg.json"

@@ -40,7 +40,7 @@ from capft.flight import (
     simulate_track_sine,
     step_plant,
 )
-from capft.sensor_model import SensorRangeError, default_sensor_params
+from capft.sensor_model import default_sensor_params
 
 G = 9.81
 
@@ -727,30 +727,28 @@ def recording_engine(engine_cls, engines):
     return Recorded
 
 
-class SenseEveryTickEngine(flight._Engine):
-    """The reference engine: the same missions, sensing every tick in full.
+class PerStepEngine(flight._Engine):
+    """The reference engine: the same missions, one tick at a time.
 
-    This is the engine's loop as it was before it skipped unread readings;
-    the plant runs from one sensing or control tick to the next.
+    The plant runs from one sensing or control tick to the next.  A sensing
+    tick is read, and sensed, when the next sensing tick falls after the
+    next control tick; with no control tick by the step budget, none is.
     """
 
     def run(self, control, done, deadline, what):
         cfg = self.cfg
-        env, dt = cfg.env, cfg.plant_dt
-        budget = (deadline + flight._STEP_BUDGET_S) / dt
-        if budget == math.inf:
-            raise SimulationFault(f"{what} deadline t={deadline:g}s is too far to count "
-                                  f"in plant steps of {dt!r}s")
-        stop = math.ceil(budget) + 2
-        next_sense = _due_step(self.ks, cfg.sensor_hz, dt, self.k, stop)
+        env, dt, hz = cfg.env, cfg.plant_dt, cfg.sensor_hz
+        stop = math.ceil((deadline + flight._STEP_BUDGET_S) / dt) + 2
+        next_sense = _due_step(self.ks, hz, dt, self.k, stop)
         next_control = _due_step(self.kc, cfg.control_hz, dt, self.k, stop)
         while True:
             k = self.k
             t = k * dt
             while next_sense == k:
-                self.f_raw = flight.sense(self.state, self.press, env, self.stack, self.rng)
+                if next_control <= stop and not (self.ks + 1) / hz <= next_control * dt + 1e-12:
+                    self.f_raw = flight.sense(self.state, self.press, env, self.stack, self.rng)
                 self.ks += 1
-                next_sense = _due_step(self.ks, cfg.sensor_hz, dt, k, stop)
+                next_sense = _due_step(self.ks, hz, dt, k, stop)
             if next_control == k:
                 if done():
                     return
@@ -856,41 +854,49 @@ class TestSchedule:
         # rates SimConfig rejects: only here do sensing ticks share a step and
         # control fall behind its clock
         (0.001, 2500.0, 1250.0)])
-    def test_engine_ticks_follow_per_step_scan(self, monkeypatch, plant_dt, sensor_hz,
-                                               control_hz):
+    def test_engine_ticks_follow_per_step_scan(self, monkeypatch, sensor_params, quick_model,
+                                               plant_dt, sensor_hz, control_hz):
         base = default_config("track_sine", seed=3)
         cfg = dataclasses.replace(base, plant_dt=plant_dt, settle_time=0.3, measure_time=0.6,
                                   machine=dataclasses.replace(base.machine, hold_duration=0.5))
         object.__setattr__(cfg, "sensor_hz", sensor_hz)  # past SimConfig's rate check
         object.__setattr__(cfg, "control_hz", control_hz)
-        stepped, sensed = [0], []
         real_step, real_sense = flight.step_plant, flight.sense
+        for stack in (None, SensingStack(sensor_params, quick_model)):
+            stepped, sensed = [0], []
 
-        def counting_step(state, cmd, params, env, dt, steps=1):
-            stepped[0] += steps
-            return real_step(state, cmd, params, env, dt, steps)
+            def counting_step(state, cmd, params, env, dt, steps=1):
+                stepped[0] += steps
+                return real_step(state, cmd, params, env, dt, steps)
 
-        def recording_sense(*args):
-            sensed.append(stepped[0])
-            return real_sense(*args)
+            def recording_sense(*args):
+                sensed.append(stepped[0])
+                return real_sense(*args)
 
-        monkeypatch.setattr(flight, "step_plant", counting_step)
-        monkeypatch.setattr(flight, "sense", recording_sense)
-        engines = []
-        monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
-        rows, _ = run_mission(cfg, None)
-        (eng,) = engines
-        controlled = [round(r.t / plant_dt) for r in rows]
-        assert [r.t for r in rows] == [k * plant_dt for k in controlled]
-        # control fires at most once per step, sensing may repeat at one
-        assert controlled == scan_schedule(len(rows), control_hz, plant_dt, gap=1)
-        # every sensing tick due by the last step passed, but only the last one
-        # at or before each control step (the final done() tick at eng.k too)
-        # was sensed
-        ticks = scan_schedule(eng.ks + 1, sensor_hz, plant_dt, gap=0)
-        assert ticks[-2] <= eng.k < ticks[-1]
-        read = {max(j for j, s in enumerate(ticks) if s <= c) for c in controlled + [eng.k]}
-        assert sensed == [ticks[j] for j in sorted(read)]
+            monkeypatch.setattr(flight, "step_plant", counting_step)
+            monkeypatch.setattr(flight, "sense", recording_sense)
+            engines = []
+            monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
+            rows, _ = run_mission(cfg, stack)
+            (eng,) = engines
+            controlled = [round(r.t / plant_dt) for r in rows]
+            assert [r.t for r in rows] == [k * plant_dt for k in controlled]
+            # control fires at most once per step, sensing may repeat at one
+            assert controlled == scan_schedule(len(rows), control_hz, plant_dt, gap=1)
+            # every sensing tick due by the last step passed, but only the last
+            # one at or before each control step (the final done() tick at
+            # eng.k too) was sensed
+            ticks = scan_schedule(eng.ks + 1, sensor_hz, plant_dt, gap=0)
+            assert ticks[-2] <= eng.k < ticks[-1]
+            read = {max(j for j, s in enumerate(ticks) if s <= c) for c in controlled + [eng.k]}
+            assert sensed == [ticks[j] for j in sorted(read)]
+            if stack is None:
+                assert eng.rng is None
+                continue
+            # each read draws its twelve normals, and no other tick draws any
+            expect = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EB5)))
+            expect.standard_normal(12 * len(sensed))
+            assert eng.rng.bit_generator.state == expect.bit_generator.state
 
 
 @st.composite
@@ -907,21 +913,8 @@ def read_tick_cases(draw):
             draw(st.sampled_from([1.0, 1e280, 1e290, 1e300])), draw(st.booleans()))
 
 
-# One read-tick case per outcome of the engine's saturation bound on a
-# stretch: the solve at twice its load succeeds; that solve saturates but
-# the load does not (pillars soft enough to saturate between the press force
-# and twice it); the load saturates too, and the flight faults.
-BOUND_CASES = {
-    "solved": ("deploy_package", 11, 0.001, 360.0, 20.0, 2.0, 1.0, 1.0, False),
-    "bound saturates": ("track_sine", 11, 0.001, 360.0, 20.0, 2.0, 0.06, 1.0, False),
-    "load saturates": ("track_sine", 11, 0.001, 360.0, 20.0, 2.0, 0.04, 1.0, False),
-}
-
-
 def fly_both(case, sensor_params, quick_model):
-    """fly_on for a read_tick_cases case on the engine and on the reference,
-    with a Counter of the engine's bound solves by outcome (BOUND_CASES'
-    keys).  The bound is flight.capacitances' only caller."""
+    """fly_on for a read_tick_cases case on the engine and on the reference."""
     scenario, seed, plant_dt, sensor_hz, control_hz, sigma, modulus, scale, bypass = case
     base = default_config(scenario, seed=seed)
     cfg = dataclasses.replace(
@@ -935,87 +928,37 @@ def fly_both(case, sensor_params, quick_model):
         pillars=dataclasses.replace(pillars, youngs_modulus=modulus * pillars.youngs_modulus))
     model = dataclasses.replace(quick_model, matrix=quick_model.matrix * scale)
     stack = None if bypass else SensingStack(params, model)
-    outcomes = Counter()
-    real = flight.capacitances
-
-    def counting_capacitances(w, p):
-        try:
-            caps = real(w, p)
-        except SensorRangeError:
-            try:  # the stretch's load is half the force, or less where that is 1 N
-                real(dataclasses.replace(w, fz=w.fz / 2.0), p)
-                outcomes["bound saturates"] += 1
-            except SensorRangeError:
-                outcomes["load saturates"] += 1
-            raise
-        outcomes["solved"] += 1
-        return caps
-
-    with mock.patch.object(flight, "capacitances", counting_capacitances):
-        ours = fly_on(flight._Engine, cfg, stack)
-    return ours, fly_on(SenseEveryTickEngine, cfg, stack), outcomes
+    return fly_on(flight._Engine, cfg, stack), fly_on(PerStepEngine, cfg, stack)
 
 
 class TestReadTicks:
-    """The engine senses only read ticks; its outputs equal sensing every tick."""
+    """The engine senses only read ticks, as the per-step reference does."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=read_tick_cases())
-    # a fault at an unread tick, each kind: counts past the int64 range,
-    # saturation, a non-finite estimate
-    @example(case=("deploy_package", 3, 0.001, 360.0, 20.0, 2.2e18, 1.0, 1.0, False))
-    @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 2.0, 0.05, 1.0, False))
+    # a read that faults, each kind: counts past the int64 range, saturation,
+    # a non-finite estimate
+    @example(case=("deploy_package", 3, 0.001, 360.0, 20.0, 3.5e18, 1.0, 1.0, False))
+    @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 2.0, 0.04, 1.0, False))
     @example(case=("track_sine", 0, 0.001, 360.0, 20.0, 1e16, 1.0, 1e280, False))
-    # each outcome of the saturation bound
-    @example(case=BOUND_CASES["solved"])
-    @example(case=BOUND_CASES["bound saturates"])
-    @example(case=BOUND_CASES["load saturates"])
+    # no control tick by the settle hover's step budget (step 11202), where
+    # the next sensing tick falls due: no tick reads it, so it draws nothing
+    @example(case=("track_sine", 0, 0.001, 1.0 / (11202 * 0.001), 0.01, 2.0, 1.0, 1.0, False))
     def test_outputs_equal_sensing_every_tick(self, sensor_params, quick_model, case):
-        ours, reference, _ = fly_both(case, sensor_params, quick_model)
+        # the reference visits every sensing tick and senses the read ones
+        ours, reference = fly_both(case, sensor_params, quick_model)
         assert ours == reference
-
-    @pytest.mark.parametrize("outcome", list(BOUND_CASES))
-    def test_each_bound_outcome_is_reached(self, sensor_params, quick_model, outcome):
-        ours, reference, outcomes = fly_both(BOUND_CASES[outcome], sensor_params, quick_model)
-        assert outcomes[outcome] > 0
-        assert ours == reference
-
-    @pytest.mark.parametrize("scenario", ["track_sine", "deploy_package"])
-    def test_shipped_missions_never_fall_back(self, monkeypatch, sensor_params, quick_model,
-                                              scenario):
-        skips, sensed = [], [0]
-        real_skip, real_sense = flight._Engine._skip, flight.sense
-
-        def recording_skip(self, n, unread):
-            skips.append(real_skip(self, n, unread))
-            return skips[-1]
-
-        def counting_sense(*args):
-            sensed[0] += 1
-            return real_sense(*args)
-
-        monkeypatch.setattr(flight._Engine, "_skip", recording_skip)
-        monkeypatch.setattr(flight, "sense", counting_sense)
-        engines = []
-        monkeypatch.setattr(flight, "_Engine", recording_engine(flight._Engine, engines))
-        cfg = default_config(scenario, seed=11)
-        rows, _ = run_mission(cfg, SensingStack(params=sensor_params, model=quick_model))
-        (eng,) = engines
-        assert skips
-        assert sum(plant is None for plant in skips) == 0
-        # at the default rates a sensing tick falls on every control step, so
-        # the read ticks are the control steps, the final done() tick's too
-        assert sensed[0] == len({round(r.t / cfg.plant_dt) for r in rows} | {eng.k})
 
     def test_plant_fault_in_a_stretch_keeps_an_earlier_reading_fault(
             self, monkeypatch, sensor_params, quick_model):
-        # the plant faults 0.5 mm above the height where readings fault, a
-        # few sensing ticks later in the climb but inside one stretch
+        # the plant faults 5 mm above the height where readings fault, about
+        # one control period later in the climb: in the stretch that follows
+        # the first read above that height, which the engine must sense first
         real_step, real_sense = flight.step_plant, flight.sense
 
         def step_to_a_ceiling(state, cmd, params, env, dt, steps=1):
             result = real_step(state, cmd, params, env, dt, steps)
-            if result[0].pz > 1.3005:
+            if result[0].pz > 1.305:
                 raise ValueError("Vec3: non-finite component inf")
             return result
 
@@ -1030,7 +973,7 @@ class TestReadTicks:
         stack = SensingStack(params=sensor_params, model=quick_model)
         ours = fly_on(flight._Engine, cfg, stack)
         assert ours[1][0] is SensedRangeFault
-        assert ours == fly_on(SenseEveryTickEngine, cfg, stack)
+        assert ours == fly_on(PerStepEngine, cfg, stack)
 
 
 class TestMissions:
