@@ -252,11 +252,49 @@ def _texts(values: np.ndarray, fmt) -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
+def _grid_rows(wrench: np.ndarray) -> list[str] | None:
+    """repr of each wrench entry, comma-joined per row, or None unless every
+    entry is a float64 k / 10**WRENCH_DECIMALS, for an integer k, of
+    magnitude below 10**WRENCH_DECIMALS = 1e4.
+
+    Such an entry has at most 8 significant digits, fewer than DBL_DIG = 15,
+    so that decimal is its shortest round-trip text, which repr prints
+    positionally: the integer part, '.', and the fraction without trailing
+    zeros but at least one digit.  Both parts come from one digit table.
+    """
+    d = WRENCH_DECIMALS
+    scale = 10 ** d  # also the integer part's bound, so one digit table serves both parts
+    mag = np.abs(wrench)
+    if wrench.dtype != np.float64 or not (mag < scale).all():
+        return None
+    k = np.rint(mag * scale)
+    if not (k / scale == mag).all():
+        return None
+    whole, frac = np.divmod(k.astype(np.int64), scale)
+    powers = 10 ** np.arange(d - 1, -1, -1)
+    digits = (np.arange(scale)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    # per cell: sign, d integer digits, '.', d fraction digits, ',' ('\n' ends a row)
+    cells = np.empty(wrench.shape + (2 * d + 3,), np.uint8)
+    cells[..., 0] = ord("-")
+    cells[..., 1:d + 1] = digits[whole]
+    cells[..., d + 1] = ord(".")
+    cells[..., d + 2:-1] = digits[frac]
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    keep = np.ones(cells.shape, bool)
+    keep[..., 0] = np.signbit(wrench)
+    # no leading zero before the units digit, no trailing zero after the first fraction digit
+    keep[..., 1:d] = whole[..., None] >= powers[:-1]
+    keep[..., d + 3:-1] = frac[..., None] % powers[:-1] != 0
+    return cells[keep].tobytes().decode("ascii").split("\n")[:-1]
+
+
 def write_log(trial: Trial, path: str | Path) -> None:
     """Serialize a trial; see the module docstring for the format."""
     columns = [map(repr, trial.t.tolist()), _texts(trial.temperature, repr).tolist()]
     columns += _texts(trial.counts, str).T.tolist()
-    columns += [map(repr, col) for col in trial.wrench.T.tolist()]
+    grid = _grid_rows(trial.wrench)
+    columns += [grid] if grid is not None else [map(repr, c) for c in trial.wrench.T.tolist()]
     write_lines(path, itertools.chain(
         (f"# name={trial.name}", f"# seed={trial.seed}", f"# params={trial.params_hash}",
          LOG_HEADER),

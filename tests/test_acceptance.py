@@ -16,7 +16,6 @@ from capft import calibration, dataio, flight
 from capft.calibration import expand_features
 from capft.cli import main
 from capft.controller import (
-    ForceProfile,
     MachineState,
     ThrustMachine,
     ThrustMachineParams,

@@ -218,6 +218,18 @@ class TestGenerate:
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
 
+    def test_generate_logs_pinned(self, tmp_path):
+        # the logs' bytes, fixed across commits: a faster writer must not move them
+        assert main(["generate", "--trials", "2", "--duration", "2", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+        assert files == {
+            "tare.csv": "f61eecadff9ead6c8d1958477a85d84bdd4a2546b6fc13f6290fafd3534cf140",
+            "trial_00.csv": "f0ec23152bbbafc7f3dd61ffdd6c487a93e51227ffb56c409d757c1be419a8c2",
+            "trial_01.csv": "74cc1a5fb0ccc903495a08c28f8b5154d66fe391b6e16705b588cf1f8a87dbac"}
+        for name, digest in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_zero_trials_is_usage_error(self, tmp_path, capsys):
         rc = main(["generate", "--trials", "0", "--out", str(tmp_path)])
         assert rc == 2

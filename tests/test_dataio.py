@@ -95,6 +95,37 @@ def repetitive_trials(draw):
         wrench=np.array(draw(picks(wrench, 6 * n)), dtype=float).reshape(n, 6))
 
 
+# wrench entries k / 1e4 with |k| < 10**8: on the 1e-4 grid below 1e4
+on_grid = st.one_of(st.integers(-(10**8) + 1, 10**8 - 1).map(lambda k: k / 1e4),
+                    st.sampled_from([0.0, -0.0, 9999.9999, -9999.9999, 1e-4, -1e-4]))
+# entries that are off that grid, or at or above 1e4
+off_grid = st.one_of(finite, st.integers(10**8, 10**12).map(lambda k: k / 1e4),
+                     st.sampled_from([1e4, -1e4, 10000.0001, 5e-5, -1e-5, 0.30000000000000004]))
+
+
+@st.composite
+def grid_trials(draw):
+    """Valid trials whose wrench lies on the grid, but for one entry drawn
+    from off_grid in about half of them."""
+    n = draw(st.integers(1, 12))
+    wrench = np.array(draw(st.lists(on_grid, min_size=6 * n, max_size=6 * n))).reshape(n, 6)
+    if draw(st.booleans()):
+        wrench[draw(st.integers(0, n - 1)), draw(st.integers(0, 5))] = draw(off_grid)
+    return Trial(
+        name="grid", seed=draw(st.integers(0, 2**32)), params_hash="feedc0ffee12",
+        t=np.arange(n) / 360.0,
+        temperature=np.array(draw(st.lists(temperatures, min_size=n, max_size=n)), dtype=float),
+        counts=np.array(draw(st.lists(st.integers(0, 2**63 - 1), min_size=12 * n,
+                                      max_size=12 * n)), dtype=np.int64).reshape(n, 12),
+        wrench=wrench)
+
+
+def grid_trial(*rows):
+    """A trial at 25 degC with zero counts and the given wrench rows."""
+    trial = trial_at(np.arange(len(rows)) / 360.0)
+    return dataclasses.replace(trial, wrench=np.array(rows, dtype=float))
+
+
 def reference_log(trial):
     """write_log's bytes built from one repr (floats) or str (counts) per cell."""
     rows = [",".join([repr(t), repr(temp), *map(str, c), *map(repr, w)])
@@ -108,6 +139,10 @@ def reference_log(trial):
 # Per-axis loads (N, mN*m) past the default sensor's valid range, so drawn
 # scenarios land on both sides of the corner check.
 AXIS_LIMITS = np.array([16.0, 16.0, 480.0, 580.0, 580.0, 175.0])
+# Half of them: nearly every box drawn inside passes the corner check, which
+# keeps a property over feasible boxes from filtering out most of its draws,
+# while the whole box still fails it.
+BOX_LIMITS = AXIS_LIMITS / 2
 
 
 class TestTrialInvariants:
@@ -301,7 +336,7 @@ class TestGenerateTrial:
     @given(ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                          min_size=6, max_size=6),
            lag_hz=st.sampled_from([None, 97.0]), seed=st.integers(0, 2**32 - 1))
-    @example(ends=[(0.0, 0.0)] * 2 + [(0.0, 3.14159 / AXIS_LIMITS[2])] + [(0.0, 0.0)] * 3,
+    @example(ends=[(0.0, 0.0)] * 2 + [(0.0, 3.14159 / BOX_LIMITS[2])] + [(0.0, 0.0)] * 3,
              lag_hz=None, seed=0)
     @example(ends=[(-0.123456789, 0.0987654321)] * 6, lag_hz=97.0, seed=1)
     def test_wrench_on_grid_inside_box(self, params, ends, lag_hz, seed):
@@ -309,7 +344,7 @@ class TestGenerateTrial:
         # or an end of its axis's box, and is the array the counts come from
         ends = np.sort(np.array(ends), axis=1)
         ends[2] = np.sort(np.abs(ends[2]))
-        ranges = ends * AXIS_LIMITS[:, None]
+        ranges = ends * BOX_LIMITS[:, None]
         scen = Scenario("box", 0.25, seed, *map(tuple, ranges.tolist()))
         try:
             check_mechanical_range(scen, params)
@@ -389,6 +424,35 @@ class TestLogRoundtrip:
             p = Path(d) / "a.csv"
             write_log(trial, p)
             assert p.read_bytes() == reference_log(trial)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trial=grid_trials())
+    @example(trial=grid_trial([0.0, -0.0, 9999.9999, -9999.9999, 1e-4, -1e-4],
+                              [10.5, -0.01, 123.4567, 1000.0, -0.1, 7.0]))
+    @example(trial=grid_trial([0.0, -0.0, 9999.9999, -9999.9999, 1e-4, -1e-4],
+                              [1e4, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    @example(trial=grid_trial([0.12345, 1.0, 2.0, 3.0, 4.0, 5.0]))
+    def test_grid_wrench_bytes_equal_per_cell_reference(self, trial):
+        # a wrench on the 1e-4 grid below 1e4 is written from digit tables,
+        # any other by repr; both give the per-cell reference bytes, and
+        # write -> load -> write is byte identical
+        with tempfile.TemporaryDirectory() as d:
+            p1, p2 = Path(d) / "a.csv", Path(d) / "b.csv"
+            write_log(trial, p1)
+            assert p1.read_bytes() == reference_log(trial)
+            loaded = load_log(p1)
+            write_log(loaded, p2)
+            assert p2.read_bytes() == p1.read_bytes()
+        assert np.array_equal(loaded.wrench.view(np.uint64), trial.wrench.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_wrench_dtypes_bytes_equal_per_cell_reference(self, dtype, tmp_path):
+        # only float64 entries are written from digit tables: a float32 0.1
+        # keeps the repr of its float64 value, an integer its integer text
+        trial = dataclasses.replace(trial_at([0.0]), wrench=np.array(
+            [[0.1, -2.0, 3.5, 0.0, 7.0, 1e-4]]).astype(dtype))
+        write_log(trial, tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == reference_log(trial)
 
     def test_random_bit_patterns_roundtrip(self, tmp_path):
         # uniform over float64 bit patterns, not only the values hypothesis favours

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from capft import dataio, flight
 from capft.calibration import CalibrationModel, fit, tare
-from capft.controller import (ForceProfile, MachineState, ThrustMachineParams,
-                              ZeroDesiredForceError)
+from capft.controller import ForceProfile, MachineState, ZeroDesiredForceError
 from capft.core import (GRAVITY, LEVEL_QUAT, DegenerateOrientationError, Vec3, body_z,
                         normalize_quat, slerp_quat, snap_unit_quat)
 from capft.flight import (

@@ -16,12 +16,10 @@ from capft.sensor_model import (
     CapacitanceFrame,
     CdcConfig,
     EPSILON_0,
-    PillarModel,
     SaturationError,
     SensorParams,
     SensorRangeError,
     capacitances,
-    default_drift,
     default_pillars,
     default_sensor_params,
     effective_modulus,
