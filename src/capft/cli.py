@@ -125,7 +125,10 @@ def cmd_generate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
                  for i in range(args.trials)]
     scenarios.append(dataio.no_load_scenario(seed=_child_seed(args.seed, args.trials)))
     jobs = (scenarios, [params] * len(logs), logs)
-    workers = min(args.jobs, len(logs))
+    # at most one worker per usable CPU: each can hold about 1 GB at MAX_SAMPLES
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(logs), cpus)
     if workers > 1:
         import concurrent.futures  # here, not at the top: it loads logging too
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -306,7 +309,7 @@ def cmd_params(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
         print("            normal_electrode_area m^2, shear_overlap_area m^2,")
         print("            finger_pitch m, pillar_fill_fraction, eps_pillar, eps_air")
         print("  drift: alpha 1/degC and beta 1/degC^2 (12 each), reference_temp degC")
-        print("  cdc: gain_counts_per_farad, noise_sigma_counts, lag_corner_hz or null")
+        print("  cdc: gain_counts_per_farad, noise_sigma_counts")
         print("every key is required; an unknown key or a wrong JSON type is rejected")
         print("defaults below are illustrative, not measurements of a physical device:")
     print(json.dumps(asdict(params), indent=2, sort_keys=True))

@@ -32,7 +32,6 @@ from .sensor_model import (
     SensorParams,
     SensorRangeError,
     capacitances,
-    lag_rows,
     sample_trajectory,
 )
 
@@ -210,10 +209,10 @@ def generate_trial(scenario: Scenario, params: SensorParams) -> Trial:
     """Simulate one trial: wrench trajectory in, counts out.
 
     Deterministic for a given (scenario, params, seed); the trajectory and
-    the CDC noise share one seeded generator.  The wrench, lagged if the
-    CDC has a lag, is rounded to WRENCH_DECIMALS and clipped into each
-    axis's (lo, hi) before sampling, so the counts are those of exactly
-    the wrench logged, and the corner check still bounds every row.
+    the CDC noise share one seeded generator.  The wrench is rounded to
+    WRENCH_DECIMALS and clipped into each axis's (lo, hi) before sampling,
+    so the counts are those of exactly the wrench logged, and the corner
+    check still bounds every row.
     """
     check_mechanical_range(scenario, params)
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
@@ -227,9 +226,6 @@ def generate_trial(scenario: Scenario, params: SensorParams) -> Trial:
         eff = replace(eff, drift=DriftModel.disabled(params.drift.reference_temp))
     if not scenario.noise_enabled:
         eff = replace(eff, cdc=replace(params.cdc, noise_sigma_counts=0.0))
-    if params.cdc.lag_corner_hz is not None:
-        wrench_arr = np.array(lag_rows(wrench_arr.tolist(), params.cdc.lag_corner_hz,
-                                       1.0 / scenario.sample_rate))
     wrench_arr = np.clip(np.round(wrench_arr, WRENCH_DECIMALS), *np.array(scenario.ranges()).T)
     counts = sample_trajectory(wrench_arr, temps, eff, rng)
     return Trial(name=scenario.name, seed=scenario.seed, params_hash=params.hash(),

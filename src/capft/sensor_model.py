@@ -243,18 +243,15 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class CdcConfig:
-    """Capacitance-to-digital conversion: gain, additive noise, optional lag."""
+    """Capacitance-to-digital conversion: gain and additive noise."""
 
     gain_counts_per_farad: float = 1.0e15  # 1 count per fF
     noise_sigma_counts: float = 2.0
-    lag_corner_hz: float | None = None  # first-order output lag, disabled by default
 
     def __post_init__(self) -> None:
         check_finite_fields(self, SensorRangeError)
         if self.gain_counts_per_farad <= 0.0 or self.noise_sigma_counts < 0.0:
             raise SensorRangeError("CDC gain must be positive and noise non-negative")
-        if self.lag_corner_hz is not None and self.lag_corner_hz <= 0.0:
-            raise SensorRangeError("lag corner must be positive when enabled")
 
 
 @dataclass(frozen=True)
@@ -574,27 +571,6 @@ def sample_trajectory(wrenches: np.ndarray, temperatures: np.ndarray, params: Se
         return _counts(caps, np.asarray(drift.alpha), np.asarray(drift.beta),
                        (temps - drift.reference_temp)[:, None], params.cdc,
                        gen.normal(size=caps.shape))
-
-
-def lag_rows(rows, corner_hz: float, dt: float) -> list[tuple[float, ...]]:
-    """Optional mechanical lag applied to the wrench rows seen by the transducer.
-
-    The first row sets the state; each later one moves every component
-    alpha = 1 - exp(-2 pi corner_hz dt) of the way toward the row.  Rows
-    are sequences of floats, one per sample dt apart; returns the states.
-    """
-    if dt <= 0.0:
-        raise SensorRangeError("lag step requires dt > 0")
-    alpha = 1.0 - math.exp(-2.0 * math.pi * corner_hz * dt)
-    states: list[tuple[float, ...]] = []
-    for row in rows:
-        # at alpha 1 the lag settles within the step, and s + (x - s) can
-        # round past x, outside the inputs' envelope
-        if not states or alpha == 1.0:
-            states.append(tuple(row))
-        else:
-            states.append(tuple(s + alpha * (x - s) for s, x in zip(states[-1], row)))
-    return states
 
 
 def default_pillars() -> PillarModel:

@@ -224,9 +224,9 @@ class TestGenerate:
                      "--out", str(tmp_path)]) == 0
         files = json.loads((tmp_path / "manifest.json").read_text())["files"]
         assert files == {
-            "tare.csv": "f61eecadff9ead6c8d1958477a85d84bdd4a2546b6fc13f6290fafd3534cf140",
-            "trial_00.csv": "f0ec23152bbbafc7f3dd61ffdd6c487a93e51227ffb56c409d757c1be419a8c2",
-            "trial_01.csv": "74cc1a5fb0ccc903495a08c28f8b5154d66fe391b6e16705b588cf1f8a87dbac"}
+            "tare.csv": "911c6837d9777b9e3e247de81e9c404feb93518fb4854cb2a71ddd89ef3b1fcb",
+            "trial_00.csv": "68327ac8f06122ec534bca937df61b24d37d7ac76f39cff88eb8d395c2a3370b",
+            "trial_01.csv": "b01ba86508f584f5a34896589926ea6d6917d87eeac99581144094d0eab1feef"}
         for name, digest in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -345,6 +345,7 @@ class TestGenerate:
         ("cdc", "gain_counts_per_farad", 1e300, 5),  # counts past int64
         ("geometry", "normal_electrode_area", 1e300, 5),
         ("pillars", "youngs_modulus", 1e-4, 3),  # trial corners beyond the stroke
+        ("cdc", "lag_corner_hz", None, 5),  # a key that earlier parameter files carried
     ])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failure_leaves_no_out(self, tmp_path, capsys, section, key, value, code, jobs):
@@ -391,8 +392,10 @@ class TestGenerate:
             assert (ascii_ / name).read_bytes() == (utf8 / name).read_bytes(), name
         assert (utf8 / "trial_00.csv").read_bytes().startswith("# name=caf\u00e9_00\n".encode())
 
-    def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch):
-        # a stand-in pool records its size and runs the jobs in this process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools generate asks for: a stand-in pool records
+        its size and runs the jobs in this process, so no worker starts."""
         sizes = []
 
         class RecordingPool:
@@ -409,11 +412,29 @@ class TestGenerate:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def usable_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    def test_jobs_capped_at_log_count(self, tmp_path, monkeypatch, pool_sizes):
+        self.usable_cpus(monkeypatch, 64)
         rc = main(["generate", "--trials", "2", "--duration", "0.5", "--jobs", "64",
                    "--out", str(tmp_path)])
         assert rc == 0
-        assert sizes == [3]  # two trials plus the tare log
+        assert pool_sizes == [3]  # two trials plus the tare log
         assert len(list(tmp_path.glob("*.csv"))) == 3
+
+    def test_jobs_capped_at_usable_cpus(self, tmp_path, monkeypatch, pool_sizes):
+        self.usable_cpus(monkeypatch, 2)
+        args = ["generate", "--trials", "3", "--duration", "0.5", "--seed", "6"]
+        assert main([*args, "--jobs", "8", "--out", str(tmp_path / "pool")]) == 0
+        assert main([*args, "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert pool_sizes == [2]  # four logs, two CPUs; --jobs 1 asks for no pool
+        assert ((tmp_path / "pool" / "manifest.json").read_bytes()
+                == (tmp_path / "serial" / "manifest.json").read_bytes())
 
     def test_out_falls_back_to_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPFT_OUT", str(tmp_path / "envout"))

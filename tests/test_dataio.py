@@ -1,7 +1,6 @@
 """Trial generation, the CSV log format, and dataset splitting."""
 
 import dataclasses
-import math
 import re
 import tempfile
 import warnings
@@ -288,58 +287,13 @@ class TestGenerateTrial:
             assert slo >= flo and shi <= fhi
         generate_trial(dataclasses.replace(small, duration=0.5), params)
 
-    def test_mechanical_lag_smooths_reference(self, params):
-        lagged = dataclasses.replace(
-            params, cdc=dataclasses.replace(params.cdc, lag_corner_hz=97.0))
-        scen = full_range_scenario(duration=0.5, seed=4)
-        a = generate_trial(scen, params)
-        b = generate_trial(scen, lagged)
-        assert not np.array_equal(a.wrench, b.wrench)
-        # lag only reshapes the trajectory, never expands its envelope
-        assert np.abs(b.wrench[:, 2]).max() <= 14.0 + 1e-9
-
-    def test_lag_matches_per_row_numpy_formula(self, params, monkeypatch):
-        lagged = dataclasses.replace(
-            params, cdc=dataclasses.replace(params.cdc, lag_corner_hz=97.0))
-        scen = full_range_scenario(duration=2.0)
-        raw = []
-        lag_rows = dataio.lag_rows
-        monkeypatch.setattr(dataio, "lag_rows",
-                            lambda rows, *a: raw.append(np.array(rows)) or lag_rows(rows, *a))
-        got = generate_trial(scen, lagged)
-        lo, hi = np.array(scen.ranges()).T
-
-        def on_grid(a):
-            return np.clip(np.round(a, dataio.WRENCH_DECIMALS), lo, hi)
-        # the lag draws nothing, so it lags the unlagged trial's raw trajectory
-        assert np.array_equal(on_grid(raw[0]), generate_trial(scen, params).wrench)
-        dt = 1.0 / scen.sample_rate
-        alpha = 1.0 - math.exp(-2.0 * math.pi * 97.0 * dt)
-        state, rows = None, []
-        for row in raw[0]:
-            target = np.asarray(Wrench.from_sequence(row).as_tuple())
-            state = target.copy() if state is None else state + alpha * (target - state)
-            rows.append(Wrench.from_sequence(state).as_tuple())
-        # the counts are sampled from the lagged rows on the grid, as logged
-        expect = on_grid(np.array(rows))
-        sample_trajectory = dataio.sample_trajectory
-        monkeypatch.setattr(dataio, "sample_trajectory",
-                            lambda w, temps, eff, rng: sample_trajectory(expect, temps, eff, rng))
-        expect_counts = generate_trial(scen, lagged).counts
-
-        def hexes(a):
-            return [float(v).hex() for v in a.ravel().tolist()]
-        assert hexes(got.wrench) == hexes(expect)
-        assert hexes(got.counts) == hexes(expect_counts)
-
     @settings(max_examples=60, deadline=None)
     @given(ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                          min_size=6, max_size=6),
-           lag_hz=st.sampled_from([None, 97.0]), seed=st.integers(0, 2**32 - 1))
-    @example(ends=[(0.0, 0.0)] * 2 + [(0.0, 3.14159 / BOX_LIMITS[2])] + [(0.0, 0.0)] * 3,
-             lag_hz=None, seed=0)
-    @example(ends=[(-0.123456789, 0.0987654321)] * 6, lag_hz=97.0, seed=1)
-    def test_wrench_on_grid_inside_box(self, params, ends, lag_hz, seed):
+           seed=st.integers(0, 2**32 - 1))
+    @example(ends=[(0.0, 0.0)] * 2 + [(0.0, 3.14159 / BOX_LIMITS[2])] + [(0.0, 0.0)] * 3, seed=0)
+    @example(ends=[(-0.123456789, 0.0987654321)] * 6, seed=1)
+    def test_wrench_on_grid_inside_box(self, params, ends, seed):
         # every logged wrench entry is its unrounded value on the 1e-4 grid,
         # or an end of its axis's box, and is the array the counts come from
         ends = np.sort(np.array(ends), axis=1)
@@ -350,19 +304,14 @@ class TestGenerateTrial:
             check_mechanical_range(scen, params)
         except ScenarioRangeError:
             assume(False)
-        with_lag = dataclasses.replace(params, cdc=dataclasses.replace(params.cdc,
-                                                                       lag_corner_hz=lag_hz))
-        axes, lagged_rows, sampled = [], [], []
-        axis_signal, lag_rows = dataio._axis_signal, dataio.lag_rows
-        sample_trajectory = dataio.sample_trajectory
+        axes, sampled = [], []
+        axis_signal, sample_trajectory = dataio._axis_signal, dataio.sample_trajectory
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "_axis_signal", lambda *a: axes.append(axis_signal(*a)) or axes[-1])
-            mp.setattr(dataio, "lag_rows",
-                       lambda *a: lagged_rows.append(np.array(lag_rows(*a))) or lagged_rows[-1])
             mp.setattr(dataio, "sample_trajectory",
                        lambda w, *a: sampled.append(w) or sample_trajectory(w, *a))
-            trial = generate_trial(scen, with_lag)
-        raw = lagged_rows[0] if lag_hz else np.column_stack(axes)
+            trial = generate_trial(scen, params)
+        raw = np.column_stack(axes)
         lo, hi = ranges[:, 0], ranges[:, 1]
         w = trial.wrench
         assert np.all((lo <= w) & (w <= hi))

@@ -215,6 +215,7 @@ class TestInputs:
          "DriftModel.reference_temp -500.0 degC is below absolute zero"),
         ("model", ("temp_compensator", "reference_temp"), -300.0,
          "TempCompensator.reference_temp -300.0 degC is below absolute zero"),
+        ("params", ("cdc", "lag_corner_hz"), None, "unknown key 'lag_corner_hz' in CdcConfig"),
     ])
     def test_bad_value_is_the_domain_error(self, name, path, value, named):
         data, load, error = INPUTS[name]

@@ -23,7 +23,6 @@ from capft.sensor_model import (
     default_pillars,
     default_sensor_params,
     effective_modulus,
-    lag_rows,
     parallel_plate_capacitance,
     pillar_stiffness,
     plate_capacitances,
@@ -619,34 +618,6 @@ class TestSampling:
         assert got == self.FORWARD_DIGESTS
 
 
-class TestLagRows:
-    def test_step_response(self):
-        dt = 1.0 / 360.0
-        # first sample initializes the state, then a unit step decays
-        # toward the target with tau = 1/(2*pi*97)
-        target = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        out = lag_rows([Wrench.zero().as_tuple()] + [target] * 3, 97.0, dt)[-1]
-        expect = 1.0 - math.exp(-3 * dt * 2.0 * math.pi * 97.0)
-        assert out[2] == pytest.approx(expect, rel=1e-9)
-
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 6), min_size=1, max_size=30),
-           corner_hz=st.floats(1e-3, 1e6), dt=st.floats(1e-6, 1.0))
-    def test_never_widens_the_envelope(self, rows, corner_hz, dt):
-        # corners far above 1/dt give alpha == 1, where s + (x - s) can round past x
-        states = lag_rows(rows, corner_hz, dt)
-        assert len(states) == len(rows)
-        for i, out in enumerate(states):
-            for k, v in enumerate(out):
-                seen = [r[k] for r in rows[:i + 1]]
-                assert min(seen) <= v <= max(seen), (i, k)
-
-    @pytest.mark.parametrize("dt", [0.0, -1.0])
-    def test_non_positive_dt_rejected(self, dt):
-        with pytest.raises(SensorRangeError, match="dt > 0"):
-            lag_rows([(0.0,) * 6], 97.0, dt)
-
-
 class TestParamsRoundtrip:
     def test_dict_roundtrip(self):
         p = default_sensor_params()
@@ -678,7 +649,6 @@ class TestParamsRoundtrip:
         ("drift", "alpha", [math.inf] * 12),
         ("drift", "reference_temp", math.nan),
         ("cdc", "gain_counts_per_farad", math.inf),
-        ("cdc", "lag_corner_hz", math.nan),
     ])
     def test_non_finite_or_non_physical_rejected(self, section, key, value):
         data = dataclasses.asdict(default_sensor_params())
