@@ -131,40 +131,52 @@ class CalibrationModel:
             raise CalibrationError(f"negative ridge {self.ridge!r}")
 
 
-def fit(counts: np.ndarray, wrenches: np.ndarray, baseline: np.ndarray,
-        mode: str = "full", ridge: float | None = None) -> CalibrationModel:
-    """Fit the feature-to-wrench matrix to (N, 12) counts and (N, 6) wrenches.
+def fit(counts, wrenches, baseline: np.ndarray, mode: str = "full",
+        ridge: float | None = None) -> CalibrationModel:
+    """Fit the feature-to-wrench matrix to (N, 12) counts and (N, 6) wrenches,
+    each one array or equal-length lists of per-trial blocks.
 
-    Solves (X X^T + ridge * I) A^T = X Y^T.  ridge=None picks the default
+    Solves (X X^T + ridge * I) A^T = X Y^T, with X X^T and X Y^T summed block
+    by block, so only one block's features are held at a time; a second pass
+    over the blocks sums the training residual.  ridge=None picks the default
     1e-9 * trace(X X^T) / 24; ridge=0.0 is the plain normal equation and
     requires full-rank features.
     """
     n_feat = _check_mode(mode)
-    if len(counts) != len(wrenches):
+    if not isinstance(counts, list):
+        counts, wrenches = [counts], [wrenches]
+    if len(counts) != len(wrenches) or any(len(c) != len(w) for c, w in zip(counts, wrenches)):
         raise CalibrationError("frames and wrenches must pair up")
-    if len(counts) < n_feat:
-        raise IllConditionedError(
-            f"need at least {n_feat} samples for mode {mode!r}, got {len(counts)}")
+    n = sum(map(len, counts))
+    if n < n_feat:
+        raise IllConditionedError(f"need at least {n_feat} samples for mode {mode!r}, got {n}")
     baseline = np.asarray(baseline, dtype=float)
-    x = expand_features(counts, baseline, mode)
-    y = np.asarray(wrenches, dtype=float).T
-    gram = x @ x.T
+    gram, xyt = np.zeros((n_feat, n_feat)), np.zeros((n_feat, 6))
+    for c, w in zip(counts, wrenches):
+        x = expand_features(c, baseline, mode)
+        gram += x @ x.T
+        xyt += x @ np.asarray(w, dtype=float)
+        del x  # free this block's features before the next block's are built
     if ridge is None:
         ridge = 1e-9 * np.trace(gram) / 24.0
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise CalibrationError(f"ridge must be finite and non-negative, got {ridge!r}")
     if ridge == 0.0 and np.linalg.matrix_rank(gram, hermitian=True) < n_feat:
         raise IllConditionedError("feature Gram matrix is rank deficient with ridge 0")
-    xyt = x @ y.T
     try:
         a = np.linalg.solve(gram + ridge * np.eye(n_feat), xyt).T
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"normal equation solve failed: {exc}") from exc
-    resid = y - a @ x
-    grad = x @ resid.T
+    grad, sse = np.zeros((n_feat, 6)), np.zeros(6)
+    for c, w in zip(counts, wrenches):
+        x = expand_features(c, baseline, mode)
+        resid = np.asarray(w, dtype=float).T - a @ x
+        grad += x @ resid.T
+        sse += (resid * resid).sum(axis=1)
+        del x, resid
     denom = np.max(np.abs(xyt))
     grad_ratio = float(np.max(np.abs(grad)) / denom) if denom > 0.0 else 0.0
-    rmse = tuple(float(v) for v in np.sqrt((resid * resid).mean(axis=1)))
+    rmse = tuple(float(v) for v in np.sqrt(sse / n))
     return CalibrationModel(mode=mode, ridge=float(ridge), baseline=baseline, matrix=a,
                             train_rmse=rmse, normal_eq_residual=grad_ratio)
 

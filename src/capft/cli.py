@@ -148,29 +148,26 @@ def cmd_generate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
 
 
 def _load_trial_dir(path: Path) -> tuple[list[dataio.Trial], dataio.Trial]:
+    """The directory's trial logs and its tare log, all of one sensor's params hash."""
     trial_files = sorted(path.glob("trial_*.csv"))
     if not trial_files:
         raise LogFormatError(f"no trial_*.csv files in {path}")
     tare_file = path / "tare.csv"
     if not tare_file.exists():
         raise LogFormatError(f"missing tare.csv in {path}")
-    return [dataio.load_log(p) for p in trial_files], dataio.load_log(tare_file)
+    trials, tare_trial = [dataio.load_log(p) for p in trial_files], dataio.load_log(tare_file)
+    for p, trial in zip(trial_files, trials):
+        if trial.params_hash != tare_trial.params_hash:
+            raise LogFormatError(f"{p} has params hash {trial.params_hash!r} but {tare_file} "
+                                 f"has {tare_trial.params_hash!r}: logs of two sensors")
+    return trials, tare_trial
 
 
 def _training_set(tare_trial: dataio.Trial, train: Sequence[dataio.Trial]) -> tuple:
-    """fit's counts, wrenches and baseline: the train trials, tared on the no-load trial."""
-    return (np.concatenate([t.counts for t in train]), np.concatenate([t.wrench for t in train]),
+    """fit's per-trial counts and wrenches and its baseline: the train trials,
+    tared on the no-load trial."""
+    return ([t.counts for t in train], [t.wrench for t in train],
             calibration.tare(tare_trial.counts))
-
-
-def _load_split(path: Path) -> tuple:
-    """calibrate's training counts, wrenches, baseline and held-out trial; the parsed
-    training logs are freed when it returns, before any fit."""
-    trials, tare_trial = _load_trial_dir(path)
-    if len(trials) < 2:
-        raise CalibrationError("need at least two trials (train + held-out test)")
-    train, test = dataio.split(trials)
-    return (*_training_set(tare_trial, train), test)
 
 
 def _calibrate_files(args: argparse.Namespace, out: Path | None) -> tuple[list, list]:
@@ -184,14 +181,18 @@ def _calibrate_files(args: argparse.Namespace, out: Path | None) -> tuple[list, 
 def cmd_calibrate(args: argparse.Namespace, outputs: Sequence[Path]) -> int:
     modes = ("full", "shear_only") if args.mode == "both" else (args.mode,)
     out_paths = dict(zip(modes, outputs))
-    counts, wrenches, baseline, test = _load_split(Path(args.data))
+    trials, tare_trial = _load_trial_dir(Path(args.data))
+    if len(trials) < 2:
+        raise CalibrationError("need at least two trials (train + held-out test)")
+    train, test = dataio.split(trials)
+    counts, wrenches, baseline = _training_set(tare_trial, train)
     report = {"axes": list(calibration.AXIS_NAMES), "test_trial": test.name, "modes": {}}
     for mode in modes:
         model = calibration.fit(counts, wrenches, baseline, mode=mode, ridge=args.ridge)
         calibration.save_model(model, out_paths[mode])
         test_metrics = calibration.evaluate(model, test.counts, test.wrench)
         print(f"fitted mode={model.mode} ridge={model.ridge:.3e} "
-              f"on {len(counts)} samples, test trial {test.name!a}:")
+              f"on {sum(map(len, train))} samples, test trial {test.name!a}:")
         for line in test_metrics.summary_lines():
             print("  " + line)
         report["modes"][mode] = {

@@ -76,6 +76,27 @@ def concatenated_features(counts, baseline, mode):
     return np.concatenate([tared.T, (tared * tared).T])
 
 
+def traced_peak(call):
+    """Peak bytes that tracemalloc traces while call() runs, above the bytes
+    traced when it starts."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def model_bits(model):
+    """A model's float fields as bytes and hex, for bit-for-bit comparison."""
+    return (model.matrix.tobytes(), model.baseline.tobytes(),
+            [float(v).hex() for v in (model.ridge, model.normal_eq_residual, *model.train_rmse)])
+
+
 def random_model(rng, mode):
     """A model of the mode with a random matrix of random scale and a random
     baseline up to 2**40 counts."""
@@ -211,17 +232,52 @@ class TestFit:
         wrenches = rng.normal(size=(rows, 6))
         baseline = np.full(12, 1000.0)
         bound = 24 * rows * 8 + 2 * (6 * rows * 8) + 2**20
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            fit(counts, wrenches, baseline, "full")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= bound
+        assert traced_peak(lambda: fit(counts, wrenches, baseline, "full")) <= bound
+
+    def test_fit_peak_memory_does_not_grow_with_blocks(self):
+        # each block's features and residual are freed before the next
+        # block's are built, so eight blocks peak where two do, at one
+        # block's feature buffer and two residuals; at this size a third
+        # residual would not fit in the 1 MiB slack
+        rows = 30_000
+        rng = np.random.default_rng(8)
+        counts = [rng.integers(900, 1100, size=(rows, 12)) for _ in range(8)]
+        wrenches = [rng.normal(size=(rows, 6)) for _ in range(8)]
+        baseline = np.full(12, 1000.0)
+        two, eight = (traced_peak(lambda: fit(counts[:k], wrenches[:k], baseline, "full"))
+                      for k in (2, 8))
+        assert abs(eight - two) <= 2**20
+        assert eight <= 24 * rows * 8 + 2 * (6 * rows * 8) + 2**20
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    @pytest.mark.parametrize("mode", ["full", "shear_only"])
+    def test_one_block_list_equals_one_array_bit_for_bit(self, mode, ridge):
+        # one array is the one-block case of the same loop
+        rng = np.random.default_rng(9)
+        _, baseline, counts, wrenches = synthetic_dataset(300, rng, noise=0.5)
+        assert model_bits(fit([counts], [wrenches], baseline, mode, ridge)) \
+            == model_bits(fit(counts, wrenches, baseline, mode, ridge))
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    @pytest.mark.parametrize("mode", ["full", "shear_only"])
+    def test_blocks_equal_the_concatenated_fit(self, mode, ridge):
+        # summing the normal equation per block moves only the last bits; a
+        # block may hold fewer rows than there are features
+        rng = np.random.default_rng(10)
+        _, baseline, counts, wrenches = synthetic_dataset(600, rng, noise=0.5)
+        edges = [0, 10, 100, 250, 400, 600]
+        blocks = [slice(i, j) for i, j in zip(edges, edges[1:])]
+        whole = fit(counts, wrenches, baseline, mode, ridge)
+        split = fit([counts[b] for b in blocks], [wrenches[b] for b in blocks], baseline,
+                    mode, ridge)
+        # an entry near zero carries its column's absolute error, so the
+        # matrix is compared relative to each column's largest entry
+        scale = np.abs(whole.matrix).max(axis=0)
+        np.testing.assert_allclose(split.matrix / scale, whole.matrix / scale,
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(split.train_rmse, whole.train_rmse, rtol=1e-10, atol=0.0)
+        assert split.ridge == pytest.approx(whole.ridge, rel=1e-10)
+        assert split.normal_eq_residual < 1e-6
 
     def test_single_sample_ill_conditioned(self):
         rng = np.random.default_rng(3)
@@ -255,6 +311,19 @@ class TestFit:
         _, baseline, counts, wrenches = synthetic_dataset(30, rng)
         with pytest.raises(CalibrationError):
             fit(counts, wrenches[:-1], baseline)
+
+    @pytest.mark.parametrize("wrench_blocks", [
+        lambda w: [w[:10], w[10:-1]], lambda w: [w[:10], w[10:], w[:0]], lambda w: [w]],
+        ids=["rows", "extra_block", "missing_block"])
+    def test_mismatched_block_lengths(self, wrench_blocks):
+        rng = np.random.default_rng(6)
+        _, baseline, counts, wrenches = synthetic_dataset(60, rng)
+        with pytest.raises(CalibrationError, match="must pair up"):
+            fit([counts[:10], counts[10:]], wrench_blocks(wrenches), baseline)
+
+    def test_no_blocks_ill_conditioned(self):
+        with pytest.raises(IllConditionedError, match="need at least 24 samples .* got 0"):
+            fit([], [], np.full(12, 1000.0))
 
     @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, -1.0])
     def test_ridge_not_finite_and_non_negative_rejected(self, ridge):

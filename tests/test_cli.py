@@ -31,6 +31,7 @@ from capft import calibration, dataio, flight
 from capft.cli import main
 from capft.sensor_model import (CdcConfig, DriftModel, PillarModel, SensorGeometry, SensorParams,
                                  default_sensor_params)
+from test_calibration import traced_peak
 from test_json_inputs import INPUTS, JSON_VALUES, as_json, key_paths, with_edit
 
 
@@ -526,6 +527,49 @@ class TestCalibrate:
         assert main(["calibrate", str(logs), "--model", str(model_path)]) == 3
         assert capsys.readouterr().err == f"error: missing tare.csv in {logs}\n"
         assert not model_path.exists()
+
+    def test_mixed_sensor_directory_is_data_error_and_writes_no_model(self, tmp_path, capsys):
+        # a tare taken on another sensor would tare every trial wrongly
+        logs, other = tmp_path / "logs", tmp_path / "other"
+        assert main(["generate", "--trials", "2", "--duration", "0.5", "--seed", "3",
+                     "--out", str(logs)]) == 0
+        stiff = edited_sensor_params(
+            tmp_path, "pillars", "youngs_modulus",
+            1.3 * default_sensor_params().pillars.youngs_modulus)
+        assert main(["generate", "--trials", "1", "--duration", "0.5", "--seed", "3",
+                     "--sensor-params", str(stiff), "--out", str(other)]) == 0
+        shutil.copyfile(other / "tare.csv", logs / "tare.csv")
+        hashes = [json.loads((d / "manifest.json").read_text())["sensor_params_hash"]
+                  for d in (logs, other)]
+        assert hashes[0] != hashes[1]
+        capsys.readouterr()
+        model_path = tmp_path / "m.json"
+        rc = main(["calibrate", str(logs), "--mode", "both", "--model", str(model_path),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {logs / 'trial_00.csv'} has params hash "
+                                f"{hashes[0]!r} but {logs / 'tare.csv'} has {hashes[1]!r}: "
+                                "logs of two sensors\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logs", "other", "sensor.json"]
+
+    def test_peak_memory_is_the_parsed_logs_and_one_log(self, tmp_path):
+        # calibrate keeps the parsed logs and builds one trial's features at
+        # a time; parsing a log holds about four times its columns while it
+        # runs.  A concatenated training set with one feature buffer over all
+        # its rows peaks about 40% above this bound here.
+        data = tmp_path / "data"
+        assert main(["generate", "--trials", "6", "--duration", "10", "--seed", "5",
+                     "--out", str(data)]) == 0
+        logs = [dataio.load_log(p) for p in sorted(data.glob("*.csv"))]
+        nbytes = [sum(a.nbytes for a in (t.t, t.temperature, t.counts, t.wrench))
+                  for t in logs]
+        del logs
+        peak = traced_peak(lambda: main([
+            "calibrate", str(data), "--mode", "both", "--model", str(tmp_path / "m.json")]))
+        assert (tmp_path / "m_shear_only.json").exists()
+        assert peak <= sum(nbytes) + 4 * max(nbytes)
 
     def test_one_trial_is_a_model_error_and_writes_no_model(self, tmp_path, capsys):
         # a tare log and one trial leave nothing to hold out
